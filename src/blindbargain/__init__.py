@@ -36,10 +36,8 @@ from .circuit import (
     build_mechanism_circuit,
     circuit_digest,
     decode_outcome,
-    deserialize_circuit,
     encode_inputs,
     eval_plain,
-    eval_plain_batch,
     serialize_circuit,
 )
 from .config import ConfigError, SessionConfig, load_config
@@ -107,11 +105,9 @@ __all__ = [
     "circuit_digest",
     "closed_form_offer",
     "decode_outcome",
-    "deserialize_circuit",
     "determine_horizon",
     "encode_inputs",
     "eval_plain",
-    "eval_plain_batch",
     "evaluate",
     "garble",
     "load_config",

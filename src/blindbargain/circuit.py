@@ -28,9 +28,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from .mechanism import (
     DEFAULT_MAX_WIDTH,
@@ -93,6 +91,11 @@ class InputMap:
     @property
     def total_bits(self) -> int:
         return sum(r.length for r in self.ranges())
+
+    @property
+    def victim_bits(self) -> int:
+        """Count of victim input wires, which precede the attacker's."""
+        return sum(r.length for r in self.victim_ranges())
 
 
 @dataclass(frozen=True)
@@ -359,36 +362,34 @@ def build_mechanism_circuit(
     return Circuit(bld.wire_count, tuple(bld.gates), inputs, outputs)
 
 
-def eval_gate_list(
-    wire_count: int, gates: Iterable[Gate], initial: Mapping[int, int]
+def eval_gates(
+    wire_count: int, gates: Iterable[Gate], inputs: Sequence[int], lanes: int = 1
 ) -> list[int]:
-    """Evaluate raw gates from preset wires; returns every wire's bit."""
-    wires = [0] * wire_count
-    for idx, bit in initial.items():
-        wires[idx] = bit & 1
+    """Bit-sliced plaintext evaluation; returns every wire's word.
+
+    ``inputs`` are the words of wires 0 .. len(inputs) - 1.  Bit s of
+    each word is sample s, so one int operation advances ``lanes``
+    samples at once; a single run is one lane.
+    """
+    ones = (1 << lanes) - 1
+    wires = list(inputs) + [0] * (wire_count - len(inputs))
     for gate in gates:
         if gate.kind is GateKind.XOR:
             wires[gate.out] = wires[gate.in_a] ^ wires[gate.in_b]
         elif gate.kind is GateKind.AND:
             wires[gate.out] = wires[gate.in_a] & wires[gate.in_b]
         else:
-            wires[gate.out] = 1 - wires[gate.in_a]
+            wires[gate.out] = wires[gate.in_a] ^ ones
     return wires
-
-
-def eval_wires(circuit: Circuit, input_bits: Sequence[int]) -> list[int]:
-    if len(input_bits) != circuit.inputs.total_bits:
-        raise ValueError(
-            f"expected {circuit.inputs.total_bits} input bits, got {len(input_bits)}"
-        )
-    return eval_gate_list(
-        circuit.wire_count, circuit.gates, dict(enumerate(input_bits))
-    )
 
 
 def eval_plain(circuit: Circuit, input_bits: Sequence[int]) -> tuple[int, ...]:
     """Plaintext reference evaluation; returns (r_f bits..., alpha, sigma)."""
-    wires = eval_wires(circuit, input_bits)
+    if len(input_bits) != circuit.inputs.total_bits:
+        raise ValueError(
+            f"expected {circuit.inputs.total_bits} input bits, got {len(input_bits)}"
+        )
+    wires = eval_gates(circuit.wire_count, circuit.gates, [b & 1 for b in input_bits])
     return tuple(wires[w] for w in circuit.output_wires())
 
 
@@ -453,91 +454,5 @@ def serialize_circuit(circuit: Circuit) -> bytes:
     return b"".join(parts)
 
 
-def deserialize_circuit(data: bytes) -> Circuit:
-    header = struct.Struct("<4sHHII")
-    if len(data) < header.size:
-        raise ValueError("circuit blob too short")
-    magic, version, _, wire_count, gate_count = header.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise ValueError("bad circuit magic")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported circuit format version {version}")
-    off = header.size
-    rng_s = struct.Struct("<II")
-    ranges = []
-    for _ in range(6):
-        start, length = rng_s.unpack_from(data, off)
-        ranges.append(WireRange(start, length))
-        off += rng_s.size
-    out_s = struct.Struct("<IIIII")
-    rf_start, rf_len, alpha, sigma, overflow = out_s.unpack_from(data, off)
-    off += out_s.size
-    gate_s = struct.Struct("<BIII")
-    expected = off + gate_count * gate_s.size
-    if len(data) != expected:
-        raise ValueError(f"circuit blob length {len(data)} != expected {expected}")
-    gates = []
-    for _ in range(gate_count):
-        kind, in_a, in_b, out = gate_s.unpack_from(data, off)
-        off += gate_s.size
-        gates.append(
-            Gate(GateKind(kind), in_a, None if in_b == NOT_SENTINEL else in_b, out)
-        )
-    return Circuit(
-        wire_count,
-        tuple(gates),
-        InputMap(*ranges),
-        OutputMap(WireRange(rf_start, rf_len), alpha, sigma, overflow),
-    )
-
-
 def circuit_digest(circuit: Circuit) -> bytes:
     return hashlib.sha256(serialize_circuit(circuit)).digest()
-
-
-def pack_bit_columns(samples: np.ndarray) -> np.ndarray:
-    """Pack (n_samples, n_bits) 0/1 rows into (n_bits, n_words) uint64.
-
-    Sample s lands in bit s % 64 of word s // 64, so one uint64 op in
-    the batch evaluator advances 64 samples at once.
-    """
-    samples = np.asarray(samples, dtype=np.uint64)
-    n_samples, n_bits = samples.shape
-    n_words = -(-n_samples // 64)
-    padded = np.zeros((n_words * 64, n_bits), dtype=np.uint64)
-    padded[:n_samples] = samples
-    chunks = padded.T.reshape(n_bits, n_words, 64)
-    shifts = np.arange(64, dtype=np.uint64)
-    return (chunks << shifts).sum(axis=2, dtype=np.uint64)
-
-
-def unpack_bit_columns(words: np.ndarray, n_samples: int) -> np.ndarray:
-    """Inverse of pack_bit_columns: (n_bits, n_words) -> (n_samples, n_bits)."""
-    n_bits, n_words = words.shape
-    shifts = np.arange(64, dtype=np.uint64)
-    bits = (words[:, :, None] >> shifts) & np.uint64(1)
-    return bits.reshape(n_bits, n_words * 64).T[:n_samples].astype(np.uint8)
-
-
-def eval_plain_batch(circuit: Circuit, packed_inputs: np.ndarray) -> np.ndarray:
-    """Evaluate many samples at once on packed uint64 columns.
-
-    ``packed_inputs`` has one row per input wire.  Returns one row per
-    output: r_f bits LSB first, then alpha, sigma, and the overflow
-    probe last.
-    """
-    n_in = circuit.inputs.total_bits
-    if packed_inputs.shape[0] != n_in:
-        raise ValueError(f"expected {n_in} input rows, got {packed_inputs.shape[0]}")
-    n_words = packed_inputs.shape[1]
-    wires = np.zeros((circuit.wire_count, n_words), dtype=np.uint64)
-    wires[:n_in] = packed_inputs
-    for gate in circuit.gates:
-        if gate.kind is GateKind.XOR:
-            wires[gate.out] = wires[gate.in_a] ^ wires[gate.in_b]
-        elif gate.kind is GateKind.AND:
-            wires[gate.out] = wires[gate.in_a] & wires[gate.in_b]
-        else:
-            wires[gate.out] = ~wires[gate.in_a]
-    rows = list(circuit.output_wires()) + [circuit.outputs.overflow]
-    return wires[rows]

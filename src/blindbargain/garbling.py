@@ -46,18 +46,17 @@ class LabelDecodeError(ValueError):
 
 @dataclass(frozen=True)
 class WireLabel:
+    """A 128-bit label where it crosses an API or the wire.
+
+    Inside ``garble``/``evaluate`` labels are plain ints; the
+    point-and-permute color is the low bit of the big-endian value.
+    """
+
     bits: bytes
 
     def __post_init__(self) -> None:
         if len(self.bits) != LABEL_BYTES:
             raise ValueError("labels are 128-bit blocks")
-
-    def __xor__(self, other: "WireLabel") -> "WireLabel":
-        return WireLabel(bytes(a ^ b for a, b in zip(self.bits, other.bits)))
-
-    @property
-    def color(self) -> int:
-        return self.bits[-1] & 1
 
 
 @dataclass(frozen=True)
@@ -93,23 +92,22 @@ def _double(v: int) -> int:
     return v
 
 
-def _row_key(enc, a: WireLabel, b: WireLabel, tweak: int) -> int:
-    w = (
-        _double(int.from_bytes(a.bits, "big"))
-        ^ _double(_double(int.from_bytes(b.bits, "big")))
-        ^ tweak
-    )
-    block = w.to_bytes(LABEL_BYTES, "big")
-    return int.from_bytes(enc.update(block), "big") ^ w
+def _row_key(enc, a: int, b: int, tweak: int) -> int:
+    w = _double(a) ^ _double(_double(b)) ^ tweak
+    return int.from_bytes(enc.update(w.to_bytes(LABEL_BYTES, "big")), "big") ^ w
 
 
-def _seed_label(seed: bytes, tag: bytes, index: int) -> WireLabel:
+def _seed_label(seed: bytes, tag: bytes, index: int) -> int:
     digest = hashlib.sha256(seed + tag + index.to_bytes(8, "little")).digest()
-    return WireLabel(digest[:LABEL_BYTES])
+    return int.from_bytes(digest[:LABEL_BYTES], "big")
 
 
-def _commit(label: WireLabel) -> bytes:
-    return hashlib.sha256(label.bits).digest()
+def _label(value: int) -> WireLabel:
+    return WireLabel(value.to_bytes(LABEL_BYTES, "big"))
+
+
+def _commit(label: bytes) -> bytes:
+    return hashlib.sha256(label).digest()
 
 
 def garble(circuit: Circuit, seed: bytes) -> GarbledMaterial:
@@ -118,12 +116,10 @@ def garble(circuit: Circuit, seed: bytes) -> GarbledMaterial:
     Same seed, same circuit: byte-identical output, which the tests use
     to pin determinism.  Production callers draw the seed fresh.
     """
-    delta = _seed_label(seed, b"delta", 0)
-    delta = WireLabel(delta.bits[:-1] + bytes([delta.bits[-1] | 1]))
-    zero_of: list[WireLabel | None] = [None] * circuit.wire_count
+    delta = _seed_label(seed, b"delta", 0) | 1
     n_in = circuit.inputs.total_bits
-    for wire in range(n_in):
-        zero_of[wire] = _seed_label(seed, b"input", wire)
+    zero_of = [_seed_label(seed, b"input", w) for w in range(n_in)]
+    zero_of += [0] * (circuit.wire_count - n_in)
     enc = _new_encryptor()
     tables = []
     for position, gate in enumerate(circuit.gates):
@@ -133,27 +129,26 @@ def garble(circuit: Circuit, seed: bytes) -> GarbledMaterial:
             # pass-through label flips meaning, no table row needed
             zero_of[gate.out] = zero_of[gate.in_a] ^ delta
         else:
+            a0, b0 = zero_of[gate.in_a], zero_of[gate.in_b]
             out0 = _seed_label(seed, b"gate", position)
             zero_of[gate.out] = out0
-            rows: list[bytes | None] = [None] * 4
-            for va in (0, 1):
-                for vb in (0, 1):
-                    a = zero_of[gate.in_a] ^ delta if va else zero_of[gate.in_a]
-                    b = zero_of[gate.in_b] ^ delta if vb else zero_of[gate.in_b]
-                    out = out0 ^ delta if va and vb else out0
-                    pad = _row_key(enc, a, b, position)
-                    ct = pad ^ int.from_bytes(out.bits, "big")
-                    rows[(a.color << 1) | b.color] = ct.to_bytes(LABEL_BYTES, "big")
+            rows: list[bytes] = [b""] * 4
+            for va, a in enumerate((a0, a0 ^ delta)):
+                for vb, b in enumerate((b0, b0 ^ delta)):
+                    out = out0 ^ delta if va & vb else out0
+                    ct = _row_key(enc, a, b, position) ^ out
+                    rows[((a & 1) << 1) | (b & 1)] = ct.to_bytes(LABEL_BYTES, "big")
             tables.append(tuple(rows))
     input_pairs = tuple(
-        (zero_of[w], zero_of[w] ^ delta) for w in range(n_in)
+        (_label(zero_of[w]), _label(zero_of[w] ^ delta)) for w in range(n_in)
     )
     output_pairs = tuple(
-        (zero_of[w], zero_of[w] ^ delta) for w in circuit.output_wires()
+        (_label(zero_of[w]), _label(zero_of[w] ^ delta))
+        for w in circuit.output_wires()
     )
-    decode = tuple((_commit(p[0]), _commit(p[1])) for p in output_pairs)
+    decode = tuple((_commit(p[0].bits), _commit(p[1].bits)) for p in output_pairs)
     gc = GarbledCircuit(circuit_digest(circuit), tuple(tables), decode)
-    return GarbledMaterial(gc, input_pairs, output_pairs, delta)
+    return GarbledMaterial(gc, input_pairs, output_pairs, _label(delta))
 
 
 def evaluate(
@@ -172,9 +167,8 @@ def evaluate(
         raise ValueError(f"expected {n_in} input labels, got {len(input_labels)}")
     if len(gc.tables) != circuit.and_count:
         raise ValueError("garbled table count does not match the circuit")
-    labels: list[WireLabel | None] = [None] * circuit.wire_count
-    for wire, label in enumerate(input_labels):
-        labels[wire] = label
+    labels = [int.from_bytes(label.bits, "big") for label in input_labels]
+    labels += [0] * (circuit.wire_count - n_in)
     enc = _new_encryptor()
     and_index = 0
     for position, gate in enumerate(circuit.gates):
@@ -184,12 +178,10 @@ def evaluate(
             labels[gate.out] = labels[gate.in_a]
         else:
             a, b = labels[gate.in_a], labels[gate.in_b]
-            row = gc.tables[and_index][(a.color << 1) | b.color]
+            row = gc.tables[and_index][((a & 1) << 1) | (b & 1)]
             and_index += 1
-            pad = _row_key(enc, a, b, position)
-            out = pad ^ int.from_bytes(row, "big")
-            labels[gate.out] = WireLabel(out.to_bytes(LABEL_BYTES, "big"))
-    return tuple(labels[w] for w in circuit.output_wires())
+            labels[gate.out] = _row_key(enc, a, b, position) ^ int.from_bytes(row, "big")
+    return tuple(_label(labels[w]) for w in circuit.output_wires())
 
 
 def decode_and_prove(
@@ -207,7 +199,7 @@ def decode_and_prove(
         )
     bits = []
     for position, (label, pair) in enumerate(zip(output_labels, gc.output_decode)):
-        commitment = _commit(label)
+        commitment = _commit(label.bits)
         if commitment == pair[0]:
             bits.append(0)
         elif commitment == pair[1]:

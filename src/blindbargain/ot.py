@@ -75,9 +75,10 @@ def _parse_elements(data: bytes, count: int, what: str) -> list[int]:
     return out
 
 
-def _pad(index: int, shared: int) -> bytes:
+def _pad(index: int, shared: int) -> int:
     material = struct.pack("<I", index) + _element_bytes(shared)
-    return hashlib.sha256(b"ot-pad" + material).digest()[:LABEL_BYTES]
+    digest = hashlib.sha256(b"ot-pad" + material).digest()
+    return int.from_bytes(digest[:LABEL_BYTES], "big")
 
 
 class OtSender:
@@ -88,7 +89,10 @@ class OtSender:
         pairs: Sequence[tuple[WireLabel, WireLabel]],
         rand_bits: RandomBits = _default_rand,
     ) -> None:
-        self._pairs = list(pairs)
+        self._pairs = [
+            (int.from_bytes(k0.bits, "big"), int.from_bytes(k1.bits, "big"))
+            for k0, k1 in pairs
+        ]
         self._a = _rand_exponent(rand_bits)
         self._big_a = pow(GENERATOR, self._a, PRIME)
 
@@ -109,8 +113,7 @@ class OtSender:
             shared0 = pow(b_elem, self._a, PRIME)
             shared1 = shared0 * inv_a_to_a % PRIME
             for shared, label in ((shared0, pair[0]), (shared1, pair[1])):
-                pad = _pad(i, shared)
-                parts.append(bytes(x ^ y for x, y in zip(pad, label.bits)))
+                parts.append((_pad(i, shared) ^ label).to_bytes(LABEL_BYTES, "big"))
         return b"".join(parts)
 
 
@@ -149,11 +152,10 @@ class OtReceiver:
             raise OtProtocolError(f"expected {n} ciphertext pairs")
         labels = []
         for i, (choice, b) in enumerate(zip(self._choices, self._exponents)):
-            shared = pow(self._big_a, b, PRIME)
-            pad = _pad(i, shared)
+            pad = _pad(i, pow(self._big_a, b, PRIME))
             start = (2 * i + choice) * LABEL_BYTES
-            ct = ciphertexts[start : start + LABEL_BYTES]
-            labels.append(WireLabel(bytes(x ^ y for x, y in zip(pad, ct))))
+            ct = int.from_bytes(ciphertexts[start : start + LABEL_BYTES], "big")
+            labels.append(WireLabel((pad ^ ct).to_bytes(LABEL_BYTES, "big")))
         return labels
 
 

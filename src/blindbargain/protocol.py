@@ -35,7 +35,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from .circuit import (
     Circuit,
@@ -128,6 +127,15 @@ class PiProfile:
         object.__setattr__(self, "k_theta", int(k_theta))
         object.__setattr__(self, "t_e", as_money(t_e))
         self.params()  # validates q, p_bar, widths
+        if self.t_e < 0:
+            raise ValueError("t_e must be >= 0")
+        try:
+            self.to_bytes()
+        except struct.error:
+            raise ValueError(
+                "profile does not fit its wire form: numerators and denominators "
+                "must be below 2^64, bitwidths below 2^32"
+            ) from None
 
     def params(self) -> MechanismParams:
         return MechanismParams(self.q, self.p_bar, self.k_theta, self.k)
@@ -247,9 +255,6 @@ class SessionRandomness:
             return self._rng.randbytes(n)
         return secrets.token_bytes(n)
 
-    def bit_source(self) -> Callable[[int], int]:
-        return self.word
-
 
 @dataclass(frozen=True)
 class NegotiationResult:
@@ -327,8 +332,18 @@ class _Channel:
         raise NegotiationAbort(stage, detail, self.transcript)
 
 
-def _range_bits(value: int, length: int) -> list[int]:
-    return [(value >> i) & 1 for i in range(length)]
+def _draw_inputs(
+    config: NegotiationConfig, randomness: SessionRandomness
+) -> tuple[int, int, list[int]]:
+    """Draw one party's two random words; returns them with its input bits.
+
+    The bits follow the circuit's per-party layout: s0, s1, then the
+    report, each LSB first.
+    """
+    k, kt = config.pi.k, config.pi.k_theta
+    s0, s1 = randomness.word(k), randomness.word(k)
+    fields = ((s0, k), (s1, k), (config.theta_hat, kt))
+    return s0, s1, [(value >> i) & 1 for value, width in fields for i in range(width)]
 
 
 def _parse_labels(payload: bytes, count: int, channel: _Channel, stage: str):
@@ -381,13 +396,7 @@ class VictimSession:
         return circuit, material
 
     def _send_own_labels(self, circuit: Circuit, material):
-        k, kt = self.pi.k, self.pi.k_theta
-        s0, s1 = self.randomness.word(k), self.randomness.word(k)
-        bits = (
-            _range_bits(s0, k)
-            + _range_bits(s1, k)
-            + _range_bits(self.config.theta_hat, kt)
-        )
+        s0, s1, bits = _draw_inputs(self.config, self.randomness)
         labels = select_labels(material.input_labels[: len(bits)], bits)
         self.channel.send(
             MSG_GARBLER_INPUT_LABELS, b"".join(l.bits for l in labels)
@@ -395,9 +404,8 @@ class VictimSession:
         return s0, s1
 
     def _serve_ot(self, circuit: Circuit, material) -> None:
-        n_victim = sum(r.length for r in circuit.inputs.victim_ranges())
         sender = OtSender(
-            material.input_labels[n_victim:], self.randomness.bit_source()
+            material.input_labels[circuit.inputs.victim_bits :], self.randomness.word
         )
         self.channel.send(MSG_OT_MSG1, sender.public_message())
         _, blinded = self.channel.recv({MSG_OT_MSG2}, "ot")
@@ -480,19 +488,14 @@ class AttackerSession:
         return gc, circuit
 
     def _receive_victim_labels(self, circuit: Circuit):
-        n_victim = sum(r.length for r in circuit.inputs.victim_ranges())
         _, payload = self.channel.recv({MSG_GARBLER_INPUT_LABELS}, "victim-labels")
-        return _parse_labels(payload, n_victim, self.channel, "victim-labels")
+        return _parse_labels(
+            payload, circuit.inputs.victim_bits, self.channel, "victim-labels"
+        )
 
     def _run_ot(self, circuit: Circuit):
-        k, kt = self.config.pi.k, self.config.pi.k_theta
-        s0, s1 = self.randomness.word(k), self.randomness.word(k)
-        bits = (
-            _range_bits(s0, k)
-            + _range_bits(s1, k)
-            + _range_bits(self.config.theta_hat, kt)
-        )
-        receiver = OtReceiver(bits, self.randomness.bit_source())
+        s0, s1, bits = _draw_inputs(self.config, self.randomness)
+        receiver = OtReceiver(bits, self.randomness.word)
         _, sender_public = self.channel.recv({MSG_OT_MSG1}, "ot")
         try:
             blinded = receiver.blind(sender_public)

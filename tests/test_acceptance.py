@@ -26,13 +26,7 @@ from blindbargain.bargaining import (
     rubinstein_split,
 )
 from blindbargain.bench import GRID, format_table, monotone_over_grid, run_benchmark
-from blindbargain.circuit import (
-    build_mechanism_circuit,
-    eval_plain,
-    eval_plain_batch,
-    pack_bit_columns,
-    unpack_bit_columns,
-)
+from blindbargain.circuit import build_mechanism_circuit, eval_gates, eval_plain
 from blindbargain.cli import main as cli_main
 from blindbargain.garbling import decode_and_prove, evaluate, garble, select_labels
 from blindbargain.losses import LossProfile, VictimParams, residual_value, total_value
@@ -40,6 +34,7 @@ from blindbargain.mechanism import (
     MechanismParams,
     Report,
     ScaledParams,
+    ScalingWarning,
     attacker_truthfulness_margin,
     expected_victim_utility,
     outcome_fixed,
@@ -224,18 +219,29 @@ def _batch_outcomes(circuit, fields: np.ndarray):
         circuit.inputs.theta_a,
     )
     n = fields.shape[0]
-    bits = np.zeros((n, circuit.inputs.total_bits), dtype=np.uint8)
+    words = [0] * circuit.inputs.total_bits
     for rng, column in zip(ranges, fields.T):
         for i in range(rng.length):
-            bits[:, rng.start + i] = (column >> i) & 1
-    out = unpack_bit_columns(eval_plain_batch(circuit, pack_bit_columns(bits)), n)
-    width = circuit.outputs.r_f.length
-    r_f = sum(out[:, i].astype(np.int64) << i for i in range(width))
-    return r_f, out[:, width], out[:, width + 1], out[:, width + 2]
+            lane_bits = ((column >> i) & 1).astype(np.uint8)
+            packed = np.packbits(lane_bits, bitorder="little").tobytes()
+            words[rng.start + i] = int.from_bytes(packed, "little")
+    wires = eval_gates(circuit.wire_count, circuit.gates, words, n)
+
+    def lanes(wire):
+        packed = np.frombuffer(wires[wire].to_bytes(-(-n // 8), "little"), np.uint8)
+        return np.unpackbits(packed, bitorder="little")[:n]
+
+    outputs = circuit.outputs
+    r_f = sum(lanes(w).astype(np.int64) << i for i, w in enumerate(outputs.r_f.indices()))
+    return r_f, lanes(outputs.alpha), lanes(outputs.sigma), lanes(outputs.overflow)
 
 
 def test_criterion_08_circuit_matches_fixed_point_oracle():
-    """Exhaustive 4/4 equivalence, random 16/32, then the garbled path."""
+    """Exhaustive 4/4 equivalence, random 16/32, then the garbled path.
+
+    The exhaustive sweep covers a dyadic q, a non-dyadic q (1/5, whose
+    scaled constants round down), and the q = 1/2, p_bar = 1 edge.
+    """
     params = MechanismParams.from_q(Fraction(1, 4), 4, 4)
     scaled = ScaledParams.from_params(params)
     circuit = build_mechanism_circuit(params, scaled)
@@ -246,13 +252,21 @@ def test_criterion_08_circuit_matches_fixed_point_oracle():
     fields[:, 5] = cases[:, 1]
     fields[:, 0] = cases[:, 2]
     fields[:, 1] = cases[:, 3]
-    r_f, alpha, sigma, overflow = _batch_outcomes(circuit, fields)
-    assert not overflow.any()
-    for idx in range(65536):
-        theta_v, theta_a, s0, s1 = (int(x) for x in cases[idx])
-        want = outcome_fixed(params, scaled, Report(theta_v, theta_a), s0, s1)
-        got = (int(r_f[idx]), int(alpha[idx]), int(sigma[idx]))
-        assert got == (int(want.r_f), want.alpha, want.sigma), (theta_v, theta_a, s0, s1)
+    for q in (Fraction(1, 4), Fraction(1, 5), Fraction(1, 2)):
+        params_q = MechanismParams.from_q(q, 4, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ScalingWarning)
+            scaled_q = ScaledParams.from_params(params_q)
+        circuit_q = build_mechanism_circuit(params_q, scaled_q)
+        r_f, alpha, sigma, overflow = _batch_outcomes(circuit_q, fields)
+        assert not overflow.any()
+        for idx in range(65536):
+            theta_v, theta_a, s0, s1 = (int(x) for x in cases[idx])
+            want = outcome_fixed(params_q, scaled_q, Report(theta_v, theta_a), s0, s1)
+            got = (int(r_f[idx]), int(alpha[idx]), int(sigma[idx]))
+            assert got == (int(want.r_f), want.alpha, want.sigma), (
+                q, theta_v, theta_a, s0, s1,
+            )
 
     params16 = MechanismParams.from_q(Fraction(1, 4), 16, 32)
     scaled16 = ScaledParams.from_params(params16)
@@ -310,8 +324,8 @@ def test_criterion_08_circuit_matches_fixed_point_oracle():
             want.sigma,
         )
     print(
-        "criterion 8: PASS - 2^16 exhaustive + 10^4 random 16/32 + 10^3 "
-        "garbled evaluations all match the fixed-point oracle"
+        "criterion 8: PASS - 2^16 exhaustive at q = 1/4, 1/5, 1/2 + 10^4 random "
+        "16/32 + 10^3 garbled evaluations all match the fixed-point oracle"
     )
 
 

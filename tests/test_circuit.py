@@ -19,15 +19,10 @@ from blindbargain.circuit import (
     build_mechanism_circuit,
     circuit_digest,
     decode_outcome,
-    deserialize_circuit,
     encode_inputs,
-    eval_gate_list,
+    eval_gates,
     eval_plain,
-    eval_plain_batch,
-    eval_wires,
-    pack_bit_columns,
     serialize_circuit,
-    unpack_bit_columns,
 )
 from blindbargain.mechanism import (
     MechanismParams,
@@ -46,12 +41,25 @@ GOLDEN_DIGESTS = {
 }
 
 
-def _field_bits(value, wires):
-    return {w: (value >> i) & 1 for i, w in enumerate(wires)}
+def _sweep(bld, n_inputs):
+    """All input assignments at once: lane v sets input wire i to bit i of v."""
+    lanes = 1 << n_inputs
+    inputs = [sum(((v >> i) & 1) << v for v in range(lanes)) for i in range(n_inputs)]
+    return eval_gates(bld.wire_count, bld.gates, inputs, lanes)
 
 
-def _as_int(wires, values):
-    return sum(values[w] << i for i, w in enumerate(wires))
+def _lane(words, wires, v):
+    """The integer that ``wires`` (LSB first) hold in lane v."""
+    return sum(((words[w] >> v) & 1) << i for i, w in enumerate(wires))
+
+
+def _pack_lanes(rows):
+    """One word per input wire from (lanes, wires) 0/1 rows; bit s is row s."""
+    columns = np.asarray(rows, dtype=np.uint8).T
+    return [
+        int.from_bytes(np.packbits(c, bitorder="little").tobytes(), "little")
+        for c in columns
+    ]
 
 
 def test_adder_exhaustive_small_widths():
@@ -60,11 +68,9 @@ def test_adder_exhaustive_small_widths():
         xa = bld.new_inputs(width)
         xb = bld.new_inputs(width)
         out, carry = bld.add(xa, xb)
+        words = _sweep(bld, 2 * width)
         for a, b in itertools.product(range(1 << width), repeat=2):
-            init = {**_field_bits(a, xa), **_field_bits(b, xb)}
-            values = eval_gate_list(bld.wire_count, bld.gates, init)
-            got = _as_int(out, values) | (values[carry] << width)
-            assert got == a + b
+            assert _lane(words, out + [carry], a | b << width) == a + b
 
 
 def test_comparator_exhaustive_small_widths():
@@ -73,10 +79,9 @@ def test_comparator_exhaustive_small_widths():
         xa = bld.new_inputs(width)
         xb = bld.new_inputs(width)
         lt = bld.less_than(xa, xb)
+        words = _sweep(bld, 2 * width)
         for a, b in itertools.product(range(1 << width), repeat=2):
-            init = {**_field_bits(a, xa), **_field_bits(b, xb)}
-            values = eval_gate_list(bld.wire_count, bld.gates, init)
-            assert values[lt] == (1 if a < b else 0)
+            assert _lane(words, [lt], a | b << width) == (1 if a < b else 0)
 
 
 def test_multiplier_exhaustive_small_widths():
@@ -87,26 +92,25 @@ def test_multiplier_exhaustive_small_widths():
         xb = bld.new_inputs(wb)
         prod = bld.multiply(xa, xb)
         assert len(prod) == wa + wb
+        words = _sweep(bld, wa + wb)
         for a, b in itertools.product(range(1 << wa), range(1 << wb)):
-            init = {**_field_bits(a, xa), **_field_bits(b, xb)}
-            values = eval_gate_list(bld.wire_count, bld.gates, init)
-            assert _as_int(prod, values) == a * b
+            assert _lane(words, prod, a | b << wa) == a * b
 
 
 def test_mux_and_or_tree():
     bld = CircuitBuilder()
     sel, x, y = bld.new_inputs(3)
     m = bld.mux(sel, x, y)
+    words = _sweep(bld, 3)
     for s, a, b in itertools.product((0, 1), repeat=3):
-        values = eval_gate_list(bld.wire_count, bld.gates, {sel: s, x: a, y: b})
-        assert values[m] == (a if s else b)
+        assert _lane(words, [m], s | a << 1 | b << 2) == (a if s else b)
     for width in range(1, 5):
         bld = CircuitBuilder()
         xs = bld.new_inputs(width)
         tree = bld.or_tree(xs)
+        words = _sweep(bld, width)
         for v in range(1 << width):
-            values = eval_gate_list(bld.wire_count, bld.gates, _field_bits(v, xs))
-            assert values[tree] == (1 if v else 0)
+            assert _lane(words, [tree], v) == (1 if v else 0)
 
 
 def test_builder_input_and_width_rules():
@@ -179,21 +183,6 @@ def test_golden_digests_stable():
         assert circuit_digest(circuit).hex() == expected
 
 
-def test_serialization_roundtrip():
-    circuit = build_mechanism_circuit(PARAMS, SCALED)
-    blob = serialize_circuit(circuit)
-    assert deserialize_circuit(blob) == circuit
-    with pytest.raises(ValueError):
-        deserialize_circuit(blob[:10])
-    with pytest.raises(ValueError):
-        deserialize_circuit(b"XXXX" + blob[4:])
-    with pytest.raises(ValueError):
-        deserialize_circuit(blob + b"\x00")
-    bad_version = blob[:4] + b"\x63\x00" + blob[6:]
-    with pytest.raises(ValueError):
-        deserialize_circuit(bad_version)
-
-
 def test_matches_fixed_point_on_random_inputs():
     circuit = build_mechanism_circuit(PARAMS, SCALED)
     rng = random.Random(0x11)
@@ -219,15 +208,17 @@ def test_matches_fixed_point_wide_widths_batch():
         s0, s1 = rng.randrange(1 << 32), rng.randrange(1 << 32)
         cases.append((tv, ta, s0, s1))
         rows.append(encode_inputs(circuit, tv, ta, s0_v=s0, s1_v=s1, s0_a=0, s1_a=0))
-    packed = pack_bit_columns(np.array(rows, dtype=np.uint64))
-    out = unpack_bit_columns(eval_plain_batch(circuit, packed), len(cases))
-    n = circuit.outputs.r_f.length
-    for row, (tv, ta, s0, s1) in zip(out, cases):
+    words = eval_gates(
+        circuit.wire_count, circuit.gates, _pack_lanes(rows), len(cases)
+    )
+    outputs = circuit.outputs
+    for v, (tv, ta, s0, s1) in enumerate(cases):
         want = outcome_fixed(params, scaled, Report(tv, ta), s0, s1)
-        r_f = sum(int(b) << i for i, b in enumerate(row[:n]))
-        assert (r_f, row[n], row[n + 1]) == (want.r_f, want.alpha, want.sigma)
-        # truncated high product bits never carry information
-        assert row[n + 2] == 0
+        got = [_lane(words, [w], v) for w in (outputs.alpha, outputs.sigma)]
+        r_f = _lane(words, outputs.r_f.indices(), v)
+        assert (r_f, *got) == (want.r_f, want.alpha, want.sigma)
+    # truncated high product bits never carry information
+    assert words[outputs.overflow] == 0
 
 
 def test_overflow_probe_never_fires_exhaustively():
@@ -236,9 +227,8 @@ def test_overflow_probe_never_fires_exhaustively():
         encode_inputs(circuit, tv, ta, s0_v=s0, s1_v=s1, s0_a=0, s1_a=0)
         for tv, ta, s0, s1 in itertools.product(range(16), repeat=4)
     ]
-    packed = pack_bit_columns(np.array(rows, dtype=np.uint64))
-    out = eval_plain_batch(circuit, packed)
-    assert not out[-1].any()
+    words = eval_gates(circuit.wire_count, circuit.gates, _pack_lanes(rows), len(rows))
+    assert words[circuit.outputs.overflow] == 0
 
 
 def test_and_count_monotone_in_widths():
@@ -273,17 +263,7 @@ def test_encode_and_decode_guards():
     with pytest.raises(ValueError):
         decode_outcome(circuit, [0] * 3)
     with pytest.raises(ValueError):
-        eval_plain_batch(circuit, np.zeros((3, 1), dtype=np.uint64))
-
-
-def test_pack_unpack_roundtrip():
-    rng = random.Random(0x33)
-    samples = np.array(
-        [[rng.randrange(2) for _ in range(5)] for _ in range(130)], dtype=np.uint64
-    )
-    packed = pack_bit_columns(samples)
-    assert packed.shape == (5, 3)
-    assert (unpack_bit_columns(packed, 130) == samples).all()
+        eval_plain(circuit, [0] * 3)
 
 
 def test_zero_report_forces_zero_ransom():

@@ -240,3 +240,17 @@ def test_config_errors_exit_one(capsys, tmp_path):
         capsys, "attacker", "--config", str(good), "--connect", "nowhere"
     )
     assert code == 1 and "host:port" in err
+
+
+def test_unsendable_profile_exits_one_before_listening(capsys, tmp_path):
+    # a t_e the profile's u64 fields cannot carry, and a negative t_e; the
+    # report comes from theta_hex, so only the profile can fail
+    for t_e in ("1/18446744073709551617", "-1"):
+        cfg = tmp_path / "victim.cfg"
+        cfg.write_text(ATTACKER_CFG.replace("t_e = 1", f"t_e = {t_e}"))
+        code, _, err = run(
+            capsys,
+            "victim", "--config", str(cfg),
+            "--listen", f"127.0.0.1:{_free_port()}", "--timeout", "1",
+        )
+        assert code == 1 and "error:" in err

@@ -371,6 +371,17 @@ def test_profile_roundtrip_and_validation():
         NegotiationConfig("observer", PI, 0)
 
 
+def test_profile_rejects_what_its_wire_form_cannot_carry():
+    q, p_bar = Fraction(1, 4), Fraction(2, 3)
+    for t_e in (-1, Fraction(-1, 2), Fraction(1, 2**64 + 1), Fraction(2**64)):
+        with pytest.raises(ValueError):
+            PiProfile(q, p_bar, 8, 8, t_e)
+    with pytest.raises(ValueError):
+        PiProfile(q, p_bar, 2**32, 8, 0)
+    widest = PiProfile(q, p_bar, 8, 8, Fraction(2**64 - 1, 2**64 - 2))
+    assert PiProfile.from_bytes(widest.to_bytes()) == widest
+
+
 def test_empty_transcript_roundtrip(tmp_path):
     path = tmp_path / "empty.transcript"
     persist_transcript(SessionTranscript(), path)
