@@ -10,10 +10,14 @@ parameters: identical params yield a byte-identical serialization, which
 is what lets the evaluating side rebuild the circuit independently and
 compare digests instead of trusting the builder.
 
-Gate structure never depends on the *values* of the hard-wired
-constants, only on bit widths, so the AND-gate count is a function of
-(k_theta, k) alone.  Constants enter as wires tied to const-0/const-1
-and nothing is folded away.
+The builder folds constants as it emits: an AND with const-0 is
+const-0, an AND with const-1 or an XOR with const-0 is the other input,
+an XOR with const-1 is a NOT, and a NOT of a constant is the other
+constant.  So a multiply by the public ``q_scale`` or ``inv_q_scale``
+keeps only the partial products of its set bits, and the AND count
+depends on the constants' values as well as on (k_theta, k).  The only
+gates that read the constant wires are their own definitions and the
+alignment copies that pin the ransom bits to one contiguous range.
 
 Right-shifts cost zero gates: they are bit reindexing.  The product
 r2 * inv_q_scale can exceed the output width in branches that are never
@@ -39,7 +43,7 @@ from .mechanism import (
 )
 
 MAGIC = b"BCIR"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 NOT_SENTINEL = 0xFFFFFFFF
 
 
@@ -182,25 +186,47 @@ class CircuitBuilder:
         return out
 
     def xor(self, a: int, b: int) -> int:
+        if a == self._zero:
+            return b
+        if b == self._zero:
+            return a
+        if a == self._one:
+            return self.not_(b)
+        if b == self._one:
+            return self.not_(a)
         return self._emit(GateKind.XOR, a, b)
 
     def and_(self, a: int, b: int) -> int:
+        if self._zero in (a, b):
+            return self._zero
+        if a == self._one:
+            return b
+        if b == self._one:
+            return a
         return self._emit(GateKind.AND, a, b)
 
     def not_(self, a: int) -> int:
+        if a == self._zero:
+            return self.one()
+        if a == self._one:
+            return self._zero
         return self._emit(GateKind.NOT, a, None)
+
+    def copy(self, a: int) -> int:
+        """A fresh wire equal to ``a``: a real XOR with zero, never folded."""
+        return self._emit(GateKind.XOR, a, self.zero())
 
     def or_(self, a: int, b: int) -> int:
         return self.xor(self.xor(a, b), self.and_(a, b))
 
     def zero(self) -> int:
         if self._zero is None:
-            self._zero = self.xor(0, 0)
+            self._zero = self._emit(GateKind.XOR, 0, 0)
         return self._zero
 
     def one(self) -> int:
         if self._one is None:
-            self._one = self.not_(self.zero())
+            self._one = self._emit(GateKind.NOT, self.zero(), None)
         return self._one
 
     def const_bits(self, value: int, width: int) -> list[int]:
@@ -348,8 +374,9 @@ def build_mechanism_circuit(
     r_f_bits = bld.mux_vec(accept, bld.zero_extend(r2, out_w), picked)
 
     # Alignment pass: pin the ransom to one contiguous range (free XORs).
+    bld.zero()  # allocated before r_f_start, so the copies stay contiguous
     r_f_start = bld.wire_count
-    r_f_bits = [bld.xor(b, bld.zero()) for b in r_f_bits]
+    r_f_bits = [bld.copy(b) for b in r_f_bits]
 
     alpha = bld.or_(bld.or_tree(r_f_bits), sigma)
     # r3 <= theta_v < 2^kt whenever the counter branch is live, so the

@@ -14,12 +14,28 @@ Exponents are 256 bits, the usual short-exponent setting for this group
 size; input counts here are tiny (two random words and one report per
 party), so no OT extension is layered on top.
 
+Every element read off the wire must be a quadratic residue, checked by
+its Jacobi symbol.  Without that check a receiver could send a
+non-residue B and learn the parity of the sender's exponent from which
+pad decrypts.
+
+Both of the receiver's bases are fixed: g for every session, A for all
+transfers of one session.  So the receiver raises them through windowed
+fixed-base tables (Lim-Lee): one table for g, built on first use and
+kept for the process, and one per session for A.  An exponentiation
+then costs one multiplication per window and no squarings.  The results
+equal ``pow``, so no byte on the wire changes.  The sender's bases B
+differ per transfer, so its variable-base B^a, one per transfer, are
+the floor of this construction.  Table lookups are indexed by secret
+exponent digits, which is no more constant-time than ``pow`` itself.
+
 The three byte blobs produced here travel as protocol messages; the
 pure in-process composition ``ot_transfer`` is what the tests exercise.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import secrets
 import struct
@@ -40,6 +56,10 @@ GENERATOR = 4
 SUBGROUP_ORDER = (PRIME - 1) // 2
 EXPONENT_BITS = 256
 ELEMENT_BYTES = 128
+# Fixed-base window: one table row of 2^5 powers per 5 exponent bits.
+# 5 beat 4 and 6 for the 24-80 transfers of a session: wider windows
+# cost more to tabulate per session than they save per transfer.
+WINDOW_BITS = 5
 
 RandomBits = Callable[[int], int]
 
@@ -63,6 +83,21 @@ def _element_bytes(x: int) -> bytes:
     return x.to_bytes(ELEMENT_BYTES, "big")
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0, by binary quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):
+            sign = -sign
+        if a & n & 3 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
 def _parse_elements(data: bytes, count: int, what: str) -> list[int]:
     if len(data) != count * ELEMENT_BYTES:
         raise OtProtocolError(f"{what}: expected {count} group elements")
@@ -71,8 +106,41 @@ def _parse_elements(data: bytes, count: int, what: str) -> list[int]:
         x = int.from_bytes(data[i * ELEMENT_BYTES : (i + 1) * ELEMENT_BYTES], "big")
         if not 1 < x < PRIME - 1:
             raise OtProtocolError(f"{what}: element {i} outside the group range")
+        if _jacobi(x, PRIME) != 1:
+            raise OtProtocolError(f"{what}: element {i} outside the subgroup")
         out.append(x)
     return out
+
+
+def _fixed_base_table(base: int) -> list[list[int]]:
+    """Row i holds base^(d * 2^(WINDOW_BITS * i)) for every digit d."""
+    table = []
+    for _ in range(-(-EXPONENT_BITS // WINDOW_BITS)):
+        row = [1, base]
+        for _ in range(2, 1 << WINDOW_BITS):
+            row.append(row[-1] * base % PRIME)
+        table.append(row)
+        base = row[-1] * base % PRIME
+    return table
+
+
+def _fixed_pow(table: list[list[int]], exponent: int) -> int:
+    """base^exponent from ``_fixed_base_table(base)``; equals ``pow``."""
+    if exponent >> (WINDOW_BITS * len(table)):
+        raise ValueError("exponent wider than the table")
+    mask = (1 << WINDOW_BITS) - 1
+    result = 1
+    for row in table:
+        digit = exponent & mask
+        if digit:
+            result = result * row[digit] % PRIME
+        exponent >>= WINDOW_BITS
+    return result
+
+
+@functools.cache
+def _generator_table() -> list[list[int]]:
+    return _fixed_base_table(GENERATOR)
 
 
 def _pad(index: int, shared: int) -> int:
@@ -126,7 +194,7 @@ class OtReceiver:
         self._choices = [c & 1 for c in choices]
         self._rand_bits = rand_bits
         self._exponents: list[int] = []
-        self._big_a: int | None = None
+        self._a_table: list[list[int]] | None = None
 
     @property
     def count(self) -> int:
@@ -134,25 +202,26 @@ class OtReceiver:
 
     def blind(self, sender_public: bytes) -> bytes:
         (big_a,) = _parse_elements(sender_public, 1, "sender message")
-        self._big_a = big_a
+        self._a_table = _fixed_base_table(big_a)
         self._exponents = [_rand_exponent(self._rand_bits) for _ in self._choices]
+        g_table = _generator_table()
         parts = []
         for choice, b in zip(self._choices, self._exponents):
-            elem = pow(GENERATOR, b, PRIME)
+            elem = _fixed_pow(g_table, b)
             if choice:
                 elem = elem * big_a % PRIME
             parts.append(_element_bytes(elem))
         return b"".join(parts)
 
     def unwrap(self, ciphertexts: bytes) -> list[WireLabel]:
-        if self._big_a is None:
+        if self._a_table is None:
             raise OtProtocolError("unwrap before blind")
         n = len(self._choices)
         if len(ciphertexts) != n * 2 * LABEL_BYTES:
             raise OtProtocolError(f"expected {n} ciphertext pairs")
         labels = []
         for i, (choice, b) in enumerate(zip(self._choices, self._exponents)):
-            pad = _pad(i, pow(self._big_a, b, PRIME))
+            pad = _pad(i, _fixed_pow(self._a_table, b))
             start = (2 * i + choice) * LABEL_BYTES
             ct = int.from_bytes(ciphertexts[start : start + LABEL_BYTES], "big")
             labels.append(WireLabel((pad ^ ct).to_bytes(LABEL_BYTES, "big")))

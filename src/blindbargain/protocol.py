@@ -54,7 +54,13 @@ from .garbling import (
     serialize_garbled,
 )
 from .losses import MoneyLike, as_money
-from .mechanism import MechanismOutcome, MechanismParams, ScaledParams
+from .mechanism import (
+    DEFAULT_MAX_WIDTH,
+    MechanismOutcome,
+    MechanismParams,
+    ScaledParams,
+    product_widths,
+)
 from .ot import OtProtocolError, OtReceiver, OtSender
 
 MSG_HELLO = 1
@@ -126,7 +132,7 @@ class PiProfile:
         object.__setattr__(self, "k", int(k))
         object.__setattr__(self, "k_theta", int(k_theta))
         object.__setattr__(self, "t_e", as_money(t_e))
-        self.params()  # validates q, p_bar, widths
+        params = self.params()  # validates q, p_bar, widths
         if self.t_e < 0:
             raise ValueError("t_e must be >= 0")
         try:
@@ -136,6 +142,18 @@ class PiProfile:
                 "profile does not fit its wire form: numerators and denominators "
                 "must be below 2^64, bitwidths below 2^32"
             ) from None
+        # A profile the sessions cannot scale (q = 0) or the circuit
+        # builder refuses must never be agreed.  k + k_theta, the narrower
+        # product, screens out a huge k before 2^k is formed; the
+        # sessions warn about rounding.
+        if (
+            self.k + self.k_theta > DEFAULT_MAX_WIDTH
+            or max(product_widths(params, ScaledParams.from_params(params, warn=False)))
+            > DEFAULT_MAX_WIDTH
+        ):
+            raise ValueError(
+                f"profile products exceed {DEFAULT_MAX_WIDTH} bits: lower k or k_theta"
+            )
 
     def params(self) -> MechanismParams:
         return MechanismParams(self.q, self.p_bar, self.k_theta, self.k)

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindbargain.circuit import (
     Circuit,
@@ -35,9 +37,9 @@ PARAMS = MechanismParams.from_q(Fraction(1, 4), 4, 4)
 SCALED = ScaledParams.from_params(PARAMS)
 
 GOLDEN_DIGESTS = {
-    (Fraction(1, 4), 8, 8): "fb53f7a227f0236c7afb9f1e8f255c4761b005ee163a9805cad7d54f746d816a",
-    (Fraction(1, 2), 8, 8): "0c0142e8fd6e74d0a4663504b4224f0c1490a8d92dfc0f07cb856e82bd43a3e7",
-    (Fraction(1, 4), 4, 4): "f9361802c4b1e9e5ee0265f0a441c227caf5362f7f9f4085e3ba393083fd7b20",
+    (Fraction(1, 4), 8, 8): "bf11b0bcef5f35a00e999024ac67b34e3257a0db3cb3010c73124b03f5a27f1b",
+    (Fraction(1, 2), 8, 8): "189c4efe6444250a9be318e253ca508b65c2191cb720b26559ab5f26533a2625",
+    (Fraction(1, 4), 4, 4): "2204193348a67d1228aa847873e0c90140007c53b29b3ecb9828e073783867c9",
 }
 
 
@@ -229,6 +231,68 @@ def test_overflow_probe_never_fires_exhaustively():
     ]
     words = eval_gates(circuit.wire_count, circuit.gates, _pack_lanes(rows), len(rows))
     assert words[circuit.outputs.overflow] == 0
+
+
+def _build_quiet(q, kt, k):
+    params = MechanismParams.from_q(q, kt, k)
+    scaled = ScaledParams.from_params(params, warn=False)
+    return params, scaled, build_mechanism_circuit(params, scaled)
+
+
+# Dyadic, non-dyadic, the q = 1/2 (p_bar = 1) edge, and q = 1/40, whose
+# q_scale floors to 0 for k <= 5.
+QS = [Fraction(n, d) for n, d in ((1, 2), (1, 4), (3, 8), (1, 5), (1, 3), (2, 7), (1, 40))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from(QS) | st.fractions(Fraction(1, 64), Fraction(1, 2), max_denominator=64),
+    kt=st.integers(1, 10),
+    k=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_folded_circuit_matches_fixed_point(q, kt, k, seed):
+    params, scaled, circuit = _build_quiet(q, kt, k)
+    rng = random.Random(seed)
+    top_t, top_s = (1 << kt) - 1, (1 << k) - 1
+    cases = [(0, 0, 0, 0), (top_t, top_t, top_s, top_s), (top_t, 0, 0, top_s)]
+    cases += [
+        (rng.randrange(1 << kt), rng.randrange(1 << kt),
+         rng.randrange(1 << k), rng.randrange(1 << k))
+        for _ in range(200)
+    ]
+    rows = [
+        encode_inputs(circuit, tv, ta, s0_v=s0, s1_v=s1, s0_a=0, s1_a=0)
+        for tv, ta, s0, s1 in cases
+    ]
+    words = eval_gates(circuit.wire_count, circuit.gates, _pack_lanes(rows), len(rows))
+    outputs = circuit.outputs
+    for v, (tv, ta, s0, s1) in enumerate(cases):
+        want = outcome_fixed(params, scaled, Report(tv, ta), s0, s1)
+        got = [_lane(words, [w], v) for w in (outputs.alpha, outputs.sigma)]
+        r_f = _lane(words, outputs.r_f.indices(), v)
+        assert (r_f, *got) == (want.r_f, want.alpha, want.sigma)
+    assert words[outputs.overflow] == 0
+
+
+def test_no_gate_reads_a_constant_wire():
+    for q, kt, k in itertools.product(QS, (1, 4, 8, 16), (1, 4, 8, 32)):
+        _, _, circuit = _build_quiet(q, kt, k)
+        zero = next(
+            g.out for g in circuit.gates
+            if g.kind is GateKind.XOR and g.in_a == g.in_b == 0
+        )
+        ones = [g.out for g in circuit.gates if g.kind is GateKind.NOT and g.in_a == zero]
+        assert len(ones) <= 1
+        consts = {zero, *ones}
+        aligned = set(circuit.outputs.r_f.indices())
+        for g in circuit.gates:
+            if {g.in_a, g.in_b} & consts and g.out not in consts:
+                # the only readers: the alignment copies of the ransom bits
+                assert g.out in aligned
+                assert g.kind is GateKind.XOR and g.in_b == zero
+        for w in aligned:
+            assert any(g.out == w and g.in_b == zero for g in circuit.gates)
 
 
 def test_and_count_monotone_in_widths():

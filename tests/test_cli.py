@@ -254,3 +254,21 @@ def test_unsendable_profile_exits_one_before_listening(capsys, tmp_path):
             "--listen", f"127.0.0.1:{_free_port()}", "--timeout", "1",
         )
         assert code == 1 and "error:" in err
+
+
+def test_unbuildable_profile_exits_one_before_listening(capsys, tmp_path):
+    # k = 64 pushes theta * inv_q_scale past 64 bits, and q = 0 has no
+    # scaled constants: the sessions would fail on either profile only
+    # after a peer had agreed to it
+    for old, new, message in (
+        ("k = 8\nk_theta = 8", "k = 64\nk_theta = 16", "64 bits"),
+        ("q = 1/4\np_bar = 2/3", "q = 0\np_bar = 1/2", "q > 0"),
+    ):
+        cfg = tmp_path / "victim.cfg"
+        cfg.write_text(ATTACKER_CFG.replace(old, new))
+        code, _, err = run(
+            capsys,
+            "victim", "--config", str(cfg),
+            "--listen", f"127.0.0.1:{_free_port()}", "--timeout", "1",
+        )
+        assert code == 1 and message in err

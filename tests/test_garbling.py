@@ -40,9 +40,16 @@ from blindbargain.mechanism import (
     outcome_fixed,
 )
 from blindbargain.ot import (
+    EXPONENT_BITS,
+    GENERATOR,
+    PRIME,
     OtProtocolError,
     OtReceiver,
     OtSender,
+    _fixed_base_table,
+    _fixed_pow,
+    _generator_table,
+    _jacobi,
     ot_transfer,
 )
 
@@ -52,9 +59,9 @@ SCALED = ScaledParams.from_params(PARAMS)
 # sha256 of serialize_garbled(garble(circuit, b"pin").garbled) for the
 # profiles of test_circuit.GOLDEN_DIGESTS; pins the garbled wire bytes.
 GOLDEN_GARBLED = {
-    (Fraction(1, 4), 8, 8): "368d2c01331c8920bd036108e1249e2a9efe389b46f73f52a2f1563154d06b3f",
-    (Fraction(1, 2), 8, 8): "b24bee30b468cd753656b2af0fd9a01bb6a073151d9a6925dc4cd290f4877e5d",
-    (Fraction(1, 4), 4, 4): "5118cf9a7169e5729aedc7693ebbb19394b1454ef3e1323752f0caac65e09279",
+    (Fraction(1, 4), 8, 8): "c64c3cd6e32eb2909218a42b5c436423adf509c2c5b7b6d8a8b8c164daea178d",
+    (Fraction(1, 2), 8, 8): "18248a4e168f5983883903237f10ad569b27c08b4c338de879d3484b253ab4b0",
+    (Fraction(1, 4), 4, 4): "aec12dfa561fba673b3c780754e79334fcec07ebd5605417e6000d95721a1289",
 }
 # sha256 of the seeded OtSender.respond output in test_ot_golden_bytes.
 GOLDEN_OT = "a97fda0a15ffb3c5197373d698a0d730578e63bf0aa2dd898bcb245fcdf94feb"
@@ -339,6 +346,41 @@ def test_ot_rejects_malformed_material():
         receiver.unwrap(b"\x00" * 32)
     with pytest.raises(ValueError):
         ot_transfer(pairs, [0, 1], _seeded_bits(9))
+
+
+def test_ot_rejects_elements_outside_the_subgroup():
+    # PRIME - 4 = -1 * 2^2 lies in the group range but, as p = 3 mod 4,
+    # is a non-residue: answering it would leak the exponent's parity
+    non_residue = (PRIME - 4).to_bytes(128, "big")
+    rng = random.Random(14)
+    pairs = [(WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16)))]
+    with pytest.raises(OtProtocolError, match="subgroup"):
+        OtSender(pairs, _seeded_bits(15)).respond(non_residue)
+    with pytest.raises(OtProtocolError, match="subgroup"):
+        OtReceiver([0], _seeded_bits(16)).blind(non_residue)
+
+
+def test_jacobi_matches_euler_criterion():
+    rng = random.Random(17)
+    for x in [2, 3, 4, PRIME - 4] + [rng.randrange(2, PRIME - 1) for _ in range(20)]:
+        euler = pow(x, (PRIME - 1) // 2, PRIME)
+        assert _jacobi(x, PRIME) == (1 if euler == 1 else -1)
+    assert _jacobi(PRIME, PRIME) == 0
+
+
+def test_fixed_base_pow_matches_pow():
+    rng = random.Random(18)
+    element = pow(GENERATOR, rng.getrandbits(EXPONENT_BITS), PRIME)
+    exponents = [0, 1, (1 << EXPONENT_BITS) - 1]
+    exponents += [rng.getrandbits(EXPONENT_BITS) for _ in range(20)]
+    for base, table in (
+        (GENERATOR, _generator_table()),
+        (element, _fixed_base_table(element)),
+    ):
+        for e in exponents:
+            assert _fixed_pow(table, e) == pow(base, e, PRIME)
+        with pytest.raises(ValueError):
+            _fixed_pow(table, 1 << (EXPONENT_BITS + 4))
 
 
 def test_label_xor_and_color():

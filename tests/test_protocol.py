@@ -17,6 +17,7 @@ import pytest
 
 from blindbargain.garbling import WireLabel
 from blindbargain.mechanism import MechanismParams, Report, ScaledParams, outcome_fixed
+from blindbargain.ot import PRIME, OtReceiver
 from blindbargain.protocol import (
     MSG_ABORT,
     MSG_PI_ACK,
@@ -162,6 +163,29 @@ def test_invalid_ot_elements_abort():
     )
     assert isinstance(victim, NegotiationAbort)
     assert victim.stage == "ot"
+    assert isinstance(attacker, NegotiationAbort)
+    assert attacker.stage == "peer-abort" and attacker.detail == "ot"
+
+
+class NonResidueOtAttacker(AttackerSession):
+    """Blinds honestly, then swaps one element for a quadratic non-residue."""
+
+    def _run_ot(self, circuit):
+        n_attacker = sum(r.length for r in circuit.inputs.attacker_ranges())
+        receiver = OtReceiver([0] * n_attacker, self.randomness.word)
+        _, sender_public = self.channel.recv({5}, "ot")
+        blinded = receiver.blind(sender_public)
+        self.channel.send(6, blinded[:-128] + (PRIME - 4).to_bytes(128, "big"))
+        self.channel.recv({7}, "ot")
+        raise AssertionError("victim answered a non-residue")
+
+
+def test_non_residue_ot_element_aborts():
+    victim, attacker = loopback_exchange(
+        PI, 200, 37, b"v", b"a", attacker_session_cls=NonResidueOtAttacker
+    )
+    assert isinstance(victim, NegotiationAbort)
+    assert victim.stage == "ot" and "subgroup" in victim.detail
     assert isinstance(attacker, NegotiationAbort)
     assert attacker.stage == "peer-abort" and attacker.detail == "ot"
 
