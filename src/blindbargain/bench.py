@@ -47,23 +47,20 @@ def run_benchmark(
 ) -> list[BenchCell]:
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    times: dict[tuple[int, int], list[float]] = {cell: [] for cell in grid}
-    # Reps go round-robin over the cells, so a drift in host speed during
-    # the run lands on every cell alike instead of on the cell then timed.
-    for rep in range(warmup + reps):
-        for k_theta, k in grid:
-            pi = PiProfile(q, p_bar, k, k_theta, 0)
-            # mid-range reports; timing is input-independent by construction
-            theta_v = (1 << k_theta) * 3 // 4
-            theta_a = (1 << k_theta) // 5
+    cells = []
+    for k_theta, k in grid:
+        pi = PiProfile(q, p_bar, k, k_theta, 0)
+        # mid-range reports; timing is input-independent by construction
+        theta_v = (1 << k_theta) * 3 // 4
+        theta_a = (1 << k_theta) // 5
+        times = []
+        for rep in range(warmup + reps):
             tag = b"%d/%d/%d" % (k_theta, k, rep)
             elapsed = time_one_session(pi, theta_v, theta_a, tag)
             if rep >= warmup:
-                times[k_theta, k].append(elapsed)
-    return [
-        BenchCell(k_theta, k, statistics.median(ts), tuple(ts))
-        for (k_theta, k), ts in times.items()
-    ]
+                times.append(elapsed)
+        cells.append(BenchCell(k_theta, k, statistics.median(times), tuple(times)))
+    return cells
 
 
 def format_table(cells: Sequence[BenchCell]) -> str:

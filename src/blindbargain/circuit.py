@@ -17,7 +17,10 @@ constant.  So a multiply by the public ``q_scale`` or ``inv_q_scale``
 keeps only the partial products of its set bits, and the AND count
 depends on the constants' values as well as on (k_theta, k).  The only
 gates that read the constant wires are their own definitions and the
-alignment copies that pin the ransom bits to one contiguous range.
+alignment copies that pin the ransom bits to one contiguous range.  A
+ransom bit that folds to a constant (``q_scale`` of 0, say) is copied
+by a garbled AND rather than a free XOR, so every output wire carries
+fresh labels.
 
 Right-shifts cost zero gates: they are bit reindexing.  The product
 r2 * inv_q_scale can exceed the output width in branches that are never
@@ -213,7 +216,15 @@ class CircuitBuilder:
         return self._emit(GateKind.NOT, a, None)
 
     def copy(self, a: int) -> int:
-        """A fresh wire equal to ``a``: a real XOR with zero, never folded."""
+        """A fresh wire equal to ``a``, never folded.
+
+        A computed wire is copied by a free XOR with const-0.  A constant
+        is copied by a garbled AND with itself, whose output labels are
+        fresh: the constants' own labels are public functions of the
+        garbling offset (0 and the offset), and no output may carry them.
+        """
+        if a in (self._zero, self._one):
+            return self._emit(GateKind.AND, a, a)
         return self._emit(GateKind.XOR, a, self.zero())
 
     def or_(self, a: int, b: int) -> int:
@@ -373,7 +384,7 @@ def build_mechanism_circuit(
     picked = bld.mux_vec(pay_counter, r3[:out_w], zeros)
     r_f_bits = bld.mux_vec(accept, bld.zero_extend(r2, out_w), picked)
 
-    # Alignment pass: pin the ransom to one contiguous range (free XORs).
+    # Alignment pass: pin the ransom to one contiguous range.
     bld.zero()  # allocated before r_f_start, so the copies stay contiguous
     r_f_start = bld.wire_count
     r_f_bits = [bld.copy(b) for b in r_f_bits]

@@ -87,10 +87,10 @@ class ScaledParams:
     inv_q_scale: int
 
     @classmethod
-    def from_params(cls, params: MechanismParams, warn: bool = True) -> "ScaledParams":
+    def from_params(cls, params: MechanismParams) -> "ScaledParams":
         if params.q <= 0:
             raise ValueError("scaling requires q > 0")
-        if warn and (params.q.denominator & (params.q.denominator - 1)) != 0:
+        if (params.q.denominator & (params.q.denominator - 1)) != 0:
             warnings.warn(
                 f"q={params.q} is not dyadic; scaled constants round down",
                 ScalingWarning,

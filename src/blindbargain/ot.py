@@ -57,8 +57,9 @@ SUBGROUP_ORDER = (PRIME - 1) // 2
 EXPONENT_BITS = 256
 ELEMENT_BYTES = 128
 # Fixed-base window: one table row of 2^5 powers per 5 exponent bits.
-# 5 beat 4 and 6 for the 24-80 transfers of a session: wider windows
-# cost more to tabulate per session than they save per transfer.
+# A wider window saves a multiplication per transfer but costs more to
+# tabulate A each session; 5 sits between the best width at 24 transfers
+# (4) and at 80 (6), within a few percent of either (BENCH_3.json).
 WINDOW_BITS = 5
 
 RandomBits = Callable[[int], int]

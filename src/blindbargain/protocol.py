@@ -144,11 +144,11 @@ class PiProfile:
             ) from None
         # A profile the sessions cannot scale (q = 0) or the circuit
         # builder refuses must never be agreed.  k + k_theta, the narrower
-        # product, screens out a huge k before 2^k is formed; the
-        # sessions warn about rounding.
+        # product, screens out a huge k before 2^k is formed.  A
+        # non-dyadic q warns about rounding here, at configuration time.
         if (
             self.k + self.k_theta > DEFAULT_MAX_WIDTH
-            or max(product_widths(params, ScaledParams.from_params(params, warn=False)))
+            or max(product_widths(params, ScaledParams.from_params(params)))
             > DEFAULT_MAX_WIDTH
         ):
             raise ValueError(

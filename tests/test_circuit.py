@@ -3,6 +3,7 @@ circuit against the fixed-point oracle, and the canonical byte format."""
 
 import itertools
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,7 @@ from blindbargain.mechanism import (
     MechanismParams,
     Report,
     ScaledParams,
+    ScalingWarning,
     outcome_fixed,
 )
 
@@ -235,7 +237,9 @@ def test_overflow_probe_never_fires_exhaustively():
 
 def _build_quiet(q, kt, k):
     params = MechanismParams.from_q(q, kt, k)
-    scaled = ScaledParams.from_params(params, warn=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ScalingWarning)
+        scaled = ScaledParams.from_params(params)
     return params, scaled, build_mechanism_circuit(params, scaled)
 
 
@@ -288,11 +292,15 @@ def test_no_gate_reads_a_constant_wire():
         aligned = set(circuit.outputs.r_f.indices())
         for g in circuit.gates:
             if {g.in_a, g.in_b} & consts and g.out not in consts:
-                # the only readers: the alignment copies of the ransom bits
+                # the only readers: the alignment copies of the ransom
+                # bits, a free XOR of a computed bit with const-0 or a
+                # garbled AND of a folded constant with itself
                 assert g.out in aligned
-                assert g.kind is GateKind.XOR and g.in_b == zero
+                assert (g.kind is GateKind.XOR and g.in_a not in consts
+                        and g.in_b == zero) or (
+                    g.kind is GateKind.AND and g.in_a == g.in_b)
         for w in aligned:
-            assert any(g.out == w and g.in_b == zero for g in circuit.gates)
+            assert any(g.out == w and g.in_b in (zero, g.in_a) for g in circuit.gates)
 
 
 def test_and_count_monotone_in_widths():

@@ -4,6 +4,7 @@ color-bit structure, tamper detection, and the label-transfer flows."""
 import hashlib
 import itertools
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,7 @@ from blindbargain.mechanism import (
     MechanismParams,
     Report,
     ScaledParams,
+    ScalingWarning,
     outcome_fixed,
 )
 from blindbargain.ot import (
@@ -189,6 +191,33 @@ def test_mechanism_circuit_garbled_matches_oracle():
         # the proof labels are exactly the issued ones
         for bit, label, pair in zip(decoded, proof, material.output_labels):
             assert label == pair[bit]
+
+
+def test_constant_ransom_bits_get_fresh_output_labels():
+    # q = 1/40 floors q_scale to 0 at k = 4, so ransom bits fold to
+    # const-0; their copies must not expose the constants' labels, which
+    # are 0 and the offset
+    params = MechanismParams.from_q(Fraction(1, 40), 4, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ScalingWarning)
+        scaled = ScaledParams.from_params(params)
+    circuit = build_mechanism_circuit(params, scaled)
+    assert any(g.kind is GateKind.AND and g.in_a == g.in_b for g in circuit.gates)
+    material = garble(circuit, b"constant")
+    public = {bytes(16), material.delta.bits}
+    for pair in material.output_labels:
+        assert not {label.bits for label in pair} & public
+    rng = random.Random(0x40)
+    for _ in range(100):
+        tv, ta, s0, s1 = (rng.randrange(16) for _ in range(4))
+        bits = encode_inputs(circuit, tv, ta, s0_v=s0, s1_v=s1, s0_a=0, s1_a=0)
+        labels = select_labels(material.input_labels, bits)
+        decoded, _ = decode_and_prove(
+            material.garbled, evaluate(material.garbled, circuit, labels)
+        )
+        assert decode_outcome(circuit, decoded) == outcome_fixed(
+            params, scaled, Report(tv, ta), s0, s1
+        )
 
 
 def test_garbling_is_deterministic_per_seed():
