@@ -69,6 +69,10 @@ class MarginalLossWarning(UserWarning):
     """Final-round loss block is not small next to the remaining mass."""
 
 
+# a final-round block above this share of the post-horizon mass is not marginal
+MARGINAL_LOSS_SHARE = Fraction(1, 10)
+
+
 @dataclass(frozen=True)
 class BargainingInstance:
     """One negotiation: a victim, the attacker's reservation, optional N."""
@@ -101,10 +105,6 @@ class OfferSchedule:
     def __post_init__(self) -> None:
         if any(a < b for a, b in zip(self.offers, self.offers[1:])):
             raise ValueError("offers must be non-increasing over rounds")
-
-    @property
-    def rounds(self) -> int:
-        return len(self.offers)
 
     def offer(self, n: int) -> Money:
         """Offer on the table in round ``n`` (1-based)."""
@@ -328,19 +328,17 @@ def attacker_best_response(
     )
 
 
-def lint_marginal_loss(
-    profile: LossProfile, horizon: int, threshold: MoneyLike = Fraction(1, 10)
-) -> None:
+def lint_marginal_loss(profile: LossProfile, horizon: int) -> None:
     """Warn when the final-round block is not marginal.
 
     The closed-form schedule treats the last round's loss as negligible
     next to everything that would still be lost afterwards; profiles
-    violating that (block over ``threshold`` times the post-horizon
-    mass) get a MarginalLossWarning.
+    violating that (block over ``MARGINAL_LOSS_SHARE`` of the
+    post-horizon mass) get a MarginalLossWarning.
     """
     last_block = block_mass(profile, horizon - 1)
     remaining = residual_value(profile, horizon + 1)
-    if last_block > as_money(threshold) * remaining:
+    if last_block > MARGINAL_LOSS_SHARE * remaining:
         warnings.warn(
             f"final-round block {last_block} is not small next to the "
             f"remaining mass {remaining}",

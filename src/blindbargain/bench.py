@@ -19,8 +19,8 @@ from .protocol import PiProfile, loopback_run
 
 GRID = tuple((k_theta, k) for k_theta in (8, 16) for k in (8, 16, 32))
 
-DEFAULT_Q = Fraction(1, 4)
-DEFAULT_P_BAR = Fraction(2, 3)
+Q = Fraction(1, 4)
+P_BAR = Fraction(2, 3)
 
 
 @dataclass(frozen=True)
@@ -41,15 +41,13 @@ def time_one_session(pi: PiProfile, theta_v: int, theta_a: int, seed_tag: bytes)
 def run_benchmark(
     reps: int = 7,
     warmup: int = 1,
-    q: Fraction = DEFAULT_Q,
-    p_bar: Fraction = DEFAULT_P_BAR,
     grid: Sequence[tuple[int, int]] = GRID,
 ) -> list[BenchCell]:
     if reps < 1:
         raise ValueError("reps must be >= 1")
     cells = []
     for k_theta, k in grid:
-        pi = PiProfile(q, p_bar, k, k_theta, 0)
+        pi = PiProfile(Q, P_BAR, k, k_theta, 0)
         # mid-range reports; timing is input-independent by construction
         theta_v = (1 << k_theta) * 3 // 4
         theta_a = (1 << k_theta) // 5

@@ -314,11 +314,21 @@ class CircuitBuilder:
             raise ValueError(f"width mismatch: {len(a)} vs {len(b)}")
 
 
-def build_mechanism_circuit(
-    params: MechanismParams,
-    scaled: ScaledParams,
-    max_width: int = DEFAULT_MAX_WIDTH,
-) -> Circuit:
+def party_input_bits(k: int, k_theta: int, s0: int, s1: int, report: int) -> list[int]:
+    """One party's input bits in circuit order: s0, s1, report, each LSB first.
+
+    The victim's bits occupy the first input wires and the attacker's
+    the next, both in this layout.
+    """
+    bits = []
+    for value, width in ((s0, k), (s1, k), (report, k_theta)):
+        if value < 0 or value >= 1 << width:
+            raise ValueError(f"value {value} does not fit in {width} bits")
+        bits += [(value >> i) & 1 for i in range(width)]
+    return bits
+
+
+def build_mechanism_circuit(params: MechanismParams, scaled: ScaledParams) -> Circuit:
     """Lower the fixed-point settlement rules to gates.
 
     The gate list mirrors ``outcome_fixed`` exactly: same products, same
@@ -326,12 +336,13 @@ def build_mechanism_circuit(
     protocol call this with the agreed parameters and must obtain the
     same bytes.
     """
-    if max(product_widths(params, scaled)) > max_width:
+    if max(product_widths(params, scaled)) > DEFAULT_MAX_WIDTH:
         raise OverflowError(
-            f"intermediate products exceed the declared width {max_width}"
+            f"intermediate products exceed the declared width {DEFAULT_MAX_WIDTH}"
         )
     k, kt = params.k, params.k_theta
     bld = CircuitBuilder()
+    # the victim's inputs, then the attacker's, as party_input_bits lays them out
     s0_v = bld.new_inputs(k)
     s1_v = bld.new_inputs(k)
     theta_v = bld.new_inputs(kt)
@@ -441,21 +452,10 @@ def encode_inputs(
     s1_a: int,
 ) -> list[int]:
     """Pack the six field values into the circuit's input bit-vector."""
-    fields = (
-        (circuit.inputs.s0_v, s0_v),
-        (circuit.inputs.s1_v, s1_v),
-        (circuit.inputs.theta_v, theta_v),
-        (circuit.inputs.s0_a, s0_a),
-        (circuit.inputs.s1_a, s1_a),
-        (circuit.inputs.theta_a, theta_a),
+    k, kt = circuit.inputs.s0_v.length, circuit.inputs.theta_v.length
+    return party_input_bits(k, kt, s0_v, s1_v, theta_v) + party_input_bits(
+        k, kt, s0_a, s1_a, theta_a
     )
-    bits = [0] * circuit.inputs.total_bits
-    for rng, value in fields:
-        if value < 0 or value >= 1 << rng.length:
-            raise ValueError(f"value {value} does not fit in {rng.length} bits")
-        for i in range(rng.length):
-            bits[rng.start + i] = (value >> i) & 1
-    return bits
 
 
 def decode_outcome(circuit: Circuit, output_bits: Sequence[int]) -> MechanismOutcome:

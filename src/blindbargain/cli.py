@@ -27,7 +27,7 @@ from .bargaining import (
     determine_horizon,
     rubinstein_split,
 )
-from .config import ConfigError, SessionConfig, load_config
+from .config import ConfigError, config_from_values, load_config, parse_config_text
 from .losses import LossProfile, VictimParams, as_money, residual_value, total_value
 from .mechanism import (
     MechanismParams,
@@ -52,9 +52,16 @@ EXIT_ERROR = 1
 EXIT_ABORT = 2
 EXIT_TRANSPORT = 3
 
+# loss-model flags, each named after the config-file key it overrides
+_LOSS_KEYS = ("blocks", "l0", "tail", "round_length", "r_min", "r_max")
 
-def _money_str(value: Fraction) -> str:
-    return str(value)
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like any configuration error; 2 is a protocol abort."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _parse_address(text: str) -> tuple[str, int]:
@@ -68,31 +75,24 @@ def _parse_address(text: str) -> tuple[str, int]:
 
 
 def _loss_inputs(args) -> tuple[LossProfile, Fraction, Fraction]:
-    """Loss profile, r_min, r_max from a config file and/or flags."""
-    config = load_config(args.config) if args.config else None
-    profile = config.profile if config else None
-    r_min = config.r_min if config else None
-    r_max = config.r_max if config else None
-    if args.blocks is not None:
-        profile = LossProfile(
-            l0=as_money(args.l0) if args.l0 is not None else 0,
-            blocks=[as_money(b.strip()) for b in args.blocks.split(",")],
-            tail=as_money(args.tail) if args.tail is not None else 0,
-            round_length=(
-                as_money(args.round_length) if args.round_length is not None else 1
-            ),
-        )
-    if args.r_min is not None:
-        r_min = as_money(args.r_min)
-    if args.r_max is not None:
-        r_max = as_money(args.r_max)
-    if profile is None:
+    """Loss profile, r_min, r_max: the config file's keys, each flag over its own."""
+    values = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            values = parse_config_text(fh.read())
+    for key in _LOSS_KEYS:
+        flag = getattr(args, key)
+        if flag is not None:
+            values[key] = flag
+    config = config_from_values(values)
+    if config.profile is None:
         raise ConfigError("no loss profile: give --blocks or a config file")
-    if r_min is None:
+    if config.r_min is None:
         raise ConfigError("no attacker reservation: give --r-min or a config file")
+    r_max = config.r_max
     if r_max is None:
-        r_max = total_value(profile)  # non-binding cap
-    return profile, r_min, r_max
+        r_max = total_value(config.profile)  # non-binding cap
+    return config.profile, config.r_min, r_max
 
 
 def _add_loss_flags(parser) -> None:
@@ -117,14 +117,14 @@ def _cmd_offers(args) -> int:
     print(f"N = {horizon}")
     print("round  offer  remaining_value")
     for n, offer, remaining in rows:
-        print(f"{n:<6d} {_money_str(offer):<6s} {_money_str(remaining)}")
-    print("offers: [" + ", ".join(_money_str(o) for o in schedule.offers) + "]")
+        print(f"{n:<6d} {offer!s:<6} {remaining}")
+    print("offers: [" + ", ".join(map(str, schedule.offers)) + "]")
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["round", "offer", "remaining_value"])
             for n, offer, remaining in rows:
-                writer.writerow([n, _money_str(offer), _money_str(remaining)])
+                writer.writerow([n, offer, remaining])
         print(f"schedule written to {args.csv}")
     return EXIT_OK
 
@@ -139,7 +139,7 @@ def _cmd_horizon(args) -> int:
 
 def _cmd_rubinstein(args) -> int:
     split = rubinstein_split(args.v, args.r_max, args.r_min)
-    print(_money_str(split))
+    print(split)
     return EXIT_OK
 
 
@@ -162,8 +162,8 @@ def _cmd_stage_game(args) -> int:
         f"({outcome.attacker_action.value})"
     )
     print(
-        f"payoffs: victim={_money_str(outcome.victim_payoff)} "
-        f"attacker={_money_str(outcome.attacker_payoff)}"
+        f"payoffs: victim={outcome.victim_payoff} "
+        f"attacker={outcome.attacker_payoff}"
     )
     return EXIT_OK
 
@@ -181,7 +181,7 @@ def _cmd_mechanism_eval(args) -> int:
         params, scaled, Report(args.theta_v, args.theta_a), args.s0, args.s1
     )
     print(f"alpha = {outcome.alpha}")
-    print(f"r_f = {_money_str(outcome.r_f)}")
+    print(f"r_f = {outcome.r_f}")
     print(f"sigma = {outcome.sigma}")
     return EXIT_OK
 
@@ -199,7 +199,7 @@ def _cmd_mechanism_verify_bic(args) -> int:
     print(
         f"attacker dominance at support endpoints "
         f"({args.attacker_grid}x{args.attacker_grid} grid): "
-        f"{'PASS' if passed else 'FAIL'} (worst margin {_money_str(worst)})"
+        f"{'PASS' if passed else 'FAIL'} (worst margin {worst})"
     )
 
     step = Fraction(1, 1 << args.victim_step_bits)
@@ -214,7 +214,7 @@ def _cmd_mechanism_verify_bic(args) -> int:
     print(
         f"victim optimality (grid step 2^-{args.victim_step_bits}): "
         f"{'PASS' if passed else 'FAIL'} "
-        f"(worst shortfall {_money_str(worst_shortfall)}, step {_money_str(step)})"
+        f"(worst shortfall {worst_shortfall}, step {step})"
     )
     return EXIT_OK if ok else EXIT_ERROR
 
@@ -232,21 +232,21 @@ def _session_pieces(args, role: str):
     pi = config.pi()
     report = config.resolve_report(role)
     seed = bytes.fromhex(args.seed) if args.seed else None
-    return config, pi, report, seed
+    return pi, report, seed
 
 
 def _print_outcome(result) -> None:
     outcome = result.outcome
     print(
-        f"settled: alpha={outcome.alpha} r_f={_money_str(outcome.r_f)} "
+        f"settled: alpha={outcome.alpha} r_f={outcome.r_f} "
         f"sigma={outcome.sigma}"
     )
 
 
 def _cmd_victim(args) -> int:
-    _, pi, report, seed = _session_pieces(args, "victim")
+    pi, report, seed = _session_pieces(args, "victim")
     address = _parse_address(args.listen)
-    cfg = NegotiationConfig("victim", pi, report, address, args.timeout)
+    cfg = NegotiationConfig(pi, report, address, args.timeout)
     try:
         result = run_victim(cfg, seed)
     except (NegotiationAbort, TransportFailure) as exc:
@@ -261,16 +261,16 @@ def _cmd_victim(args) -> int:
 
 
 def _cmd_attacker(args) -> int:
-    _, pi, report, seed = _session_pieces(args, "attacker")
+    pi, report, seed = _session_pieces(args, "attacker")
     address = _parse_address(args.connect)
-    cfg = NegotiationConfig("attacker", pi, report, address, args.timeout)
+    cfg = NegotiationConfig(pi, report, address, args.timeout)
     result = run_attacker(cfg, seed)
     _print_outcome(result)
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blindbargain",
         description="Ransom bargaining solvers and the garbled settlement protocol.",
     )

@@ -127,7 +127,7 @@ def config_from_values(values: dict[str, str]) -> SessionConfig:
             return None
         try:
             return as_money(values[key])
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {values[key]!r}") from exc
 
     def integer(key: str) -> Optional[int]:
@@ -152,7 +152,7 @@ def config_from_values(values: dict[str, str]) -> SessionConfig:
                 tail=scalar_or("tail", 0),
                 round_length=scalar_or("round_length", 1),
             )
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad loss model: {exc}") from exc
     elif any(k in values for k in ("l0", "tail", "round_length")):
         raise ConfigError("loss-model keys given without 'blocks'")

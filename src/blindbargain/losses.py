@@ -29,11 +29,15 @@ def as_money(value: MoneyLike) -> Money:
 
     Accepts integers, rationals, and decimal/rational strings such as
     ``"1.5"`` or ``"2/3"``.  Floats are rejected: their binary rounding
-    would silently break the exact-arithmetic contract.
+    would silently break the exact-arithmetic contract.  A zero
+    denominator is a ``ValueError`` like any other malformed amount.
     """
     if isinstance(value, float):
         raise TypeError(f"money must be exact, got float {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -181,7 +181,6 @@ def outcome_fixed(
     rep: Report,
     s0: int,
     s1: int,
-    max_width: int = DEFAULT_MAX_WIDTH,
 ) -> MechanismOutcome:
     """Evaluate the mechanism on integers only; normative for the circuit.
 
@@ -189,9 +188,9 @@ def outcome_fixed(
     (q_scale*theta_v) >> k, r2/q by (r2*inv_q_scale) >> k, and the draws
     by k-bit words compared against the scaled constants.
     """
-    if max(product_widths(params, scaled)) > max_width:
+    if max(product_widths(params, scaled)) > DEFAULT_MAX_WIDTH:
         raise OverflowError(
-            f"intermediate products exceed the declared width {max_width}"
+            f"intermediate products exceed the declared width {DEFAULT_MAX_WIDTH}"
         )
     theta_v, theta_a = _fixed_report(params, rep)
     if not 0 <= s0 < (1 << params.k) or not 0 <= s1 < (1 << params.k):
@@ -249,21 +248,14 @@ def expected_attacker_utility(
     return Fraction(0)
 
 
-def _uniform_cdf(x: Money, lo: Money, hi: Money) -> Fraction:
-    if x <= lo:
-        return Fraction(0)
-    if x >= hi:
-        return Fraction(1)
-    return (x - lo) / (hi - lo)
+def _uniform_cdf(x: Money) -> Fraction:
+    return min(max(x, Fraction(0)), Fraction(1))
 
 
 def expected_victim_utility(
-    params: MechanismParams,
-    theta_v_true: MoneyLike,
-    report_v: MoneyLike,
-    prior: tuple[MoneyLike, MoneyLike] = (0, 1),
+    params: MechanismParams, theta_v_true: MoneyLike, report_v: MoneyLike
 ) -> Money:
-    """Victim's interim expected utility against a uniform attacker prior.
+    """Victim's interim expected utility against a uniform [0, 1] attacker prior.
 
     The attacker reports truthfully (it is dominant), so the victim
     averages the outcome over attacker types: below the screening offer
@@ -273,12 +265,9 @@ def expected_victim_utility(
     """
     theta = as_money(theta_v_true)
     report = as_money(report_v)
-    lo, hi = as_money(prior[0]), as_money(prior[1])
-    if not lo < hi:
-        raise ValueError("prior range must be non-degenerate")
     q, p_bar = params.q, params.p_bar
-    f_low = _uniform_cdf(q * report, lo, hi)
-    f_mid = _uniform_cdf(report, lo, hi) - f_low
+    f_low = _uniform_cdf(q * report)
+    f_mid = _uniform_cdf(report) - f_low
     accept_both = p_bar * (theta - q * report) + (1 - p_bar) * (theta - report)
     counter_stage = (1 - p_bar + p_bar * q) * (theta - report) + p_bar * (1 - q) * theta
     return f_low * accept_both + f_mid * counter_stage
@@ -322,16 +311,14 @@ def victim_best_report(
     params: MechanismParams,
     theta_v_true: MoneyLike,
     step: MoneyLike = Fraction(1, 1024),
-    prior: tuple[MoneyLike, MoneyLike] = (0, 1),
 ) -> Money:
-    """Report maximizing the victim's interim utility on a step grid."""
+    """Report maximizing the victim's interim utility on a step grid over [0, 1]."""
     theta = as_money(theta_v_true)
     step = as_money(step)
-    lo, hi = as_money(prior[0]), as_money(prior[1])
-    best_report, best_value = lo, None
-    report = lo
-    while report <= hi:
-        value = expected_victim_utility(params, theta, report, (lo, hi))
+    best_report, best_value = Fraction(0), None
+    report = Fraction(0)
+    while report <= 1:
+        value = expected_victim_utility(params, theta, report)
         if best_value is None or value > best_value:
             best_report, best_value = report, value
         report += step

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import secrets
 import struct
 from typing import Callable, Sequence
 
@@ -53,7 +52,6 @@ PRIME = int(
     16,
 )
 GENERATOR = 4
-SUBGROUP_ORDER = (PRIME - 1) // 2
 EXPONENT_BITS = 256
 ELEMENT_BYTES = 128
 # Fixed-base window: one table row of 2^5 powers per 5 exponent bits.
@@ -67,10 +65,6 @@ RandomBits = Callable[[int], int]
 
 class OtProtocolError(ValueError):
     """Malformed or out-of-group key material."""
-
-
-def _default_rand(bits: int) -> int:
-    return secrets.randbits(bits)
 
 
 def _rand_exponent(rand_bits: RandomBits) -> int:
@@ -154,9 +148,7 @@ class OtSender:
     """Holds the label pairs; answers the receiver's blinded choices."""
 
     def __init__(
-        self,
-        pairs: Sequence[tuple[WireLabel, WireLabel]],
-        rand_bits: RandomBits = _default_rand,
+        self, pairs: Sequence[tuple[WireLabel, WireLabel]], rand_bits: RandomBits
     ) -> None:
         self._pairs = [
             (int.from_bytes(k0.bits, "big"), int.from_bytes(k1.bits, "big"))
@@ -164,10 +156,6 @@ class OtSender:
         ]
         self._a = _rand_exponent(rand_bits)
         self._big_a = pow(GENERATOR, self._a, PRIME)
-
-    @property
-    def count(self) -> int:
-        return len(self._pairs)
 
     def public_message(self) -> bytes:
         return _element_bytes(self._big_a)
@@ -189,17 +177,11 @@ class OtSender:
 class OtReceiver:
     """Blinds the choice bits, then unwraps the chosen labels."""
 
-    def __init__(
-        self, choices: Sequence[int], rand_bits: RandomBits = _default_rand
-    ) -> None:
+    def __init__(self, choices: Sequence[int], rand_bits: RandomBits) -> None:
         self._choices = [c & 1 for c in choices]
         self._rand_bits = rand_bits
         self._exponents: list[int] = []
         self._a_table: list[list[int]] | None = None
-
-    @property
-    def count(self) -> int:
-        return len(self._choices)
 
     def blind(self, sender_public: bytes) -> bytes:
         (big_a,) = _parse_elements(sender_public, 1, "sender message")
@@ -232,7 +214,7 @@ class OtReceiver:
 def ot_transfer(
     pairs: Sequence[tuple[WireLabel, WireLabel]],
     choices: Sequence[int],
-    rand_bits: RandomBits = _default_rand,
+    rand_bits: RandomBits,
 ) -> list[WireLabel]:
     """All three flows composed in-process; returns the chosen labels."""
     if len(pairs) != len(choices):

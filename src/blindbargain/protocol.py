@@ -41,6 +41,7 @@ from .circuit import (
     build_mechanism_circuit,
     circuit_digest,
     decode_outcome,
+    party_input_bits,
 )
 from .garbling import (
     LABEL_BYTES,
@@ -89,6 +90,7 @@ MSG_NAMES = {
 
 MAX_FRAME = 1 << 26
 DEFAULT_TIMEOUT = 10.0
+SEED_BYTES = 32
 
 _PI_STRUCT = struct.Struct("<QQQQIIQQ")
 _RESULT_STRUCT = struct.Struct("<QBB")
@@ -113,7 +115,7 @@ class TransportFailure(Exception):
 
 
 class _StepTimeout(Exception):
-    """Internal: the per-step read timer fired; becomes a staged abort."""
+    """Internal: a step's deadline passed; becomes a staged abort."""
 
 
 @dataclass(frozen=True)
@@ -182,17 +184,14 @@ class PiProfile:
 
 @dataclass(frozen=True)
 class NegotiationConfig:
-    """One party's view of a session: role, profile, and private report."""
+    """One party's view of a session: profile, private report, and peer."""
 
-    role: str
     pi: PiProfile
     theta_hat: int
     address: tuple[str, int] = ("127.0.0.1", 0)
     timeout: float = DEFAULT_TIMEOUT
 
     def __post_init__(self):
-        if self.role not in ("victim", "attacker"):
-            raise ValueError("role must be victim or attacker")
         if not 0 <= self.theta_hat < (1 << self.pi.k_theta):
             raise ValueError(f"report does not fit in {self.pi.k_theta} bits")
 
@@ -268,10 +267,10 @@ class SessionRandomness:
             return self._rng.getrandbits(bits)
         return secrets.randbits(bits)
 
-    def seed_bytes(self, n: int = 32) -> bytes:
+    def seed_bytes(self) -> bytes:
         if self._rng is not None:
-            return self._rng.randbytes(n)
-        return secrets.token_bytes(n)
+            return self._rng.randbytes(SEED_BYTES)
+        return secrets.token_bytes(SEED_BYTES)
 
 
 @dataclass(frozen=True)
@@ -303,9 +302,13 @@ class _Channel:
             raise TransportFailure(f"send failed: {exc}", self.transcript) from exc
         self.transcript.append("sent", msg_type, payload)
 
-    def _read_exact(self, n: int) -> bytes:
+    def _read_exact(self, n: int, deadline: float) -> bytes:
         buf = bytearray()
         while len(buf) < n:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise _StepTimeout()
+            self.sock.settimeout(remaining)
             try:
                 chunk = self.sock.recv(n - len(buf))
             except socket.timeout as exc:
@@ -320,18 +323,25 @@ class _Channel:
     def recv(self, expected: set[int], stage: str) -> tuple[int, bytes]:
         """Read one frame; only ``expected`` types (and ABORT) are legal.
 
-        A step timeout is a protocol-level abort with a stage tag, not a
-        transport failure: the channel is still up, the peer stalled.
+        The socket's timeout is the step's budget: the whole frame must
+        arrive before one monotonic deadline, so a peer trickling bytes
+        cannot hold the step open.  Missing it is a protocol-level abort
+        with a stage tag, not a transport failure: the channel is still
+        up, the peer stalled.
         """
+        step = self.sock.gettimeout()
+        deadline = time.monotonic() + step
         try:
-            (length,) = struct.unpack("<I", self._read_exact(4))
+            (length,) = struct.unpack("<I", self._read_exact(4, deadline))
             if not 1 <= length <= MAX_FRAME:
                 raise TransportFailure(
                     f"invalid frame length {length}", self.transcript
                 )
-            body = self._read_exact(length)
+            body = self._read_exact(length, deadline)
         except _StepTimeout:
+            self.sock.settimeout(step)
             self.abort(f"timeout:{stage}")
+        self.sock.settimeout(step)
         msg_type, payload = body[0], body[1:]
         self.transcript.append("received", msg_type, payload)
         if msg_type == MSG_ABORT:
@@ -353,15 +363,10 @@ class _Channel:
 def _draw_inputs(
     config: NegotiationConfig, randomness: SessionRandomness
 ) -> tuple[int, int, list[int]]:
-    """Draw one party's two random words; returns them with its input bits.
-
-    The bits follow the circuit's per-party layout: s0, s1, then the
-    report, each LSB first.
-    """
-    k, kt = config.pi.k, config.pi.k_theta
+    """Draw one party's two random words; returns them with its input bits."""
+    k = config.pi.k
     s0, s1 = randomness.word(k), randomness.word(k)
-    fields = ((s0, k), (s1, k), (config.theta_hat, kt))
-    return s0, s1, [(value >> i) & 1 for value, width in fields for i in range(width)]
+    return s0, s1, party_input_bits(k, config.pi.k_theta, s0, s1, config.theta_hat)
 
 
 def _parse_labels(payload: bytes, count: int, channel: _Channel, stage: str):
@@ -613,7 +618,6 @@ def loopback_exchange(
     theta_a: int,
     victim_seed: bytes | None = None,
     attacker_seed: bytes | None = None,
-    timeout: float = DEFAULT_TIMEOUT,
     victim_session_cls: type[VictimSession] = VictimSession,
     attacker_session_cls: type[AttackerSession] = AttackerSession,
     victim_pi: PiProfile | None = None,
@@ -629,10 +633,8 @@ def loopback_exchange(
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
     address = listener.getsockname()
-    victim_cfg = NegotiationConfig(
-        "victim", victim_pi or pi, theta_v, address, timeout
-    )
-    attacker_cfg = NegotiationConfig("attacker", pi, theta_a, address, timeout)
+    victim_cfg = NegotiationConfig(victim_pi or pi, theta_v, address)
+    attacker_cfg = NegotiationConfig(pi, theta_a, address)
     box: dict[str, object] = {}
 
     def victim_main():
@@ -652,7 +654,7 @@ def loopback_exchange(
             )
         except Exception as exc:
             box["attacker"] = exc
-        thread.join(timeout=timeout + 5)
+        thread.join(timeout=DEFAULT_TIMEOUT + 5)
     finally:
         listener.close()
     if thread.is_alive():
@@ -666,7 +668,6 @@ def loopback_run(
     theta_a: int,
     victim_seed: bytes | None = None,
     attacker_seed: bytes | None = None,
-    timeout: float = DEFAULT_TIMEOUT,
 ) -> tuple[NegotiationResult, NegotiationResult]:
     """Run both roles against each other on loopback threads.
 
@@ -674,7 +675,7 @@ def loopback_run(
     side is re-raised in the caller, victim's first.
     """
     victim, attacker = loopback_exchange(
-        pi, theta_v, theta_a, victim_seed, attacker_seed, timeout
+        pi, theta_v, theta_a, victim_seed, attacker_seed
     )
     if isinstance(victim, Exception):
         raise victim

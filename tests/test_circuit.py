@@ -322,10 +322,10 @@ def test_and_count_monotone_in_widths():
 
 
 def test_width_overflow_guard():
-    params = MechanismParams.from_q(Fraction(1, 4), 16, 32)
+    params = MechanismParams.from_q(Fraction(1, 4), 8, 60)  # k + k_theta = 68 bits
     scaled = ScaledParams.from_params(params)
     with pytest.raises(OverflowError):
-        build_mechanism_circuit(params, scaled, max_width=40)
+        build_mechanism_circuit(params, scaled)
 
 
 def test_encode_and_decode_guards():

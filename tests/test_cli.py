@@ -1,11 +1,16 @@
 """End-user command surface: output formats and exit codes."""
 
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import blindbargain
 from blindbargain.cli import main
 
 VICTIM_CFG = """\
@@ -80,6 +85,56 @@ def test_offers_from_config_file(capsys, tmp_path):
     # and below the tail mass the attacker never has to settle
     code, _, err = run(capsys, "offers", "--config", str(cfg), "--r-min", "50")
     assert code == 1 and "error:" in err
+
+
+def test_loss_flag_overrides_its_config_key(capsys, tmp_path):
+    cfg = tmp_path / "victim.cfg"
+    cfg.write_text("blocks = 1, 1, 1, 1, 1\ntail = 0\nr_min = 2\n")
+    # without the tail, r_min = 2 lands on the even horizon 2
+    code, _, err = run(capsys, "offers", "--config", str(cfg))
+    assert code == 1 and "N=2 is even" in err
+    code, out, _ = run(capsys, "offers", "--config", str(cfg), "--tail", "1")
+    assert code == 0 and "offers: [4, 3, 3]" in out
+
+
+def test_config_keys_no_flag_names_are_kept(capsys, tmp_path):
+    cfg = tmp_path / "victim.cfg"
+    cfg.write_text("blocks = 9, 9\ntail = 1\nr_min = 2\n")
+    # --blocks replaces the file's blocks and keeps its tail
+    code, out, _ = run(
+        capsys, "offers", "--config", str(cfg), "--blocks", "1,1,1,1,1"
+    )
+    assert code == 0
+    assert "1      4      5" in out and "offers: [4, 3, 3]" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["offers", "--blocks", "1,1/0", "--r-min", "1"],
+        ["rubinstein", "1/0", "1", "1"],
+        ["stage-game", "--r-f", "1/0", "--v", "1", "--r-max", "2"],
+        ["mechanism", "eval", "1", "1", "1/0", "2/3", "8", "8", "0", "0"],
+        ["mechanism", "verify-bic", "--q", "1/0"],
+        ["offers", "--horizon", "x"],
+    ],
+)
+def test_malformed_arguments_exit_one_without_traceback(argv):
+    src = str(Path(blindbargain.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "blindbargain", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_horizon_and_errors(capsys):

@@ -1,8 +1,11 @@
 """Key-value config parsing and report resolution."""
 
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindbargain.config import (
     ConfigError,
@@ -11,6 +14,7 @@ from blindbargain.config import (
     load_config,
     parse_config_text,
 )
+from blindbargain.mechanism import ScalingWarning
 
 VICTIM_TEXT = """\
 # victim session
@@ -130,3 +134,27 @@ def test_pi_requires_the_protocol_keys():
         8,
         1,
     )
+
+
+_KEYS = (
+    "l0", "blocks", "tail", "round_length", "r_max", "r_min",
+    "q", "p_bar", "k", "k_theta", "theta_hex", "t_e", "bogus",
+)
+# files of distinct real keys get past the line syntax to the value parsers
+_VALUES = st.text(max_size=12) | st.sampled_from(
+    ["1/4", "2/3", "8", "0", "1/0", "-1", "1, 2", "ff", "9" * 30]
+)
+_FUZZED_CONFIGS = st.text() | st.dictionaries(st.sampled_from(_KEYS), _VALUES).map(
+    lambda values: "\n".join(f"{key} = {value}" for key, value in values.items())
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FUZZED_CONFIGS)
+def test_fuzzed_config_text_raises_only_value_error(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ScalingWarning)
+        try:
+            config_from_values(parse_config_text(text)).pi()
+        except ValueError:
+            pass

@@ -4,10 +4,13 @@ color-bit structure, tamper detection, and the label-transfer flows."""
 import hashlib
 import itertools
 import random
+import struct
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindbargain.circuit import (
     Circuit,
@@ -23,6 +26,7 @@ from blindbargain.circuit import (
     eval_plain,
 )
 from blindbargain.garbling import (
+    MAGIC,
     DigestMismatch,
     GarbledCircuit,
     LabelDecodeError,
@@ -416,3 +420,29 @@ def test_label_xor_and_color():
     assert WireLabel(bytes(range(16))).bits == bytes(range(16))
     with pytest.raises(ValueError):
         WireLabel(b"short")
+
+
+# a blob header with small counts, so some fuzzed blobs reach the length check
+_GARBLED_HEAD = struct.Struct("<4s32sII")
+_FUZZED_BLOBS = st.one_of(
+    st.binary(max_size=300),
+    st.builds(
+        lambda magic, n_tables, n_out, body: (
+            _GARBLED_HEAD.pack(magic, bytes(32), n_tables, n_out) + body
+        ),
+        st.sampled_from([MAGIC, b"BGC0"]),
+        st.integers(0, 3) | st.integers(0, 2**32 - 1),
+        st.integers(0, 3) | st.integers(0, 2**32 - 1),
+        st.binary(max_size=400),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FUZZED_BLOBS)
+def test_fuzzed_garbled_blobs_raise_only_value_error(blob):
+    try:
+        gc = deserialize_garbled(blob)
+    except ValueError:
+        return
+    assert serialize_garbled(gc) == blob

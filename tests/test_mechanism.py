@@ -109,8 +109,9 @@ def test_outcome_fixed_validates_inputs():
         outcome_fixed(PARAMS, SCALED, Report("1/2", 0), 0, 0)
     with pytest.raises(ValueError):
         outcome_fixed(PARAMS, SCALED, Report(1, 1), 256, 0)
+    wide = MechanismParams.from_q(Fraction(1, 4), 8, 60)  # k + k_theta = 68 bits
     with pytest.raises(OverflowError):
-        outcome_fixed(PARAMS, SCALED, Report(1, 1), 0, 0, max_width=12)
+        outcome_fixed(wide, ScaledParams.from_params(wide), Report(1, 1), 0, 0)
 
 
 def test_outcome_invariants_exhaustive_small_widths():

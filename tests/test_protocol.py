@@ -10,13 +10,23 @@ import random
 import socket
 import struct
 import threading
+import time
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindbargain.garbling import WireLabel
-from blindbargain.mechanism import MechanismParams, Report, ScaledParams, outcome_fixed
+from blindbargain.mechanism import (
+    MechanismParams,
+    Report,
+    ScaledParams,
+    ScalingWarning,
+    outcome_fixed,
+)
 from blindbargain.ot import PRIME, OtReceiver
 from blindbargain.protocol import (
     MSG_ABORT,
@@ -294,7 +304,7 @@ def _victim_in_thread(timeout=2.0):
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
-    config = NegotiationConfig("victim", PI, 200, listener.getsockname(), timeout)
+    config = NegotiationConfig(PI, 200, listener.getsockname(), timeout)
     box = {}
 
     def main():
@@ -359,6 +369,27 @@ def test_step_timeout_aborts_with_stage_tag():
     assert box["result"].stage == "timeout:pi-agreement"
 
 
+def test_trickling_peer_cannot_outlast_the_step_deadline():
+    address, thread, box = _victim_in_thread(timeout=0.5)
+    start = time.monotonic()
+    with socket.create_connection(address, timeout=2) as sock:
+        assert _read_frame(sock)[0] == 1  # HELLO
+        # promise a 1000-byte frame, then feed it one byte per 0.2 s: each
+        # read beats a per-read timeout, but the step's deadline still passes
+        sock.sendall(struct.pack("<I", 1000))
+        while thread.is_alive() and time.monotonic() - start < 4:
+            try:
+                sock.sendall(b"\x00")
+            except OSError:
+                break
+            thread.join(0.2)
+    thread.join(1)
+    assert not thread.is_alive()
+    assert time.monotonic() - start < 2
+    assert isinstance(box["result"], NegotiationAbort)
+    assert box["result"].stage == "timeout:pi-agreement"
+
+
 def test_connection_drop_mid_session_is_a_transport_failure():
     address, thread, box = _victim_in_thread(timeout=1.0)
     with socket.create_connection(address, timeout=2) as sock:
@@ -369,7 +400,7 @@ def test_connection_drop_mid_session_is_a_transport_failure():
 
 
 def test_listener_timeout_without_peer():
-    config = NegotiationConfig("victim", PI, 200, ("127.0.0.1", 0), 0.3)
+    config = NegotiationConfig(PI, 200, ("127.0.0.1", 0), 0.3)
     with pytest.raises(TransportFailure):
         run_victim(config, b"v")
 
@@ -390,9 +421,7 @@ def test_profile_roundtrip_and_validation():
     with pytest.raises(ValueError):
         PiProfile(Fraction(1, 4), Fraction(1, 2), 8, 8, Fraction(3))  # constraint
     with pytest.raises(ValueError):
-        NegotiationConfig("victim", PI, 256)  # report too wide
-    with pytest.raises(ValueError):
-        NegotiationConfig("observer", PI, 0)
+        NegotiationConfig(PI, 256)  # report too wide
 
 
 def test_profile_rejects_what_its_wire_form_cannot_carry():
@@ -410,3 +439,32 @@ def test_empty_transcript_roundtrip(tmp_path):
     path = tmp_path / "empty.transcript"
     persist_transcript(SessionTranscript(), path)
     assert load_transcript(path).records == []
+
+
+# well-formed payloads with valid (q, p_bar) pairs and small widths get past
+# the odds checks to the width and wire-form limits
+_PI_WIRE = struct.Struct("<QQQQIIQQ")
+_U64 = st.integers(0, 70) | st.integers(0, 2**64 - 1)
+_U32 = st.integers(0, 70) | st.integers(0, 2**32 - 1)
+_ODDS = st.tuples(_U64, _U64, _U64, _U64) | st.sampled_from(
+    [(1, 4, 2, 3), (1, 2, 1, 1), (1, 5, 5, 8), (0, 1, 1, 2), (1, 2**63, 2**62, 2**63 - 1)]
+)
+_FUZZED_PROFILES = st.binary(max_size=80) | st.builds(
+    lambda odds, k, k_theta, t_e: _PI_WIRE.pack(*odds, k, k_theta, *t_e),
+    _ODDS,
+    _U32,
+    _U32,
+    st.tuples(_U64, _U64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FUZZED_PROFILES)
+def test_fuzzed_profile_payloads_raise_only_value_error(payload):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ScalingWarning)
+        try:
+            pi = PiProfile.from_bytes(payload)
+        except ValueError:
+            return
+        assert PiProfile.from_bytes(pi.to_bytes()) == pi
