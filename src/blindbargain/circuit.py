@@ -1,9 +1,11 @@
 """Boolean-circuit form of the fixed-point settlement rules.
 
 ``build_mechanism_circuit`` lowers the integer semantics of
-``outcome_fixed`` to a flat list of XOR/AND/NOT gates over six input
-ranges: each party contributes two k-bit random words and one k_theta-bit
-report.  The circuit XORs the word shares, compares them against
+``outcome_fixed`` to a flat list of XOR/AND/NOT gates over the two
+parties' input bits: each contributes two k-bit random words and one
+k_theta-bit report.  The format is positional: gate i drives the wire
+after the inputs and the i earlier gates, so no gate names its output.
+The circuit XORs the word shares, compares them against
 hard-wired scaled constants, multiplies with shift-and-add, and selects
 the branch with two-input muxes.  Construction is a pure function of the
 parameters: identical params yield a byte-identical serialization, which
@@ -17,10 +19,9 @@ constant.  So a multiply by the public ``q_scale`` or ``inv_q_scale``
 keeps only the partial products of its set bits, and the AND count
 depends on the constants' values as well as on (k_theta, k).  The only
 gates that read the constant wires are their own definitions and the
-alignment copies that pin the ransom bits to one contiguous range.  A
-ransom bit that folds to a constant (``q_scale`` of 0, say) is copied
-by a garbled AND rather than a free XOR, so every output wire carries
-fresh labels.
+copies of revealed outputs that folded to a constant (a ransom bit when
+``q_scale`` is 0, say): a garbled AND of the constant with itself, so
+every revealed wire carries fresh labels.
 
 Right-shifts cost zero gates: they are bit reindexing.  The product
 r2 * inv_q_scale can exceed the output width in branches that are never
@@ -38,15 +39,14 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .mechanism import (
-    DEFAULT_MAX_WIDTH,
     MechanismOutcome,
     MechanismParams,
     ScaledParams,
-    product_widths,
+    check_product_widths,
 )
 
 MAGIC = b"BCIR"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 NOT_SENTINEL = 0xFFFFFFFF
 
 
@@ -58,85 +58,34 @@ class GateKind(IntEnum):
 
 @dataclass(frozen=True)
 class Gate:
-    """One two-input (or NOT) gate; ``out`` is assigned exactly once."""
+    """One two-input (or NOT) gate; gate i drives wire n_inputs + i."""
 
     kind: GateKind
     in_a: int
     in_b: int | None
-    out: int
-
-
-@dataclass(frozen=True)
-class WireRange:
-    start: int
-    length: int
-
-    def indices(self) -> range:
-        return range(self.start, self.start + self.length)
-
-
-@dataclass(frozen=True)
-class InputMap:
-    """Where each party's inputs live on the wire vector, LSB first."""
-
-    s0_v: WireRange
-    s1_v: WireRange
-    theta_v: WireRange
-    s0_a: WireRange
-    s1_a: WireRange
-    theta_a: WireRange
-
-    def ranges(self) -> tuple[WireRange, ...]:
-        return (self.s0_v, self.s1_v, self.theta_v, self.s0_a, self.s1_a, self.theta_a)
-
-    def victim_ranges(self) -> tuple[WireRange, ...]:
-        return (self.s0_v, self.s1_v, self.theta_v)
-
-    def attacker_ranges(self) -> tuple[WireRange, ...]:
-        return (self.s0_a, self.s1_a, self.theta_a)
-
-    @property
-    def total_bits(self) -> int:
-        return sum(r.length for r in self.ranges())
-
-    @property
-    def victim_bits(self) -> int:
-        """Count of victim input wires, which precede the attacker's."""
-        return sum(r.length for r in self.victim_ranges())
-
-
-@dataclass(frozen=True)
-class OutputMap:
-    """Output wires: the ransom bits, both flags, and the overflow probe.
-
-    ``overflow`` is a builder diagnostic, not a protocol output; it is
-    serialized so rebuilt circuits stay byte-identical, but it is not
-    part of the revealed result.
-    """
-
-    r_f: WireRange
-    alpha: int
-    sigma: int
-    overflow: int
 
 
 @dataclass(frozen=True)
 class Circuit:
-    wire_count: int
+    """A positional gate list over the two parties' input wires.
+
+    Wires 0 .. victim_inputs - 1 carry the victim's input bits and the
+    next attacker_inputs wires the attacker's, both as
+    ``party_input_bits`` lays them out; gate i drives wire n_inputs + i.
+    ``outputs`` are the revealed wires, r_f LSB first, then alpha, then
+    sigma.  ``overflow`` is a builder diagnostic, not a protocol output;
+    it is serialized so rebuilt circuits stay byte-identical, but it is
+    not part of the revealed result.
+    """
+
+    victim_inputs: int
+    attacker_inputs: int
     gates: tuple[Gate, ...]
-    inputs: InputMap
-    outputs: OutputMap
+    outputs: tuple[int, ...]
+    overflow: int
 
     def __post_init__(self) -> None:
-        assigned = set()
-        for rng in self.inputs.ranges():
-            for w in rng.indices():
-                if w in assigned:
-                    raise ValueError("input ranges overlap")
-                assigned.add(w)
-        if assigned != set(range(len(assigned))):
-            raise ValueError("input ranges must be a prefix of the wire vector")
-        for gate in self.gates:
+        for position, gate in enumerate(self.gates):
             if gate.kind not in (GateKind.XOR, GateKind.AND, GateKind.NOT):
                 raise ValueError(f"unknown gate kind {gate.kind!r}")
             needs_b = gate.kind is not GateKind.NOT
@@ -144,33 +93,32 @@ class Circuit:
                 raise ValueError("gate arity does not match its kind")
             srcs = (gate.in_a,) if gate.in_b is None else (gate.in_a, gate.in_b)
             for src in srcs:
-                if src not in assigned:
-                    raise ValueError(f"gate reads unassigned wire {src}")
-            if gate.out in assigned or gate.out >= self.wire_count:
-                raise ValueError(f"wire {gate.out} assigned twice or out of range")
-            assigned.add(gate.out)
-        if len(assigned) != self.wire_count:
-            raise ValueError("wire_count does not match assigned wires")
-        out_wires = list(self.outputs.r_f.indices())
-        out_wires += [self.outputs.alpha, self.outputs.sigma, self.outputs.overflow]
-        for w in out_wires:
-            if w not in assigned:
-                raise ValueError(f"output wire {w} is never assigned")
+                if not 0 <= src < self.n_inputs + position:
+                    raise ValueError(
+                        f"gate {position} reads wire {src}, not an earlier one"
+                    )
+        for w in (*self.outputs, self.overflow):
+            if not 0 <= w < self.wire_count:
+                raise ValueError(f"output wire {w} does not exist")
+
+    @property
+    def n_inputs(self) -> int:
+        return self.victim_inputs + self.attacker_inputs
+
+    @property
+    def wire_count(self) -> int:
+        return self.n_inputs + len(self.gates)
 
     @property
     def and_count(self) -> int:
         return sum(1 for g in self.gates if g.kind is GateKind.AND)
-
-    def output_wires(self) -> tuple[int, ...]:
-        """Revealed output wires: r_f LSB first, then alpha, then sigma."""
-        return (*self.outputs.r_f.indices(), self.outputs.alpha, self.outputs.sigma)
 
 
 class CircuitBuilder:
     """Gate assembler: wires are write-once, emission order is the topo order."""
 
     def __init__(self) -> None:
-        self.wire_count = 0
+        self.n_inputs = 0
         self.gates: list[Gate] = []
         self._zero: int | None = None
         self._one: int | None = None
@@ -178,15 +126,13 @@ class CircuitBuilder:
     def new_inputs(self, length: int) -> list[int]:
         if self.gates:
             raise ValueError("inputs must be allocated before any gate")
-        wires = list(range(self.wire_count, self.wire_count + length))
-        self.wire_count += length
+        wires = list(range(self.n_inputs, self.n_inputs + length))
+        self.n_inputs += length
         return wires
 
     def _emit(self, kind: GateKind, in_a: int, in_b: int | None) -> int:
-        out = self.wire_count
-        self.wire_count += 1
-        self.gates.append(Gate(kind, in_a, in_b, out))
-        return out
+        self.gates.append(Gate(kind, in_a, in_b))
+        return self.n_inputs + len(self.gates) - 1
 
     def xor(self, a: int, b: int) -> int:
         if a == self._zero:
@@ -215,17 +161,17 @@ class CircuitBuilder:
             return self._zero
         return self._emit(GateKind.NOT, a, None)
 
-    def copy(self, a: int) -> int:
-        """A fresh wire equal to ``a``, never folded.
+    def reveal(self, a: int) -> int:
+        """The wire to reveal for ``a``: ``a`` itself unless it is a constant.
 
-        A computed wire is copied by a free XOR with const-0.  A constant
-        is copied by a garbled AND with itself, whose output labels are
-        fresh: the constants' own labels are public functions of the
-        garbling offset (0 and the offset), and no output may carry them.
+        A constant is copied by a garbled AND with itself, whose output
+        labels are fresh: the constants' own labels are public functions
+        of the garbling offset (0 and the offset), and no revealed output
+        may carry them.
         """
         if a in (self._zero, self._one):
             return self._emit(GateKind.AND, a, a)
-        return self._emit(GateKind.XOR, a, self.zero())
+        return a
 
     def or_(self, a: int, b: int) -> int:
         return self.xor(self.xor(a, b), self.and_(a, b))
@@ -336,27 +282,17 @@ def build_mechanism_circuit(params: MechanismParams, scaled: ScaledParams) -> Ci
     protocol call this with the agreed parameters and must obtain the
     same bytes.
     """
-    if max(product_widths(params, scaled)) > DEFAULT_MAX_WIDTH:
-        raise OverflowError(
-            f"intermediate products exceed the declared width {DEFAULT_MAX_WIDTH}"
-        )
+    check_product_widths(params, scaled)
     k, kt = params.k, params.k_theta
     bld = CircuitBuilder()
     # the victim's inputs, then the attacker's, as party_input_bits lays them out
     s0_v = bld.new_inputs(k)
     s1_v = bld.new_inputs(k)
     theta_v = bld.new_inputs(kt)
+    n_victim = bld.n_inputs
     s0_a = bld.new_inputs(k)
     s1_a = bld.new_inputs(k)
     theta_a = bld.new_inputs(kt)
-    inputs = InputMap(
-        s0_v=WireRange(s0_v[0], k),
-        s1_v=WireRange(s1_v[0], k),
-        theta_v=WireRange(theta_v[0], kt),
-        s0_a=WireRange(s0_a[0], k),
-        s1_a=WireRange(s1_a[0], k),
-        theta_a=WireRange(theta_a[0], kt),
-    )
 
     # Joint randomness: neither party controls the combined words.
     word0 = bld.xor_vec(s0_v, s0_a)
@@ -395,51 +331,52 @@ def build_mechanism_circuit(params: MechanismParams, scaled: ScaledParams) -> Ci
     picked = bld.mux_vec(pay_counter, r3[:out_w], zeros)
     r_f_bits = bld.mux_vec(accept, bld.zero_extend(r2, out_w), picked)
 
-    # Alignment pass: pin the ransom to one contiguous range.
-    bld.zero()  # allocated before r_f_start, so the copies stay contiguous
-    r_f_start = bld.wire_count
-    r_f_bits = [bld.copy(b) for b in r_f_bits]
-
+    # A ransom bit or sigma that folded to a constant gets a wire with
+    # fresh labels; alpha ORs such wires and so never folds itself.
+    r_f_bits = [bld.reveal(b) for b in r_f_bits]
+    sigma = bld.reveal(sigma)
     alpha = bld.or_(bld.or_tree(r_f_bits), sigma)
     # r3 <= theta_v < 2^kt whenever the counter branch is live, so the
     # bits dropped by the truncation above must all be zero then.
     overflow = bld.and_(countered, bld.or_tree(r3[kt:]))
 
-    outputs = OutputMap(
-        r_f=WireRange(r_f_start, out_w), alpha=alpha, sigma=sigma, overflow=overflow
+    return Circuit(
+        n_victim,
+        bld.n_inputs - n_victim,
+        tuple(bld.gates),
+        (*r_f_bits, alpha, sigma),
+        overflow,
     )
-    return Circuit(bld.wire_count, tuple(bld.gates), inputs, outputs)
 
 
-def eval_gates(
-    wire_count: int, gates: Iterable[Gate], inputs: Sequence[int], lanes: int = 1
-) -> list[int]:
+def eval_gates(gates: Iterable[Gate], inputs: Sequence[int], lanes: int = 1) -> list[int]:
     """Bit-sliced plaintext evaluation; returns every wire's word.
 
-    ``inputs`` are the words of wires 0 .. len(inputs) - 1.  Bit s of
-    each word is sample s, so one int operation advances ``lanes``
-    samples at once; a single run is one lane.
+    ``inputs`` are the words of the input wires, and gate i appends the
+    word of wire len(inputs) + i.  Bit s of each word is sample s, so
+    one int operation advances ``lanes`` samples at once; a single run
+    is one lane.
     """
     ones = (1 << lanes) - 1
-    wires = list(inputs) + [0] * (wire_count - len(inputs))
+    wires = list(inputs)
     for gate in gates:
         if gate.kind is GateKind.XOR:
-            wires[gate.out] = wires[gate.in_a] ^ wires[gate.in_b]
+            wires.append(wires[gate.in_a] ^ wires[gate.in_b])
         elif gate.kind is GateKind.AND:
-            wires[gate.out] = wires[gate.in_a] & wires[gate.in_b]
+            wires.append(wires[gate.in_a] & wires[gate.in_b])
         else:
-            wires[gate.out] = wires[gate.in_a] ^ ones
+            wires.append(wires[gate.in_a] ^ ones)
     return wires
 
 
 def eval_plain(circuit: Circuit, input_bits: Sequence[int]) -> tuple[int, ...]:
     """Plaintext reference evaluation; returns (r_f bits..., alpha, sigma)."""
-    if len(input_bits) != circuit.inputs.total_bits:
+    if len(input_bits) != circuit.n_inputs:
         raise ValueError(
-            f"expected {circuit.inputs.total_bits} input bits, got {len(input_bits)}"
+            f"expected {circuit.n_inputs} input bits, got {len(input_bits)}"
         )
-    wires = eval_gates(circuit.wire_count, circuit.gates, [b & 1 for b in input_bits])
-    return tuple(wires[w] for w in circuit.output_wires())
+    wires = eval_gates(circuit.gates, [b & 1 for b in input_bits])
+    return tuple(wires[w] for w in circuit.outputs)
 
 
 def encode_inputs(
@@ -452,7 +389,8 @@ def encode_inputs(
     s1_a: int,
 ) -> list[int]:
     """Pack the six field values into the circuit's input bit-vector."""
-    k, kt = circuit.inputs.s0_v.length, circuit.inputs.theta_v.length
+    kt = len(circuit.outputs) - 3  # r_f has k_theta + 1 bits
+    k = (circuit.victim_inputs - kt) // 2
     return party_input_bits(k, kt, s0_v, s1_v, theta_v) + party_input_bits(
         k, kt, s0_a, s1_a, theta_a
     )
@@ -460,35 +398,33 @@ def encode_inputs(
 
 def decode_outcome(circuit: Circuit, output_bits: Sequence[int]) -> MechanismOutcome:
     """Rebuild the settlement from the revealed output bits."""
-    n = circuit.outputs.r_f.length
-    if len(output_bits) != n + 2:
-        raise ValueError(f"expected {n + 2} output bits, got {len(output_bits)}")
-    r_f = sum(bit << i for i, bit in enumerate(output_bits[:n]))
-    return MechanismOutcome(output_bits[n], Fraction(r_f), output_bits[n + 1])
+    if len(output_bits) != len(circuit.outputs):
+        raise ValueError(
+            f"expected {len(circuit.outputs)} output bits, got {len(output_bits)}"
+        )
+    *r_f_bits, alpha, sigma = output_bits
+    r_f = sum(bit << i for i, bit in enumerate(r_f_bits))
+    return MechanismOutcome(alpha, Fraction(r_f), sigma)
 
 
 def serialize_circuit(circuit: Circuit) -> bytes:
     """Canonical little-endian byte form; input to the digest and the wire."""
+    n_out = len(circuit.outputs)
     parts = [
         struct.pack(
-            "<4sHHII", MAGIC, FORMAT_VERSION, 0, circuit.wire_count, len(circuit.gates)
-        )
+            "<4sHIIII",
+            MAGIC,
+            FORMAT_VERSION,
+            circuit.victim_inputs,
+            circuit.attacker_inputs,
+            len(circuit.gates),
+            n_out,
+        ),
+        struct.pack(f"<{n_out + 1}I", *circuit.outputs, circuit.overflow),
     ]
-    for rng in circuit.inputs.ranges():
-        parts.append(struct.pack("<II", rng.start, rng.length))
-    parts.append(
-        struct.pack(
-            "<IIIII",
-            circuit.outputs.r_f.start,
-            circuit.outputs.r_f.length,
-            circuit.outputs.alpha,
-            circuit.outputs.sigma,
-            circuit.outputs.overflow,
-        )
-    )
     for gate in circuit.gates:
         in_b = NOT_SENTINEL if gate.in_b is None else gate.in_b
-        parts.append(struct.pack("<BIII", gate.kind, gate.in_a, in_b, gate.out))
+        parts.append(struct.pack("<BII", gate.kind, gate.in_a, in_b))
     return b"".join(parts)
 
 

@@ -38,6 +38,7 @@ from .mechanism import (
     outcome_fixed,
 )
 from .protocol import (
+    DEFAULT_TIMEOUT,
     NegotiationAbort,
     NegotiationConfig,
     TransportFailure,
@@ -171,12 +172,6 @@ def _cmd_stage_game(args) -> int:
 def _cmd_mechanism_eval(args) -> int:
     params = MechanismParams(args.q, args.p_bar, args.k_theta, args.k)
     scaled = ScaledParams.from_params(params)
-    for name, value in (("theta_v", args.theta_v), ("theta_a", args.theta_a)):
-        if not 0 <= value < (1 << params.k_theta):
-            raise ConfigError(f"{name} does not fit in k_theta bits")
-    for name, value in (("s0", args.s0), ("s1", args.s1)):
-        if not 0 <= value < (1 << params.k):
-            raise ConfigError(f"{name} does not fit in k bits")
     outcome = outcome_fixed(
         params, scaled, Report(args.theta_v, args.theta_a), args.s0, args.s1
     )
@@ -336,14 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", required=True, metavar="ADDR:PORT")
     p.add_argument("--seed", help="hex test seed; omit for system entropy")
     p.add_argument("--transcript", help="write the session transcript here")
-    p.add_argument("--timeout", type=float, default=10.0)
+    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.set_defaults(func=_cmd_victim)
 
     p = sub.add_parser("attacker", help="run the evaluator side of a settlement")
     p.add_argument("--config", required=True)
     p.add_argument("--connect", required=True, metavar="ADDR:PORT")
     p.add_argument("--seed", help="hex test seed; omit for system entropy")
-    p.add_argument("--timeout", type=float, default=10.0)
+    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.set_defaults(func=_cmd_attacker)
 
     return parser

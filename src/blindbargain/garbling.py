@@ -117,21 +117,20 @@ def garble(circuit: Circuit, seed: bytes) -> GarbledMaterial:
     to pin determinism.  Production callers draw the seed fresh.
     """
     delta = _seed_label(seed, b"delta", 0) | 1
-    n_in = circuit.inputs.total_bits
+    n_in = circuit.n_inputs
     zero_of = [_seed_label(seed, b"input", w) for w in range(n_in)]
-    zero_of += [0] * (circuit.wire_count - n_in)
     enc = _new_encryptor()
     tables = []
     for position, gate in enumerate(circuit.gates):
         if gate.kind is GateKind.XOR:
-            zero_of[gate.out] = zero_of[gate.in_a] ^ zero_of[gate.in_b]
+            zero_of.append(zero_of[gate.in_a] ^ zero_of[gate.in_b])
         elif gate.kind is GateKind.NOT:
             # pass-through label flips meaning, no table row needed
-            zero_of[gate.out] = zero_of[gate.in_a] ^ delta
+            zero_of.append(zero_of[gate.in_a] ^ delta)
         else:
             a0, b0 = zero_of[gate.in_a], zero_of[gate.in_b]
             out0 = _seed_label(seed, b"gate", position)
-            zero_of[gate.out] = out0
+            zero_of.append(out0)
             rows: list[bytes] = [b""] * 4
             for va, a in enumerate((a0, a0 ^ delta)):
                 for vb, b in enumerate((b0, b0 ^ delta)):
@@ -143,8 +142,7 @@ def garble(circuit: Circuit, seed: bytes) -> GarbledMaterial:
         (_label(zero_of[w]), _label(zero_of[w] ^ delta)) for w in range(n_in)
     )
     output_pairs = tuple(
-        (_label(zero_of[w]), _label(zero_of[w] ^ delta))
-        for w in circuit.output_wires()
+        (_label(zero_of[w]), _label(zero_of[w] ^ delta)) for w in circuit.outputs
     )
     decode = tuple((_commit(p[0].bits), _commit(p[1].bits)) for p in output_pairs)
     gc = GarbledCircuit(circuit_digest(circuit), tuple(tables), decode)
@@ -162,26 +160,25 @@ def evaluate(
     """
     if circuit_digest(circuit) != gc.base_circuit_digest:
         raise DigestMismatch("circuit digest does not match the garbling")
-    n_in = circuit.inputs.total_bits
+    n_in = circuit.n_inputs
     if len(input_labels) != n_in:
         raise ValueError(f"expected {n_in} input labels, got {len(input_labels)}")
     if len(gc.tables) != circuit.and_count:
         raise ValueError("garbled table count does not match the circuit")
     labels = [int.from_bytes(label.bits, "big") for label in input_labels]
-    labels += [0] * (circuit.wire_count - n_in)
     enc = _new_encryptor()
     and_index = 0
     for position, gate in enumerate(circuit.gates):
         if gate.kind is GateKind.XOR:
-            labels[gate.out] = labels[gate.in_a] ^ labels[gate.in_b]
+            labels.append(labels[gate.in_a] ^ labels[gate.in_b])
         elif gate.kind is GateKind.NOT:
-            labels[gate.out] = labels[gate.in_a]
+            labels.append(labels[gate.in_a])
         else:
             a, b = labels[gate.in_a], labels[gate.in_b]
             row = gc.tables[and_index][((a & 1) << 1) | (b & 1)]
             and_index += 1
-            labels[gate.out] = _row_key(enc, a, b, position) ^ int.from_bytes(row, "big")
-    return tuple(_label(labels[w]) for w in circuit.output_wires())
+            labels.append(_row_key(enc, a, b, position) ^ int.from_bytes(row, "big"))
+    return tuple(_label(labels[w]) for w in circuit.outputs)
 
 
 def decode_and_prove(

@@ -23,17 +23,33 @@ Money = Fraction
 
 MoneyLike = Union[Fraction, int, str]
 
+# Fraction expands a decimal exponent e<n> to 10^n before anything can
+# reject the value, so an unbounded exponent is an unbounded wait.
+MAX_DECIMAL_EXPONENT = 1000
+
 
 def as_money(value: MoneyLike) -> Money:
     """Convert an exact numeric representation to money.
 
     Accepts integers, rationals, and decimal/rational strings such as
-    ``"1.5"`` or ``"2/3"``.  Floats are rejected: their binary rounding
-    would silently break the exact-arithmetic contract.  A zero
-    denominator is a ``ValueError`` like any other malformed amount.
+    ``"1.5"``, ``"1.5e-2"`` or ``"2/3"``.  Floats are rejected: their
+    binary rounding would silently break the exact-arithmetic contract.
+    A zero denominator, or a decimal exponent beyond
+    ``MAX_DECIMAL_EXPONENT`` either way, is a ``ValueError`` like any
+    other malformed amount.
     """
     if isinstance(value, float):
         raise TypeError(f"money must be exact, got float {value!r}")
+    if isinstance(value, str):
+        _, marker, exponent = value.lower().partition("e")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if marker and digits.isdecimal() and (
+            len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+            or int(digits) > MAX_DECIMAL_EXPONENT
+        ):
+            raise ValueError(
+                f"decimal exponent in {value!r} exceeds {MAX_DECIMAL_EXPONENT}"
+            )
     try:
         return Fraction(value)
     except ZeroDivisionError:

@@ -168,11 +168,26 @@ def outcome_real(
     return _settle(Fraction(0), 0)
 
 
-def product_widths(params: MechanismParams, scaled: ScaledParams) -> tuple[int, int]:
-    """Bit widths of the two intermediate products in fixed-point form."""
-    first = params.k + params.k_theta
-    second = params.k_theta + scaled.inv_q_scale.bit_length()
-    return first, second
+def check_product_widths(
+    params: MechanismParams, scaled: ScaledParams | None = None
+) -> None:
+    """Refuse fixed-point products wider than ``DEFAULT_MAX_WIDTH`` bits.
+
+    The products are q_scale * theta_v (k + k_theta bits) and
+    r2 * inv_q_scale (k_theta + the bit length of inv_q_scale).  The
+    first, the narrower, is checked before ``scaled`` is formed, so a
+    huge k is refused without computing 2^k; ``scaled`` defaults to the
+    constants scaled from ``params``.  Raises ValueError.
+    """
+    if (
+        params.k + params.k_theta > DEFAULT_MAX_WIDTH
+        or params.k_theta
+        + (scaled or ScaledParams.from_params(params)).inv_q_scale.bit_length()
+        > DEFAULT_MAX_WIDTH
+    ):
+        raise ValueError(
+            f"fixed-point products exceed {DEFAULT_MAX_WIDTH} bits: lower k or k_theta"
+        )
 
 
 def outcome_fixed(
@@ -188,10 +203,7 @@ def outcome_fixed(
     (q_scale*theta_v) >> k, r2/q by (r2*inv_q_scale) >> k, and the draws
     by k-bit words compared against the scaled constants.
     """
-    if max(product_widths(params, scaled)) > DEFAULT_MAX_WIDTH:
-        raise OverflowError(
-            f"intermediate products exceed the declared width {DEFAULT_MAX_WIDTH}"
-        )
+    check_product_widths(params, scaled)
     theta_v, theta_a = _fixed_report(params, rep)
     if not 0 <= s0 < (1 << params.k) or not 0 <= s1 < (1 << params.k):
         raise ValueError("random words must be k-bit")
@@ -292,6 +304,8 @@ def attacker_truthfulness_margin(
     alternative).  Non-negative means truth-telling dominates on the
     grid.
     """
+    if grid < 2:
+        raise ValueError("the attacker grid needs at least 2 points")
     theta_v = as_money(theta_v_report)
     points = [Fraction(i, grid - 1) for i in range(grid)]
     margin = None

@@ -56,11 +56,10 @@ from .garbling import (
 )
 from .losses import MoneyLike, as_money
 from .mechanism import (
-    DEFAULT_MAX_WIDTH,
     MechanismOutcome,
     MechanismParams,
     ScaledParams,
-    product_widths,
+    check_product_widths,
 )
 from .ot import OtProtocolError, OtReceiver, OtSender
 
@@ -145,17 +144,9 @@ class PiProfile:
                 "must be below 2^64, bitwidths below 2^32"
             ) from None
         # A profile the sessions cannot scale (q = 0) or the circuit
-        # builder refuses must never be agreed.  k + k_theta, the narrower
-        # product, screens out a huge k before 2^k is formed.  A
-        # non-dyadic q warns about rounding here, at configuration time.
-        if (
-            self.k + self.k_theta > DEFAULT_MAX_WIDTH
-            or max(product_widths(params, ScaledParams.from_params(params)))
-            > DEFAULT_MAX_WIDTH
-        ):
-            raise ValueError(
-                f"profile products exceed {DEFAULT_MAX_WIDTH} bits: lower k or k_theta"
-            )
+        # builder refuses must never be agreed.  A non-dyadic q warns
+        # about rounding here, at configuration time.
+        check_product_widths(params)
 
     def params(self) -> MechanismParams:
         return MechanismParams(self.q, self.p_bar, self.k_theta, self.k)
@@ -420,7 +411,7 @@ class VictimSession:
 
     def _send_own_labels(self, circuit: Circuit, material):
         s0, s1, bits = _draw_inputs(self.config, self.randomness)
-        labels = select_labels(material.input_labels[: len(bits)], bits)
+        labels = select_labels(material.input_labels[: circuit.victim_inputs], bits)
         self.channel.send(
             MSG_GARBLER_INPUT_LABELS, b"".join(l.bits for l in labels)
         )
@@ -428,7 +419,7 @@ class VictimSession:
 
     def _serve_ot(self, circuit: Circuit, material) -> None:
         sender = OtSender(
-            material.input_labels[circuit.inputs.victim_bits :], self.randomness.word
+            material.input_labels[circuit.victim_inputs :], self.randomness.word
         )
         self.channel.send(MSG_OT_MSG1, sender.public_message())
         _, blinded = self.channel.recv({MSG_OT_MSG2}, "ot")
@@ -506,14 +497,14 @@ class AttackerSession:
             self.channel.abort("circuit-check", "digest does not match the profile")
         if len(gc.tables) != circuit.and_count:
             self.channel.abort("circuit-check", "table count does not match")
-        if len(gc.output_decode) != len(circuit.output_wires()):
+        if len(gc.output_decode) != len(circuit.outputs):
             self.channel.abort("circuit-check", "output commitment count mismatch")
         return gc, circuit
 
     def _receive_victim_labels(self, circuit: Circuit):
         _, payload = self.channel.recv({MSG_GARBLER_INPUT_LABELS}, "victim-labels")
         return _parse_labels(
-            payload, circuit.inputs.victim_bits, self.channel, "victim-labels"
+            payload, circuit.victim_inputs, self.channel, "victim-labels"
         )
 
     def _run_ot(self, circuit: Circuit):

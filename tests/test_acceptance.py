@@ -26,7 +26,12 @@ from blindbargain.bargaining import (
     rubinstein_split,
 )
 from blindbargain.bench import GRID, format_table, monotone_over_grid, run_benchmark
-from blindbargain.circuit import build_mechanism_circuit, eval_gates, eval_plain
+from blindbargain.circuit import (
+    build_mechanism_circuit,
+    encode_inputs,
+    eval_gates,
+    eval_plain,
+)
 from blindbargain.cli import main as cli_main
 from blindbargain.garbling import decode_and_prove, evaluate, garble, select_labels
 from blindbargain.losses import LossProfile, VictimParams, residual_value, total_value
@@ -210,30 +215,24 @@ def test_criterion_07_expected_payment_half_value():
 
 def _batch_outcomes(circuit, fields: np.ndarray):
     """Rows of (s0_v, s1_v, theta_v, s0_a, s1_a, theta_a) to outcome arrays."""
-    ranges = (
-        circuit.inputs.s0_v,
-        circuit.inputs.s1_v,
-        circuit.inputs.theta_v,
-        circuit.inputs.s0_a,
-        circuit.inputs.s1_a,
-        circuit.inputs.theta_a,
-    )
+    k_theta = len(circuit.outputs) - 3  # r_f has k_theta + 1 bits
+    k = (circuit.victim_inputs - k_theta) // 2
     n = fields.shape[0]
-    words = [0] * circuit.inputs.total_bits
-    for rng, column in zip(ranges, fields.T):
-        for i in range(rng.length):
+    words = []
+    for width, column in zip((k, k, k_theta, k, k, k_theta), fields.T):
+        for i in range(width):
             lane_bits = ((column >> i) & 1).astype(np.uint8)
             packed = np.packbits(lane_bits, bitorder="little").tobytes()
-            words[rng.start + i] = int.from_bytes(packed, "little")
-    wires = eval_gates(circuit.wire_count, circuit.gates, words, n)
+            words.append(int.from_bytes(packed, "little"))
+    wires = eval_gates(circuit.gates, words, n)
 
     def lanes(wire):
         packed = np.frombuffer(wires[wire].to_bytes(-(-n // 8), "little"), np.uint8)
         return np.unpackbits(packed, bitorder="little")[:n]
 
-    outputs = circuit.outputs
-    r_f = sum(lanes(w).astype(np.int64) << i for i, w in enumerate(outputs.r_f.indices()))
-    return r_f, lanes(outputs.alpha), lanes(outputs.sigma), lanes(outputs.overflow)
+    *r_f_wires, alpha, sigma = circuit.outputs
+    r_f = sum(lanes(w).astype(np.int64) << i for i, w in enumerate(r_f_wires))
+    return r_f, lanes(alpha), lanes(sigma), lanes(circuit.overflow)
 
 
 def test_criterion_08_circuit_matches_fixed_point_oracle():
@@ -300,23 +299,14 @@ def test_criterion_08_circuit_matches_fixed_point_oracle():
         tv, ta = rng.getrandbits(4), rng.getrandbits(4)
         s0, s1 = rng.getrandbits(4), rng.getrandbits(4)
         material = garble(circuit, struct.pack("<I", case))
-        bits = []
-        for rng_field, value in (
-            (circuit.inputs.s0_v, s0),
-            (circuit.inputs.s1_v, s1),
-            (circuit.inputs.theta_v, tv),
-            (circuit.inputs.s0_a, 0),
-            (circuit.inputs.s1_a, 0),
-            (circuit.inputs.theta_a, ta),
-        ):
-            bits += [(value >> i) & 1 for i in range(rng_field.length)]
+        bits = encode_inputs(circuit, tv, ta, s0_v=s0, s1_v=s1, s0_a=0, s1_a=0)
         labels = select_labels(material.input_labels, bits)
         out_bits, _ = decode_and_prove(
             material.garbled, evaluate(material.garbled, circuit, labels)
         )
         assert tuple(out_bits) == eval_plain(circuit, bits)
         want = outcome_fixed(params, scaled, Report(tv, ta), s0, s1)
-        width = circuit.outputs.r_f.length
+        width = len(circuit.outputs) - 2
         got_r_f = sum(b << i for i, b in enumerate(out_bits[:width]))
         assert (got_r_f, out_bits[width], out_bits[width + 1]) == (
             int(want.r_f),

@@ -16,9 +16,6 @@ from blindbargain.circuit import (
     CircuitBuilder,
     Gate,
     GateKind,
-    InputMap,
-    OutputMap,
-    WireRange,
     build_mechanism_circuit,
     circuit_digest,
     decode_outcome,
@@ -39,9 +36,9 @@ PARAMS = MechanismParams.from_q(Fraction(1, 4), 4, 4)
 SCALED = ScaledParams.from_params(PARAMS)
 
 GOLDEN_DIGESTS = {
-    (Fraction(1, 4), 8, 8): "bf11b0bcef5f35a00e999024ac67b34e3257a0db3cb3010c73124b03f5a27f1b",
-    (Fraction(1, 2), 8, 8): "189c4efe6444250a9be318e253ca508b65c2191cb720b26559ab5f26533a2625",
-    (Fraction(1, 4), 4, 4): "2204193348a67d1228aa847873e0c90140007c53b29b3ecb9828e073783867c9",
+    (Fraction(1, 4), 8, 8): "a938bf93125c40cbb10abde42a829b1e4327f7e395cf898393d3bb3eaaee3158",
+    (Fraction(1, 2), 8, 8): "027f166c4704dcb0e51dbff906045ba654bd5d9b4b4fd14b10dbf218fcb557c5",
+    (Fraction(1, 4), 4, 4): "e16832711b675423db7f6943ab1d50ec84f64035e02a427c2dd789c4424e689a",
 }
 
 
@@ -49,7 +46,7 @@ def _sweep(bld, n_inputs):
     """All input assignments at once: lane v sets input wire i to bit i of v."""
     lanes = 1 << n_inputs
     inputs = [sum(((v >> i) & 1) << v for v in range(lanes)) for i in range(n_inputs)]
-    return eval_gates(bld.wire_count, bld.gates, inputs, lanes)
+    return eval_gates(bld.gates, inputs, lanes)
 
 
 def _lane(words, wires, v):
@@ -132,18 +129,8 @@ def test_builder_input_and_width_rules():
 
 
 def _single_gate_circuit(kind):
-    # Two live input wires spread over the six ranges, one gate.
-    gate = Gate(kind, 0, 1, 2)
-    inputs = InputMap(
-        s0_v=WireRange(0, 1),
-        s1_v=WireRange(1, 1),
-        theta_v=WireRange(2, 0),
-        s0_a=WireRange(2, 0),
-        s1_a=WireRange(2, 0),
-        theta_a=WireRange(2, 0),
-    )
-    outputs = OutputMap(r_f=WireRange(2, 1), alpha=2, sigma=2, overflow=2)
-    return Circuit(3, (gate,), inputs, outputs)
+    # Two victim input wires, one gate driving wire 2, revealed thrice.
+    return Circuit(2, 0, (Gate(kind, 0, 1),), (2, 2, 2), 2)
 
 
 def test_eval_plain_single_gates():
@@ -157,14 +144,29 @@ def test_eval_plain_single_gates():
 
 def test_circuit_structural_validation():
     ok = _single_gate_circuit(GateKind.XOR)
+    assert (ok.n_inputs, ok.wire_count) == (2, 3)
+    # the same wires split between the parties are just as valid
+    Circuit(1, 1, ok.gates, ok.outputs, ok.overflow)
+    bad_gates = [
+        Gate(GateKind.XOR, 0, 5),  # reads a wire that does not exist
+        Gate(GateKind.XOR, 0, 2),  # reads its own output
+        Gate(GateKind.AND, -1, 1),  # reads a negative wire
+        Gate(GateKind.NOT, 0, 1),  # NOT with a second input
+        Gate(GateKind.XOR, 0, None),  # XOR without one
+        Gate(7, 0, 1),  # unknown kind
+    ]
+    for gate in bad_gates:
+        with pytest.raises(ValueError):
+            Circuit(2, 0, (gate,), ok.outputs, ok.overflow)
+    # a later gate may read an earlier gate's wire, never a later one's
+    Circuit(2, 0, (ok.gates[0], Gate(GateKind.NOT, 2, None)), (3, 3, 3), 3)
     with pytest.raises(ValueError):
-        Circuit(3, (Gate(GateKind.XOR, 0, 5, 2),), ok.inputs, ok.outputs)
+        Circuit(2, 0, (Gate(GateKind.NOT, 3, None), ok.gates[0]), (3, 3, 3), 3)
+    # revealed outputs and the overflow probe must be existing wires
     with pytest.raises(ValueError):
-        Circuit(3, (Gate(GateKind.XOR, 0, 1, 0),), ok.inputs, ok.outputs)
+        Circuit(2, 0, ok.gates, (2, 3, 2), 2)
     with pytest.raises(ValueError):
-        Circuit(3, (Gate(GateKind.NOT, 0, 1, 2),), ok.inputs, ok.outputs)
-    with pytest.raises(ValueError):
-        Circuit(4, (Gate(GateKind.XOR, 0, 1, 2),), ok.inputs, ok.outputs)
+        Circuit(2, 0, ok.gates, ok.outputs, 3)
 
 
 def test_build_is_deterministic():
@@ -212,17 +214,15 @@ def test_matches_fixed_point_wide_widths_batch():
         s0, s1 = rng.randrange(1 << 32), rng.randrange(1 << 32)
         cases.append((tv, ta, s0, s1))
         rows.append(encode_inputs(circuit, tv, ta, s0_v=s0, s1_v=s1, s0_a=0, s1_a=0))
-    words = eval_gates(
-        circuit.wire_count, circuit.gates, _pack_lanes(rows), len(cases)
-    )
-    outputs = circuit.outputs
+    words = eval_gates(circuit.gates, _pack_lanes(rows), len(cases))
+    *r_f_wires, alpha, sigma = circuit.outputs
     for v, (tv, ta, s0, s1) in enumerate(cases):
         want = outcome_fixed(params, scaled, Report(tv, ta), s0, s1)
-        got = [_lane(words, [w], v) for w in (outputs.alpha, outputs.sigma)]
-        r_f = _lane(words, outputs.r_f.indices(), v)
+        got = [_lane(words, [w], v) for w in (alpha, sigma)]
+        r_f = _lane(words, r_f_wires, v)
         assert (r_f, *got) == (want.r_f, want.alpha, want.sigma)
     # truncated high product bits never carry information
-    assert words[outputs.overflow] == 0
+    assert words[circuit.overflow] == 0
 
 
 def test_overflow_probe_never_fires_exhaustively():
@@ -231,8 +231,8 @@ def test_overflow_probe_never_fires_exhaustively():
         encode_inputs(circuit, tv, ta, s0_v=s0, s1_v=s1, s0_a=0, s1_a=0)
         for tv, ta, s0, s1 in itertools.product(range(16), repeat=4)
     ]
-    words = eval_gates(circuit.wire_count, circuit.gates, _pack_lanes(rows), len(rows))
-    assert words[circuit.outputs.overflow] == 0
+    words = eval_gates(circuit.gates, _pack_lanes(rows), len(rows))
+    assert words[circuit.overflow] == 0
 
 
 def _build_quiet(q, kt, k):
@@ -269,38 +269,35 @@ def test_folded_circuit_matches_fixed_point(q, kt, k, seed):
         encode_inputs(circuit, tv, ta, s0_v=s0, s1_v=s1, s0_a=0, s1_a=0)
         for tv, ta, s0, s1 in cases
     ]
-    words = eval_gates(circuit.wire_count, circuit.gates, _pack_lanes(rows), len(rows))
-    outputs = circuit.outputs
+    words = eval_gates(circuit.gates, _pack_lanes(rows), len(rows))
+    *r_f_wires, alpha, sigma = circuit.outputs
     for v, (tv, ta, s0, s1) in enumerate(cases):
         want = outcome_fixed(params, scaled, Report(tv, ta), s0, s1)
-        got = [_lane(words, [w], v) for w in (outputs.alpha, outputs.sigma)]
-        r_f = _lane(words, outputs.r_f.indices(), v)
+        got = [_lane(words, [w], v) for w in (alpha, sigma)]
+        r_f = _lane(words, r_f_wires, v)
         assert (r_f, *got) == (want.r_f, want.alpha, want.sigma)
-    assert words[outputs.overflow] == 0
+    assert words[circuit.overflow] == 0
 
 
 def test_no_gate_reads_a_constant_wire():
     for q, kt, k in itertools.product(QS, (1, 4, 8, 16), (1, 4, 8, 32)):
         _, _, circuit = _build_quiet(q, kt, k)
+        driven = list(enumerate(circuit.gates, circuit.n_inputs))  # (wire, gate)
         zero = next(
-            g.out for g in circuit.gates
-            if g.kind is GateKind.XOR and g.in_a == g.in_b == 0
+            w for w, g in driven if g.kind is GateKind.XOR and g.in_a == g.in_b == 0
         )
-        ones = [g.out for g in circuit.gates if g.kind is GateKind.NOT and g.in_a == zero]
+        ones = [w for w, g in driven if g.kind is GateKind.NOT and g.in_a == zero]
         assert len(ones) <= 1
         consts = {zero, *ones}
-        aligned = set(circuit.outputs.r_f.indices())
-        for g in circuit.gates:
-            if {g.in_a, g.in_b} & consts and g.out not in consts:
-                # the only readers: the alignment copies of the ransom
-                # bits, a free XOR of a computed bit with const-0 or a
-                # garbled AND of a folded constant with itself
-                assert g.out in aligned
-                assert (g.kind is GateKind.XOR and g.in_a not in consts
-                        and g.in_b == zero) or (
-                    g.kind is GateKind.AND and g.in_a == g.in_b)
-        for w in aligned:
-            assert any(g.out == w and g.in_b in (zero, g.in_a) for g in circuit.gates)
+        revealed = set(circuit.outputs)
+        assert not consts & revealed
+        for w, g in driven:
+            assert not (g.kind is GateKind.XOR and zero in (g.in_a, g.in_b))
+            if {g.in_a, g.in_b} & consts and w not in consts:
+                # the only other readers: a revealed output that folded to
+                # a constant, copied by a garbled AND with itself
+                assert g.kind is GateKind.AND and g.in_a == g.in_b
+                assert w in revealed
 
 
 def test_and_count_monotone_in_widths():
@@ -324,7 +321,7 @@ def test_and_count_monotone_in_widths():
 def test_width_overflow_guard():
     params = MechanismParams.from_q(Fraction(1, 4), 8, 60)  # k + k_theta = 68 bits
     scaled = ScaledParams.from_params(params)
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError):
         build_mechanism_circuit(params, scaled)
 
 

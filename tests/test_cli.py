@@ -117,6 +117,10 @@ def test_config_keys_no_flag_names_are_kept(capsys, tmp_path):
         ["mechanism", "eval", "1", "1", "1/0", "2/3", "8", "8", "0", "0"],
         ["mechanism", "verify-bic", "--q", "1/0"],
         ["offers", "--horizon", "x"],
+        ["mechanism", "eval", "1", "1", "1/4", "2/3", "60", "8", "0", "0"],
+        ["mechanism", "verify-bic", "--attacker-grid", "1"],
+        ["mechanism", "verify-bic", "--attacker-grid", "0"],
+        ["offers", "--blocks", "1", "--r-min", "1e999999999"],
     ],
 )
 def test_malformed_arguments_exit_one_without_traceback(argv):

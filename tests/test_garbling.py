@@ -17,9 +17,6 @@ from blindbargain.circuit import (
     CircuitBuilder,
     Gate,
     GateKind,
-    InputMap,
-    OutputMap,
-    WireRange,
     build_mechanism_circuit,
     decode_outcome,
     encode_inputs,
@@ -65,26 +62,16 @@ SCALED = ScaledParams.from_params(PARAMS)
 # sha256 of serialize_garbled(garble(circuit, b"pin").garbled) for the
 # profiles of test_circuit.GOLDEN_DIGESTS; pins the garbled wire bytes.
 GOLDEN_GARBLED = {
-    (Fraction(1, 4), 8, 8): "c64c3cd6e32eb2909218a42b5c436423adf509c2c5b7b6d8a8b8c164daea178d",
-    (Fraction(1, 2), 8, 8): "18248a4e168f5983883903237f10ad569b27c08b4c338de879d3484b253ab4b0",
-    (Fraction(1, 4), 4, 4): "aec12dfa561fba673b3c780754e79334fcec07ebd5605417e6000d95721a1289",
+    (Fraction(1, 4), 8, 8): "4765bb301a1aeaec87ea20c9cc9a486acc3e95af6edc71c35933ef27859b49a5",
+    (Fraction(1, 2), 8, 8): "97303cf9936fb061a90dd4b8481f68a6cf9eecf6f98fb75f73b483f0322e91fd",
+    (Fraction(1, 4), 4, 4): "95be7560cc0c574922a498105b349e33eab9d15a93d06c7dce0735334c71f6ae",
 }
 # sha256 of the seeded OtSender.respond output in test_ot_golden_bytes.
 GOLDEN_OT = "a97fda0a15ffb3c5197373d698a0d730578e63bf0aa2dd898bcb245fcdf94feb"
 
 
 def _tiny_circuit(kind):
-    gate = Gate(kind, 0, 1, 2)
-    inputs = InputMap(
-        s0_v=WireRange(0, 1),
-        s1_v=WireRange(1, 1),
-        theta_v=WireRange(2, 0),
-        s0_a=WireRange(2, 0),
-        s1_a=WireRange(2, 0),
-        theta_a=WireRange(2, 0),
-    )
-    outputs = OutputMap(r_f=WireRange(2, 1), alpha=2, sigma=2, overflow=2)
-    return Circuit(3, (gate,), inputs, outputs)
+    return Circuit(2, 0, (Gate(kind, 0, 1),), (2, 2, 2), 2)
 
 
 def _random_small_circuit(rng, n_inputs, n_gates):
@@ -100,11 +87,10 @@ def _random_small_circuit(rng, n_inputs, n_gates):
         else:
             wires.append(bld.and_(a, rng.choice(wires)))
     per = [n_inputs // 6 + (1 if i < n_inputs % 6 else 0) for i in range(6)]
-    starts = [sum(per[:i]) for i in range(6)]
-    inputs = InputMap(*(WireRange(s, l) for s, l in zip(starts, per)))
     out = wires[-1]
-    outputs = OutputMap(r_f=WireRange(out, 1), alpha=out, sigma=out, overflow=out)
-    return Circuit(bld.wire_count, tuple(bld.gates), inputs, outputs)
+    return Circuit(
+        sum(per[:3]), sum(per[3:]), tuple(bld.gates), (out, out, out), out
+    )
 
 
 def test_single_and_gate_truth_table():
@@ -139,20 +125,7 @@ def test_identity_wiring_passes_labels_through():
     w = bld.new_inputs(2)
     zero = bld.xor(w[1], w[1])
     out = bld.xor(w[0], zero)
-    inputs = InputMap(
-        s0_v=WireRange(0, 1),
-        s1_v=WireRange(1, 1),
-        theta_v=WireRange(2, 0),
-        s0_a=WireRange(2, 0),
-        s1_a=WireRange(2, 0),
-        theta_a=WireRange(2, 0),
-    )
-    circuit = Circuit(
-        bld.wire_count,
-        tuple(bld.gates),
-        inputs,
-        OutputMap(r_f=WireRange(out, 1), alpha=out, sigma=out, overflow=out),
-    )
+    circuit = Circuit(2, 0, tuple(bld.gates), (out, out, out), out)
     material = garble(circuit, b"identity")
     for bit in (0, 1):
         labels = select_labels(material.input_labels, [bit, 0])
@@ -352,7 +325,7 @@ def test_ot_feeds_garbled_evaluation():
     tv, s0v, s1v = rng.randrange(256), rng.randrange(256), rng.randrange(256)
     ta, s0a, s1a = rng.randrange(256), rng.randrange(256), rng.randrange(256)
     bits = encode_inputs(circuit, tv, ta, s0_v=s0v, s1_v=s1v, s0_a=s0a, s1_a=s1a)
-    n_victim = circuit.inputs.victim_bits
+    n_victim = circuit.victim_inputs
     victim_labels = select_labels(material.input_labels[:n_victim], bits[:n_victim])
     attacker_labels = ot_transfer(
         material.input_labels[n_victim:], bits[n_victim:], _seeded_bits(6)

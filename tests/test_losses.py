@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from blindbargain.losses import (
+    MAX_DECIMAL_EXPONENT,
     LossProfile,
     VictimParams,
     as_money,
@@ -69,6 +70,20 @@ def test_as_money_rejects_floats():
         as_money(0.1)
     with pytest.raises(TypeError):
         LossProfile(blocks=[0.5])
+
+
+def test_as_money_bounds_decimal_exponents():
+    top = MAX_DECIMAL_EXPONENT
+    assert as_money("1.5e-2") == Fraction(3, 200)
+    assert as_money("2/3") == Fraction(2, 3)
+    assert as_money(f"1e{top}") == 10**top
+    assert as_money(f" 1E-{top} ") == Fraction(1, 10**top)
+    # rejected before Fraction expands 10^n; the last two would take
+    # hours and more if parsed
+    for text in (f"1e{top + 1}", f"1e-{top + 1}", f"2.5E+00{top + 1}",
+                 "1e999999999", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="exponent"):
+            as_money(text)
 
 
 def test_profile_rejects_negative_masses():

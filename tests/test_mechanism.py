@@ -110,7 +110,7 @@ def test_outcome_fixed_validates_inputs():
     with pytest.raises(ValueError):
         outcome_fixed(PARAMS, SCALED, Report(1, 1), 256, 0)
     wide = MechanismParams.from_q(Fraction(1, 4), 8, 60)  # k + k_theta = 68 bits
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError):
         outcome_fixed(wide, ScaledParams.from_params(wide), Report(1, 1), 0, 0)
 
 
@@ -279,6 +279,13 @@ def test_attacker_dominance_at_support_endpoints():
     assert attacker_truthfulness_margin(PARAMS, 1, grid=17) >= 0
     for q in (Fraction(1, 8), Fraction(1, 2)):
         assert attacker_truthfulness_margin(params_for(q), 1, grid=9) >= 0
+
+
+def test_attacker_margin_needs_two_grid_points():
+    assert attacker_truthfulness_margin(PARAMS, 1, grid=2) >= 0
+    for grid in (1, 0, -3):
+        with pytest.raises(ValueError, match="grid"):
+            attacker_truthfulness_margin(PARAMS, 1, grid=grid)
 
 
 def test_attacker_utility_flat_across_deal_preserving_reports():

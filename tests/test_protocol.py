@@ -160,7 +160,7 @@ class GarbageOtAttacker(AttackerSession):
     """Sends all-zero group elements instead of blinded choices."""
 
     def _run_ot(self, circuit):
-        n_attacker = sum(r.length for r in circuit.inputs.attacker_ranges())
+        n_attacker = circuit.attacker_inputs
         self.channel.recv({5}, "ot")
         self.channel.send(6, b"\x00" * (128 * n_attacker))
         self.channel.recv({7}, "ot")
@@ -181,7 +181,7 @@ class NonResidueOtAttacker(AttackerSession):
     """Blinds honestly, then swaps one element for a quadratic non-residue."""
 
     def _run_ot(self, circuit):
-        n_attacker = sum(r.length for r in circuit.inputs.attacker_ranges())
+        n_attacker = circuit.attacker_inputs
         receiver = OtReceiver([0] * n_attacker, self.randomness.word)
         _, sender_public = self.channel.recv({5}, "ot")
         blinded = receiver.blind(sender_public)
