@@ -25,6 +25,7 @@ from .bargaining import (
     NoDeal,
     backward_induction_offers,
     determine_horizon,
+    lint_marginal_loss,
     rubinstein_split,
 )
 from .config import ConfigError, config_from_values, load_config, parse_config_text
@@ -32,8 +33,8 @@ from .losses import LossProfile, VictimParams, as_money, residual_value, total_v
 from .mechanism import (
     MechanismParams,
     Report,
-    ScaledParams,
     attacker_truthfulness_margin,
+    check_product_widths,
     expected_victim_utility,
     outcome_fixed,
 )
@@ -111,6 +112,7 @@ def _cmd_offers(args) -> int:
     inst = BargainingInstance(VictimParams(r_max, profile), r_min)
     horizon = args.horizon if args.horizon is not None else determine_horizon(inst)
     schedule = backward_induction_offers(inst, horizon)
+    lint_marginal_loss(profile, horizon)
     rows = [
         (n, schedule.offer(n), residual_value(profile, n))
         for n in range(1, horizon + 1)
@@ -134,6 +136,7 @@ def _cmd_horizon(args) -> int:
     profile, r_min, r_max = _loss_inputs(args)
     inst = BargainingInstance(VictimParams(r_max, profile), r_min)
     horizon = determine_horizon(inst)
+    lint_marginal_loss(profile, horizon)
     print(f"N = {horizon}")
     return EXIT_OK
 
@@ -171,7 +174,7 @@ def _cmd_stage_game(args) -> int:
 
 def _cmd_mechanism_eval(args) -> int:
     params = MechanismParams(args.q, args.p_bar, args.k_theta, args.k)
-    scaled = ScaledParams.from_params(params)
+    scaled = check_product_widths(params)  # before 2^k is formed
     outcome = outcome_fixed(
         params, scaled, Report(args.theta_v, args.theta_a), args.s0, args.s1
     )

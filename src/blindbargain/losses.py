@@ -146,28 +146,3 @@ def reservation(victim: VictimParams, n: int) -> Money:
     at all.
     """
     return min(residual_value(victim.profile, n), victim.r_max)
-
-
-def total_loss(
-    victim: VictimParams, settle_round: int, r_f: MoneyLike, released: bool
-) -> Money:
-    """Total incident cost for the victim.
-
-    Args:
-        victim: The victim's parameters.
-        settle_round: Round at which the ransom was settled.
-        r_f: Ransom paid (zero if none).
-        released: Whether the attacker released the data.
-
-    Returns:
-        Fixed loss plus downtime loss plus ransom.  A release stops the
-        downtime clock at ``settle_round``; otherwise the whole stream,
-        tail included, is lost.
-    """
-    ransom = as_money(r_f)
-    if ransom < 0:
-        raise ValueError("r_f must be >= 0")
-    profile = victim.profile
-    if released:
-        return profile.l0 + elapsed_loss(profile, settle_round) + ransom
-    return profile.l0 + total_value(profile) + ransom

@@ -19,8 +19,11 @@ attacker's expected utility is constant across every report that keeps
 the deal alive and zero for reports that kill it, so truthful reporting
 is optimal exactly when dealing is; types above half the victim's
 report prefer pricing themselves out, a documented limit of the scheme.
-The victim's interim utility is maximized by reporting truthfully, and
-the expected payment of a truthful victim is exactly half its report.
+The constraint p_bar*(1-q) = 1/2 makes both of the victim's payoff
+branches equal theta - r/2, so against a uniform [0, 1] attacker its
+interim utility is exactly min(r, 1) * (theta - r/2): truthful reporting
+is the exact maximum, not a grid approximation, and the expected payment
+of a truthful victim is exactly half its report.
 """
 
 from __future__ import annotations
@@ -170,24 +173,23 @@ def outcome_real(
 
 def check_product_widths(
     params: MechanismParams, scaled: ScaledParams | None = None
-) -> None:
+) -> ScaledParams:
     """Refuse fixed-point products wider than ``DEFAULT_MAX_WIDTH`` bits.
 
     The products are q_scale * theta_v (k + k_theta bits) and
     r2 * inv_q_scale (k_theta + the bit length of inv_q_scale).  The
     first, the narrower, is checked before ``scaled`` is formed, so a
     huge k is refused without computing 2^k; ``scaled`` defaults to the
-    constants scaled from ``params``.  Raises ValueError.
+    constants scaled from ``params``.  Returns the checked constants;
+    raises ValueError.
     """
-    if (
-        params.k + params.k_theta > DEFAULT_MAX_WIDTH
-        or params.k_theta
-        + (scaled or ScaledParams.from_params(params)).inv_q_scale.bit_length()
-        > DEFAULT_MAX_WIDTH
-    ):
-        raise ValueError(
-            f"fixed-point products exceed {DEFAULT_MAX_WIDTH} bits: lower k or k_theta"
-        )
+    if params.k + params.k_theta <= DEFAULT_MAX_WIDTH:
+        scaled = scaled or ScaledParams.from_params(params)
+        if params.k_theta + scaled.inv_q_scale.bit_length() <= DEFAULT_MAX_WIDTH:
+            return scaled
+    raise ValueError(
+        f"fixed-point products exceed {DEFAULT_MAX_WIDTH} bits: lower k or k_theta"
+    )
 
 
 def outcome_fixed(
@@ -285,15 +287,6 @@ def expected_victim_utility(
     return f_low * accept_both + f_mid * counter_stage
 
 
-def expected_payment(params: MechanismParams, theta_v: MoneyLike) -> Money:
-    """Expected ransom of a truthful victim whose report covers the attacker's.
-
-    Both branches of the victim's draw pay the same in expectation, and
-    the parameter constraint pins the total at half the report.
-    """
-    return (1 - params.p_bar + params.p_bar * params.q) * as_money(theta_v)
-
-
 def attacker_truthfulness_margin(
     params: MechanismParams, theta_v_report: MoneyLike, grid: int = 64
 ) -> Money:
@@ -319,21 +312,3 @@ def attacker_truthfulness_margin(
         gap = truthful - best_other
         margin = gap if margin is None else min(margin, gap)
     return margin
-
-
-def victim_best_report(
-    params: MechanismParams,
-    theta_v_true: MoneyLike,
-    step: MoneyLike = Fraction(1, 1024),
-) -> Money:
-    """Report maximizing the victim's interim utility on a step grid over [0, 1]."""
-    theta = as_money(theta_v_true)
-    step = as_money(step)
-    best_report, best_value = Fraction(0), None
-    report = Fraction(0)
-    while report <= 1:
-        value = expected_victim_utility(params, theta, report)
-        if best_value is None or value > best_value:
-            best_report, best_value = report, value
-        report += step
-    return best_report

@@ -273,10 +273,6 @@ class NegotiationResult:
     own_words: tuple[int, int]
     theta_hat: int
 
-    @property
-    def r_f(self) -> Fraction:
-        return self.outcome.r_f
-
 
 class _Channel:
     """Framed messages over one socket, recording a transcript."""

@@ -6,11 +6,14 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
 
 import blindbargain
+from blindbargain.bargaining import MarginalLossWarning
 from blindbargain.cli import main
 
 VICTIM_CFG = """\
@@ -48,6 +51,38 @@ def test_offers_worked_example(capsys):
     assert code == 0
     assert "N = 3" in out
     assert "offers: [3, 2, 2]" in out
+
+
+def _python_m_blindbargain(*argv):
+    src = str(Path(blindbargain.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "blindbargain", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_schedule_outside_marginal_loss_assumption_warns(capsys):
+    # the last block (1) is not small next to the remaining mass (1)
+    steep = ("--blocks", "1,1,1,1,1", "--r-min", "1.5")
+    with pytest.warns(MarginalLossWarning):
+        code, out, _ = run(capsys, "offers", *steep)
+    assert code == 0 and out.splitlines()[-1] == "offers: [3, 2, 2]"
+    with pytest.warns(MarginalLossWarning):
+        code, out, _ = run(capsys, "horizon", *steep)
+    assert code == 0 and out == "N = 3\n"
+    flat = ("--blocks", "1,1,1,1", "--tail", "100", "--r-min", "100.5")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, "offers", *flat)
+        assert code == 0 and "offers: [102, 101, 101]" in out
+        code, out, _ = run(capsys, "horizon", *flat)
+        assert code == 0 and out == "N = 3\n"
+    assert caught == []
+    # from the command line the warning reaches stderr, stdout unchanged
+    proc = _python_m_blindbargain("offers", *steep)
+    assert proc.returncode == 0 and proc.stdout.endswith("offers: [3, 2, 2]\n")
+    assert "MarginalLossWarning: final-round block 1" in proc.stderr
 
 
 def test_offers_csv_export(capsys, tmp_path):
@@ -124,12 +159,7 @@ def test_config_keys_no_flag_names_are_kept(capsys, tmp_path):
     ],
 )
 def test_malformed_arguments_exit_one_without_traceback(argv):
-    src = str(Path(blindbargain.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "blindbargain", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _python_m_blindbargain(*argv)
     assert proc.returncode == 1
     assert "error" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -192,6 +222,26 @@ def test_mechanism_eval_fixed_point(capsys):
     assert "alpha = 1" in out and "r_f = 0" in out and "sigma = 1" in out
     code, _, err = run(capsys, "mechanism", "eval", "300", "60", "1/4", "2/3", "8", "8", "0", "0")
     assert code == 1 and "does not fit" in err
+
+
+def test_mechanism_eval_refuses_huge_k_before_scaling(capsys):
+    # 2^k at k = 10^8 alone would take 12.5 MB
+    tracemalloc.start()
+    try:
+        huge_k = ("1", "1", "1/4", "2/3", "100000000", "8", "0", "0")
+        code, _, err = run(capsys, "mechanism", "eval", *huge_k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and "64 bits" in err
+    assert peak < 1 << 20
+    # a non-dyadic q still warns about rounding exactly once
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        non_dyadic = ("200", "60", "1/3", "3/4", "8", "8", "17", "20")
+        code, out, _ = run(capsys, "mechanism", "eval", *non_dyadic)
+    assert code == 0 and "r_f = 66" in out
+    assert [w.category.__name__ for w in caught] == ["ScalingWarning"]
 
 
 def test_mechanism_verify_bic(capsys):

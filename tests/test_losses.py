@@ -14,7 +14,6 @@ from blindbargain.losses import (
     elapsed_loss,
     reservation,
     residual_value,
-    total_loss,
     total_value,
 )
 
@@ -49,20 +48,6 @@ def test_reservation_caps_at_r_max():
     constant = VictimParams(7, LossProfile(blocks=[], tail=7))
     for n in (0, 1, 5, 100):
         assert reservation(constant, n) == 7
-
-
-def test_total_loss_released_and_not():
-    victim = VictimParams(10, LossProfile(l0=1, blocks=[1, 1, 1, 1, 1]))
-    assert total_loss(victim, 2, 2, released=True) == 5
-    assert total_loss(victim, 2, 0, released=False) == 6
-    zero = VictimParams(10, LossProfile(l0=0, blocks=[1, 1, 1, 1, 1]))
-    assert total_loss(zero, 0, 0, released=True) == 0
-
-
-def test_total_loss_rejects_negative_ransom():
-    victim = VictimParams(10, LossProfile(blocks=[1]))
-    with pytest.raises(ValueError):
-        total_loss(victim, 0, -1, released=True)
 
 
 def test_as_money_rejects_floats():
@@ -115,18 +100,6 @@ def test_reservation_is_binding_min():
             assert r <= victim.r_max
             assert r <= residual_value(profile, n)
             assert r == victim.r_max or r == residual_value(profile, n)
-
-
-def test_total_loss_monotone_in_settle_round():
-    rng = random.Random(0xD00D)
-    for _ in range(200):
-        profile = random_profile(rng)
-        victim = VictimParams(100, profile)
-        costs = [
-            total_loss(victim, n, 3, released=True)
-            for n in range(len(profile.blocks) + 2)
-        ]
-        assert all(a <= b for a, b in zip(costs, costs[1:]))
 
 
 def test_block_mass_zero_beyond_profile():

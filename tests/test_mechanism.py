@@ -14,11 +14,9 @@ from blindbargain.mechanism import (
     ScalingWarning,
     attacker_truthfulness_margin,
     expected_attacker_utility,
-    expected_payment,
     expected_victim_utility,
     outcome_fixed,
     outcome_real,
-    victim_best_report,
 )
 
 PARAMS = MechanismParams(q="1/4", p_bar="2/3", k_theta=8, k=8)
@@ -265,11 +263,20 @@ def test_victim_utility_matches_segment_integration():
         assert expected_victim_utility(params, theta, report) == total
 
 
-def test_victim_truthfulness_on_grid():
-    best = victim_best_report(PARAMS, Fraction(3, 5))
-    assert abs(best - Fraction(3, 5)) <= Fraction(1, 1024)
-    assert victim_best_report(PARAMS, 0, step=Fraction(1, 64)) == 0
+def test_victim_utility_is_uniform_cdf_times_half_surplus():
+    # p_bar * (1 - q) = 1/2 makes both payoff branches theta - r/2, so
+    # the utility is F(r) * (theta - r/2) with F the uniform CDF, and
+    # r = theta is its exact maximum over reports.
     assert expected_victim_utility(PARAMS, 0, 0) == 0
+    for q in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 3), Fraction(1, 5)):
+        params = params_for(q)
+        for i in range(17):
+            theta = Fraction(i, 16)
+            for j in range(25):
+                r = Fraction(j, 16)  # 0 to 3/2
+                assert expected_victim_utility(params, theta, r) == min(r, 1) * (
+                    theta - r / 2
+                )
 
 
 def test_attacker_dominance_at_support_endpoints():
@@ -314,11 +321,14 @@ def test_attacker_dominance_fails_for_high_types_inside_support():
 
 
 def test_expected_payment_is_half_report():
-    assert expected_payment(PARAMS, 100) == 50
-    assert expected_payment(PARAMS, 0) == 0
-    for q in (Fraction(1, 8), Fraction(1, 3), Fraction(1, 2)):
-        params = params_for(q)
-        assert expected_payment(params, 7) == Fraction(7, 2)
+    # criterion 7's outcome_real expectation, at a non-dyadic q and at
+    # p_bar = 1 as well as the dyadic ones
+    qs = (Fraction(1, 8), Fraction(1, 3), Fraction(1, 2))
+    for params in (PARAMS, *map(params_for, qs)):
+        for theta_v in (0, 7, 100):
+            for theta_a in (0, params.q * theta_v):
+                exp_rf, _ = branch_expectations(params, Report(theta_v, theta_a))
+                assert exp_rf == Fraction(theta_v, 2)
 
 
 def test_outcome_type_rejects_inconsistent_fields():
