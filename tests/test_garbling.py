@@ -9,6 +9,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,16 +45,13 @@ from blindbargain.mechanism import (
     outcome_fixed,
 )
 from blindbargain.ot import (
-    EXPONENT_BITS,
-    GENERATOR,
-    PRIME,
+    CURVE,
+    ELEMENT_BYTES,
+    FIELD_PRIME,
+    ORDER,
     OtProtocolError,
     OtReceiver,
     OtSender,
-    _fixed_base_table,
-    _fixed_pow,
-    _generator_table,
-    _jacobi,
     ot_transfer,
 )
 
@@ -67,7 +66,7 @@ GOLDEN_GARBLED = {
     (Fraction(1, 4), 4, 4): "95be7560cc0c574922a498105b349e33eab9d15a93d06c7dce0735334c71f6ae",
 }
 # sha256 of the seeded OtSender.respond output in test_ot_golden_bytes.
-GOLDEN_OT = "a97fda0a15ffb3c5197373d698a0d730578e63bf0aa2dd898bcb245fcdf94feb"
+GOLDEN_OT = "6faf47956e11023f03a8b35f4d2077124da2daf6294661367a8cc5a2de46e764"
 
 
 def _tiny_circuit(kind):
@@ -342,11 +341,11 @@ def test_ot_rejects_malformed_material():
     rng = random.Random(8)
     pairs = [(WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16)))]
     with pytest.raises(OtProtocolError):
-        OtReceiver([0], _seeded_bits(9)).blind(b"\x00" * 128)
+        OtReceiver([0], _seeded_bits(9)).blind(b"\x00" * ELEMENT_BYTES)
     with pytest.raises(OtProtocolError):
-        OtReceiver([0], _seeded_bits(9)).blind(b"\x01" * 64)
+        OtReceiver([0], _seeded_bits(9)).blind(b"\x02" * 64)
     with pytest.raises(OtProtocolError):
-        OtSender(pairs, _seeded_bits(9)).respond(b"\x00" * 128)
+        OtSender(pairs, _seeded_bits(9)).respond(b"\x00" * ELEMENT_BYTES)
     receiver = OtReceiver([0], _seeded_bits(9))
     with pytest.raises(OtProtocolError):
         receiver.unwrap(b"\x00" * 32)
@@ -354,39 +353,89 @@ def test_ot_rejects_malformed_material():
         ot_transfer(pairs, [0, 1], _seeded_bits(9))
 
 
-def test_ot_rejects_elements_outside_the_subgroup():
-    # PRIME - 4 = -1 * 2^2 lies in the group range but, as p = 3 mod 4,
-    # is a non-residue: answering it would leak the exponent's parity
-    non_residue = (PRIME - 4).to_bytes(128, "big")
+def test_ot_rejects_points_off_the_curve():
+    # x = 1 has no point: 1 - 3 + b is a non-square mod p (Euler's criterion)
+    b = 0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B
+    assert pow(b - 2, (FIELD_PRIME - 1) // 2, FIELD_PRIME) == FIELD_PRIME - 1
+    off_curve = b"\x02" + (1).to_bytes(32, "big")
+    too_big_x = b"\x03" + FIELD_PRIME.to_bytes(32, "big")
     rng = random.Random(14)
     pairs = [(WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16)))]
-    with pytest.raises(OtProtocolError, match="subgroup"):
-        OtSender(pairs, _seeded_bits(15)).respond(non_residue)
-    with pytest.raises(OtProtocolError, match="subgroup"):
-        OtReceiver([0], _seeded_bits(16)).blind(non_residue)
+    for element in (off_curve, too_big_x):
+        with pytest.raises(OtProtocolError, match="curve"):
+            OtSender(pairs, _seeded_bits(15)).respond(element)
+        with pytest.raises(OtProtocolError, match="curve"):
+            OtReceiver([0], _seeded_bits(16)).blind(element)
+    # a valid point in uncompressed form has the wrong length and prefix
+    point = OtSender(pairs, _seeded_bits(15)).public_message()
+    uncompressed = ec.EllipticCurvePublicKey.from_encoded_point(
+        CURVE, point
+    ).public_bytes(Encoding.X962, PublicFormat.UncompressedPoint)
+    for element in (uncompressed, b"\x04" + uncompressed[1:ELEMENT_BYTES]):
+        with pytest.raises(OtProtocolError):
+            OtReceiver([0], _seeded_bits(16)).blind(element)
 
 
-def test_jacobi_matches_euler_criterion():
-    rng = random.Random(17)
-    for x in [2, 3, 4, PRIME - 4] + [rng.randrange(2, PRIME - 1) for _ in range(20)]:
-        euler = pow(x, (PRIME - 1) // 2, PRIME)
-        assert _jacobi(x, PRIME) == (1 if euler == 1 else -1)
-    assert _jacobi(PRIME, PRIME) == 0
+def test_ot_sender_rejects_plus_or_minus_a():
+    rng = random.Random(19)
+    pairs = [(WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16)))]
+    sender = OtSender(pairs, _seeded_bits(20))
+    big_a = sender.public_message()
+    minus_a = bytes((big_a[0] ^ 1,)) + big_a[1:]
+    for element in (big_a, minus_a):
+        with pytest.raises(OtProtocolError, match="A or -A"):
+            sender.respond(element)
 
 
-def test_fixed_base_pow_matches_pow():
-    rng = random.Random(18)
-    element = pow(GENERATOR, rng.getrandbits(EXPONENT_BITS), PRIME)
-    exponents = [0, 1, (1 << EXPONENT_BITS) - 1]
-    exponents += [rng.getrandbits(EXPONENT_BITS) for _ in range(20)]
-    for base, table in (
-        (GENERATOR, _generator_table()),
-        (element, _fixed_base_table(element)),
+def test_ot_pads_differ_when_receiver_sends_half_of_a():
+    # B = A/2 makes a(B - A) = -aB, whose x equals x(aB); only the
+    # branch in the pad keeps ct0 ^ ct1 from revealing k0 ^ k1
+    rng = random.Random(21)
+    n = 8
+    pairs = [
+        (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in range(n)
+    ]
+    sender = OtSender(pairs, _seeded_bits(22))
+    big_a = ec.EllipticCurvePublicKey.from_encoded_point(
+        CURVE, sender.public_message()
+    )
+    half = pow(2, -1, ORDER)
+    half_a = ec.derive_private_key(half, CURVE).exchange(ec.ECDH(), big_a)
+    # the x of A/2 is all ECDH yields; either lift of it is +-A/2
+    for prefix in (b"\x02", b"\x03"):
+        ciphertexts = sender.respond((prefix + half_a) * n)
+        for i, (k0, k1) in enumerate(pairs):
+            ct0 = ciphertexts[32 * i : 32 * i + 16]
+            ct1 = ciphertexts[32 * i + 16 : 32 * i + 32]
+            xor_ct = bytes(a ^ b for a, b in zip(ct0, ct1))
+            assert xor_ct != bytes(a ^ b for a, b in zip(k0.bits, k1.bits))
+
+
+# one transfer, so the sender and the receiver both expect one element;
+# about half of all x have a point, so the last branch hits both outcomes
+_OT_PAIRS = [(WireLabel(bytes(16)), WireLabel(bytes([1]) * 16))]
+_FUZZED_ELEMENTS = st.one_of(
+    st.binary(max_size=3 * ELEMENT_BYTES),
+    st.binary(min_size=ELEMENT_BYTES, max_size=ELEMENT_BYTES),
+    st.builds(
+        lambda prefix, x: prefix + x,
+        st.sampled_from([b"\x02", b"\x03"]),
+        st.binary(min_size=ELEMENT_BYTES - 1, max_size=ELEMENT_BYTES - 1),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FUZZED_ELEMENTS)
+def test_fuzzed_ot_elements_raise_only_ot_protocol_error(data):
+    for call in (
+        lambda: OtSender(_OT_PAIRS, _seeded_bits(23)).respond(data),
+        lambda: OtReceiver([1], _seeded_bits(24)).blind(data),
     ):
-        for e in exponents:
-            assert _fixed_pow(table, e) == pow(base, e, PRIME)
-        with pytest.raises(ValueError):
-            _fixed_pow(table, 1 << (EXPONENT_BITS + 4))
+        try:
+            call()
+        except OtProtocolError:
+            pass
 
 
 def test_label_xor_and_color():

@@ -27,7 +27,7 @@ from blindbargain.mechanism import (
     ScalingWarning,
     outcome_fixed,
 )
-from blindbargain.ot import PRIME, OtReceiver
+from blindbargain.ot import ELEMENT_BYTES, OtReceiver
 from blindbargain.protocol import (
     MSG_ABORT,
     MSG_PI_ACK,
@@ -156,48 +156,62 @@ def test_forged_output_label_aborts_at_output_verify():
     assert attacker.stage == "peer-abort" and attacker.detail == "output-verify"
 
 
+def _assert_victim_aborts_at_ot(attacker_cls, detail):
+    victim, attacker = loopback_exchange(
+        PI, 200, 37, b"v", b"a", attacker_session_cls=attacker_cls
+    )
+    assert isinstance(victim, NegotiationAbort)
+    assert victim.stage == "ot" and detail in victim.detail
+    assert isinstance(attacker, NegotiationAbort)
+    assert attacker.stage == "peer-abort" and attacker.detail == "ot"
+
+
 class GarbageOtAttacker(AttackerSession):
-    """Sends all-zero group elements instead of blinded choices."""
+    """Sends all-zero elements of the right length instead of blinded choices."""
 
     def _run_ot(self, circuit):
         n_attacker = circuit.attacker_inputs
         self.channel.recv({5}, "ot")
-        self.channel.send(6, b"\x00" * (128 * n_attacker))
+        self.channel.send(6, b"\x00" * (ELEMENT_BYTES * n_attacker))
         self.channel.recv({7}, "ot")
         raise AssertionError("victim accepted invalid group elements")
 
 
 def test_invalid_ot_elements_abort():
-    victim, attacker = loopback_exchange(
-        PI, 200, 37, b"v", b"a", attacker_session_cls=GarbageOtAttacker
-    )
-    assert isinstance(victim, NegotiationAbort)
-    assert victim.stage == "ot"
-    assert isinstance(attacker, NegotiationAbort)
-    assert attacker.stage == "peer-abort" and attacker.detail == "ot"
+    _assert_victim_aborts_at_ot(GarbageOtAttacker, "compressed point")
 
 
-class NonResidueOtAttacker(AttackerSession):
-    """Blinds honestly, then swaps one element for a quadratic non-residue."""
+class OffCurveOtAttacker(AttackerSession):
+    """Blinds honestly, then swaps one element for an x with no curve point."""
 
     def _run_ot(self, circuit):
         n_attacker = circuit.attacker_inputs
         receiver = OtReceiver([0] * n_attacker, self.randomness.word)
         _, sender_public = self.channel.recv({5}, "ot")
         blinded = receiver.blind(sender_public)
-        self.channel.send(6, blinded[:-128] + (PRIME - 4).to_bytes(128, "big"))
+        # x = 1 has no point on P-256 (test_garbling checks why)
+        off_curve = b"\x02" + (1).to_bytes(32, "big")
+        self.channel.send(6, blinded[:-ELEMENT_BYTES] + off_curve)
         self.channel.recv({7}, "ot")
-        raise AssertionError("victim answered a non-residue")
+        raise AssertionError("victim answered a point off the curve")
 
 
-def test_non_residue_ot_element_aborts():
-    victim, attacker = loopback_exchange(
-        PI, 200, 37, b"v", b"a", attacker_session_cls=NonResidueOtAttacker
-    )
-    assert isinstance(victim, NegotiationAbort)
-    assert victim.stage == "ot" and "subgroup" in victim.detail
-    assert isinstance(attacker, NegotiationAbort)
-    assert attacker.stage == "peer-abort" and attacker.detail == "ot"
+class SenderPointOtAttacker(AttackerSession):
+    """Echoes the sender's A as every blinded choice, so B - A has no result."""
+
+    def _run_ot(self, circuit):
+        _, sender_public = self.channel.recv({5}, "ot")
+        self.channel.send(6, sender_public * circuit.attacker_inputs)
+        self.channel.recv({7}, "ot")
+        raise AssertionError("victim answered B = A")
+
+
+def test_off_curve_ot_element_aborts():
+    _assert_victim_aborts_at_ot(OffCurveOtAttacker, "curve")
+
+
+def test_sender_point_as_ot_element_aborts():
+    _assert_victim_aborts_at_ot(SenderPointOtAttacker, "A or -A")
 
 
 class LyingResultVictim(VictimSession):
