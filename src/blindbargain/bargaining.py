@@ -19,6 +19,7 @@ best response when the victim's reservation value is private.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,25 +76,22 @@ MARGINAL_LOSS_SHARE = Fraction(1, 10)
 
 @dataclass(frozen=True)
 class BargainingInstance:
-    """One negotiation: a victim, the attacker's reservation, optional N."""
+    """One negotiation: a victim and the attacker's reservation.
+
+    Raises NoDeal when r_min exceeds what the victim can pay at all; at
+    equality the reservations still overlap.
+    """
 
     victim: VictimParams
     r_min: Money
-    horizon: Optional[int] = None
 
-    def __init__(
-        self,
-        victim: VictimParams,
-        r_min: MoneyLike,
-        horizon: Optional[int] = None,
-    ) -> None:
+    def __init__(self, victim: VictimParams, r_min: MoneyLike) -> None:
         object.__setattr__(self, "victim", victim)
         object.__setattr__(self, "r_min", as_money(r_min))
-        object.__setattr__(self, "horizon", horizon)
         if self.r_min < 0:
             raise ValueError("r_min must be >= 0")
-        if horizon is not None and (horizon < 1 or horizon % 2 == 0):
-            raise ValueError("horizon must be an odd positive integer")
+        if self.r_min > victim.r_max:
+            raise NoDeal(f"r_min={self.r_min} exceeds r_max={victim.r_max}")
 
 
 @dataclass(frozen=True)
@@ -339,11 +337,19 @@ def lint_marginal_loss(profile: LossProfile, horizon: int) -> None:
     last_block = block_mass(profile, horizon - 1)
     remaining = residual_value(profile, horizon + 1)
     if last_block > MARGINAL_LOSS_SHARE * remaining:
-        warnings.warn(
+        # warn() would key the caller's module registry on this text, one
+        # entry per profile for the life of the process; a fresh registry
+        # per call keeps nothing and reports the same caller location
+        caller = sys._getframe(1)
+        warnings.warn_explicit(
             f"final-round block {last_block} is not small next to the "
             f"remaining mass {remaining}",
             MarginalLossWarning,
-            stacklevel=2,
+            caller.f_code.co_filename,
+            caller.f_lineno,
+            module=caller.f_globals.get("__name__", "<string>"),
+            registry={},
+            module_globals=caller.f_globals,
         )
 
 

@@ -55,7 +55,7 @@ EXIT_ABORT = 2
 EXIT_TRANSPORT = 3
 
 # loss-model flags, each named after the config-file key it overrides
-_LOSS_KEYS = ("blocks", "l0", "tail", "round_length", "r_min", "r_max")
+_LOSS_KEYS = ("blocks", "l0", "tail", "r_min", "r_max")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,7 +102,6 @@ def _add_loss_flags(parser) -> None:
     parser.add_argument("--blocks", help="comma-separated per-round losses")
     parser.add_argument("--l0", help="immediate fixed loss")
     parser.add_argument("--tail", help="loss mass beyond the profiled rounds")
-    parser.add_argument("--round-length", help="duration of one round")
     parser.add_argument("--r-min", help="attacker reservation ransom")
     parser.add_argument("--r-max", help="largest affordable ransom")
 

@@ -5,8 +5,8 @@ profile values both sides must agree on, and optionally an explicit
 report.  Format is ``key = value`` with ``#`` comments; all numbers are
 exact (decimal or ``a/b`` strings), never floats.
 
-Recognized keys: l0, blocks (comma-separated), tail, round_length,
-r_max, r_min, q, p_bar, k, k_theta, theta_hex, t_e.
+Recognized keys: l0, blocks (comma-separated), tail, r_max, r_min, q,
+p_bar, k, k_theta, theta_hex, t_e.
 
 The victim's report defaults to the residual value of the data at the
 agreed exchange round, ``floor(psi(t_e))``; an explicit ``theta_hex``
@@ -34,7 +34,7 @@ class ConfigWarning(UserWarning):
     """A legal but suspicious configuration, e.g. a contradicted default."""
 
 
-_SCALAR_KEYS = ("l0", "tail", "round_length", "r_max", "r_min", "q", "p_bar", "t_e")
+_SCALAR_KEYS = ("l0", "tail", "r_max", "r_min", "q", "p_bar", "t_e")
 _INT_KEYS = ("k", "k_theta")
 _ALL_KEYS = _SCALAR_KEYS + _INT_KEYS + ("blocks", "theta_hex")
 
@@ -150,11 +150,10 @@ def config_from_values(values: dict[str, str]) -> SessionConfig:
                 l0=scalar_or("l0", 0),
                 blocks=blocks,
                 tail=scalar_or("tail", 0),
-                round_length=scalar_or("round_length", 1),
             )
         except ValueError as exc:
             raise ConfigError(f"bad loss model: {exc}") from exc
-    elif any(k in values for k in ("l0", "tail", "round_length")):
+    elif any(k in values for k in ("l0", "tail")):
         raise ConfigError("loss-model keys given without 'blocks'")
 
     theta_hex = None

@@ -5,8 +5,8 @@ that accrue while the data stays encrypted, and the ransom itself if one
 is paid.  The downtime stream is discretized per bargaining round: block
 ``j`` is the loss mass accrued during round ``j`` (between the j-th and
 (j+1)-th offers), and a single tail value holds everything beyond the
-profiled rounds.  Round length is an opaque duration; every quantity here
-is indexed by round number.
+profiled rounds.  Rounds carry no duration; every quantity here is
+indexed by round number.
 
 All money is exact (:class:`fractions.Fraction`): the bargaining
 equilibrium computations downstream require exact equality, not
@@ -65,34 +65,27 @@ class LossProfile:
         blocks: Per-round loss masses; ``blocks[j]`` accrues during
             round ``j``.
         tail: Loss mass accruing after the last profiled round.
-        round_length: Duration of one bargaining round.  Opaque; kept
-            for reporting only, never used in computations.
     """
 
     l0: Money
     blocks: tuple[Money, ...]
     tail: Money = Fraction(0)
-    round_length: Money = Fraction(1)
 
     def __init__(
         self,
         l0: MoneyLike = 0,
         blocks: Iterable[MoneyLike] = (),
         tail: MoneyLike = 0,
-        round_length: MoneyLike = 1,
     ) -> None:
         object.__setattr__(self, "l0", as_money(l0))
         object.__setattr__(self, "blocks", tuple(as_money(b) for b in blocks))
         object.__setattr__(self, "tail", as_money(tail))
-        object.__setattr__(self, "round_length", as_money(round_length))
         if self.l0 < 0:
             raise ValueError("l0 must be >= 0")
         if any(b < 0 for b in self.blocks):
             raise ValueError("loss blocks must be >= 0")
         if self.tail < 0:
             raise ValueError("tail must be >= 0")
-        if self.round_length <= 0:
-            raise ValueError("round_length must be > 0")
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,13 @@ def test_rubinstein_split():
         rubinstein_split(4, 4, 5)
 
 
+def test_instance_needs_overlapping_reservations():
+    # the overlap rule rubinstein_split applies: r_min above r_max is no deal
+    with pytest.raises(NoDeal):
+        instance(FIVE_ONES, "1.5", r_max=1)
+    assert determine_horizon(instance(FIVE_ONES, "1.5", r_max="1.5")) == 3
+
+
 def test_round1_limit_examples():
     r = round1_limit(LossProfile(blocks=[1, 1, 1, 1, 1, 1]))
     assert (r.exact, r.approx, r.has_tail) == (3, 3, False)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import blindbargain
+from blindbargain import cli
 from blindbargain.bargaining import MarginalLossWarning
 from blindbargain.cli import main
 
@@ -83,6 +84,21 @@ def test_schedule_outside_marginal_loss_assumption_warns(capsys):
     proc = _python_m_blindbargain("offers", *steep)
     assert proc.returncode == 0 and proc.stdout.endswith("offers: [3, 2, 2]\n")
     assert "MarginalLossWarning: final-round block 1" in proc.stderr
+
+
+def test_marginal_loss_warning_leaves_no_registry_entries(capsys):
+    # under the default filter, warn() records each message text in the
+    # calling module's registry, and this text carries the profile
+    vars(cli).pop("__warningregistry__", None)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default", MarginalLossWarning)
+        for k in range(200):
+            tail = f"{k}/400"  # every tail keeps N = 3 and the warning
+            code, _, _ = run(capsys, "offers", "--blocks", "1,1,1,1,1", "--tail", tail, "--r-min", "1.5")
+            assert code == 0
+    assert len(caught) == 200
+    assert all(w.filename == cli.__file__ for w in caught)
+    assert vars(cli).get("__warningregistry__", {}) == {}
 
 
 def test_offers_csv_export(capsys, tmp_path):
@@ -156,6 +172,7 @@ def test_config_keys_no_flag_names_are_kept(capsys, tmp_path):
         ["mechanism", "verify-bic", "--attacker-grid", "1"],
         ["mechanism", "verify-bic", "--attacker-grid", "0"],
         ["offers", "--blocks", "1", "--r-min", "1e999999999"],
+        ["offers", "--blocks", "1,1,1", "--r-min", "3/2", "--round-length", "2"],
     ],
 )
 def test_malformed_arguments_exit_one_without_traceback(argv):
@@ -178,6 +195,9 @@ def test_horizon_and_errors(capsys):
     assert code == 1 and "error:" in err
     code, _, err = run(capsys, "offers", "--r-min", "1")
     assert code == 1 and "no loss profile" in err
+    # an r_min the victim cannot pay is no deal, as in rubinstein
+    code, out, err = run(capsys, "offers", "--blocks", "1,1,1,1,1", "--r-min", "1.5", "--r-max", "1")
+    assert code == 1 and out == "" and "error: r_min=3/2 exceeds r_max=1" in err
 
 
 def test_rubinstein_exact_fractions(capsys):

@@ -47,6 +47,8 @@ def test_parse_rejects_malformed_lines():
         parse_config_text("just words\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text("qq = 1/4\n")
+    with pytest.raises(ConfigError, match="unknown key 'round_length'"):
+        parse_config_text("blocks = 1, 1, 1\nround_length = 2\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("q = 1/4\nq = 1/2\n")
     with pytest.raises(ConfigError, match="empty value"):
@@ -137,7 +139,7 @@ def test_pi_requires_the_protocol_keys():
 
 
 _KEYS = (
-    "l0", "blocks", "tail", "round_length", "r_max", "r_min",
+    "l0", "blocks", "tail", "r_max", "r_min",
     "q", "p_bar", "k", "k_theta", "theta_hex", "t_e", "bogus",
 )
 # files of distinct real keys get past the line syntax to the value parsers
