@@ -183,8 +183,21 @@ def _cmd_mechanism_eval(args) -> int:
     return EXIT_OK
 
 
+# verify-bic's grids are capped at criterion 6's 2^10 + 1 points per axis.
+# Each suite makes about points^2 exact utility calls; at the cap that is
+# about 10 s for the victim's and 23 s for the attacker's (two endpoints)
+# on a 2-vCPU host.  Past it the wait and the grid lists grow unbounded.
+MAX_VICTIM_STEP_BITS = 10
+MAX_ATTACKER_GRID = (1 << MAX_VICTIM_STEP_BITS) + 1
+
+
 def _cmd_mechanism_verify_bic(args) -> int:
-    params = MechanismParams.from_q(as_money(args.q), args.k_theta, args.k)
+    if not 2 <= args.attacker_grid <= MAX_ATTACKER_GRID:
+        raise ValueError(f"--attacker-grid must lie in [2, {MAX_ATTACKER_GRID}]")
+    if not 0 <= args.victim_step_bits <= MAX_VICTIM_STEP_BITS:
+        raise ValueError(f"--victim-step-bits must lie in [0, {MAX_VICTIM_STEP_BITS}]")
+    # the suites read only q and p_bar; the widths are placeholders
+    params = MechanismParams.from_q(as_money(args.q), 8, 8)
     ok = True
 
     worst = min(
@@ -317,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = mech.add_parser("verify-bic", help="grid truthfulness suites")
     q.add_argument("--q", default="1/4", help="counteroffer acceptance odds")
-    q.add_argument("--k", type=int, default=8)
-    q.add_argument("--k-theta", type=int, default=8)
     q.add_argument("--attacker-grid", type=int, default=64)
     q.add_argument("--victim-step-bits", type=int, default=6)
     q.set_defaults(func=_cmd_mechanism_verify_bic)

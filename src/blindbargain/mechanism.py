@@ -243,27 +243,33 @@ def expected_attacker_utility(
     Piecewise in the attacker's report: reports within the screening
     offer are always accepted; reports within the victim's report reach
     the counteroffer stage, where the free-release branch bites; higher
-    reports end with no deal and zero utility.
+    reports end with no deal and zero utility.  The terms are integer
+    numerators over pd*qd*vd*ad; the branch tests cross-multiply by the
+    positive denominators.
     """
     if params.q <= 0:
         raise ValueError("expected utility requires q > 0")
     theta_a = as_money(theta_a_true)
     report = as_money(report_a)
     theta_v = as_money(theta_v_report)
-    q, p_bar = params.q, params.p_bar
-    if report <= q * theta_v:
-        return p_bar * (q * theta_v - theta_a) + (1 - p_bar) * (theta_v - theta_a)
-    if report <= theta_v:
-        return (
-            (1 - p_bar) * (theta_v - theta_a)
-            + p_bar * q * (theta_v - theta_a)
-            + p_bar * (1 - q) * (-theta_a)
-        )
-    return Fraction(0)
+    qn, qd = params.q.numerator, params.q.denominator
+    pn, pd = params.p_bar.numerator, params.p_bar.denominator
+    an, ad = theta_a.numerator, theta_a.denominator
+    rn, rd = report.numerator, report.denominator
+    vn, vd = theta_v.numerator, theta_v.denominator
+    gap = vn * ad - an * vd  # theta_v - theta_a, over vd*ad
+    if rn * qd * vd <= qn * vn * rd:  # report <= q * theta_v
+        num = pn * (qn * vn * ad - an * qd * vd) + (pd - pn) * qd * gap
+    elif rn * vd <= vn * rd:  # report <= theta_v
+        num = (pd - pn) * qd * gap + pn * qn * gap - pn * (qd - qn) * an * vd
+    else:
+        return Fraction(0)
+    return Fraction(num, pd * qd * vd * ad)
 
 
-def _uniform_cdf(x: Money) -> Fraction:
-    return min(max(x, Fraction(0)), Fraction(1))
+def _uniform_cdf(num: int, den: int) -> int:
+    """Numerator over ``den`` (> 0) of the uniform [0, 1] CDF at num/den."""
+    return 0 if num <= 0 else den if num >= den else num
 
 
 def expected_victim_utility(
@@ -275,16 +281,24 @@ def expected_victim_utility(
     averages the outcome over attacker types: below the screening offer
     both offers are accepted as they stand; between the offers the
     counteroffer stage pays the victim's report or releases for free;
-    above the victim's report there is no deal.
+    above the victim's report there is no deal.  The terms are integer
+    numerators: the CDFs over qd*rd, the payoffs over pd*qd*td*rd.
     """
     theta = as_money(theta_v_true)
     report = as_money(report_v)
-    q, p_bar = params.q, params.p_bar
-    f_low = _uniform_cdf(q * report)
-    f_mid = _uniform_cdf(report) - f_low
-    accept_both = p_bar * (theta - q * report) + (1 - p_bar) * (theta - report)
-    counter_stage = (1 - p_bar + p_bar * q) * (theta - report) + p_bar * (1 - q) * theta
-    return f_low * accept_both + f_mid * counter_stage
+    qn, qd = params.q.numerator, params.q.denominator
+    pn, pd = params.p_bar.numerator, params.p_bar.denominator
+    tn, td = theta.numerator, theta.denominator
+    rn, rd = report.numerator, report.denominator
+    cdf_den = qd * rd
+    f_low = _uniform_cdf(qn * rn, cdf_den)
+    f_mid = qd * _uniform_cdf(rn, rd) - f_low
+    gap = tn * rd - rn * td  # theta - report, over td*rd
+    accept_both = pn * (tn * qd * rd - qn * rn * td) + (pd - pn) * qd * gap
+    counter_stage = (pd * qd - pn * qd + pn * qn) * gap + pn * (qd - qn) * tn * rd
+    return Fraction(
+        f_low * accept_both + f_mid * counter_stage, cdf_den * pd * qd * td * rd
+    )
 
 
 def attacker_truthfulness_margin(

@@ -171,6 +171,8 @@ def test_config_keys_no_flag_names_are_kept(capsys, tmp_path):
         ["mechanism", "eval", "1", "1", "1/4", "2/3", "60", "8", "0", "0"],
         ["mechanism", "verify-bic", "--attacker-grid", "1"],
         ["mechanism", "verify-bic", "--attacker-grid", "0"],
+        ["mechanism", "verify-bic", "--k", "8"],
+        ["mechanism", "verify-bic", "--k-theta", "8"],
         ["offers", "--blocks", "1", "--r-min", "1e999999999"],
         ["offers", "--blocks", "1,1,1", "--r-min", "3/2", "--round-length", "2"],
     ],
@@ -272,6 +274,54 @@ def test_mechanism_verify_bic(capsys):
     )
     assert code == 0
     assert out.count("PASS") == 2 and "FAIL" not in out
+
+
+_DEFAULT_GRID_LINES = (
+    "attacker dominance at support endpoints (64x64 grid): PASS (worst margin 0)\n"
+    "victim optimality (grid step 2^-6): PASS (worst shortfall 0, step 1/64)\n"
+)
+# stdout of the Fraction-arithmetic utilities, before the integer kernels
+GOLDEN_VERIFY_BIC = {
+    **{("--q", q): _DEFAULT_GRID_LINES for q in ("1/8", "1/5", "1/4", "1/3", "3/8", "1/2")},
+    # the README example
+    ("--attacker-grid", "64", "--victim-step-bits", "6"): _DEFAULT_GRID_LINES,
+    ("--q", "2/7", "--attacker-grid", "9", "--victim-step-bits", "4"): (
+        "attacker dominance at support endpoints (9x9 grid): PASS (worst margin 0)\n"
+        "victim optimality (grid step 2^-4): PASS (worst shortfall 0, step 1/16)\n"
+    ),
+    ("--q", "1/40", "--attacker-grid", "2", "--victim-step-bits", "0"): (
+        "attacker dominance at support endpoints (2x2 grid): PASS (worst margin 0)\n"
+        "victim optimality (grid step 2^-0): PASS (worst shortfall 0, step 1)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", GOLDEN_VERIFY_BIC)
+def test_verify_bic_golden_stdout(capsys, flags):
+    code, out, _ = run(capsys, "mechanism", "verify-bic", *flags)
+    assert code == 0 and out == GOLDEN_VERIFY_BIC[flags]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--victim-step-bits", "-1"),
+        ("--victim-step-bits", str(cli.MAX_VICTIM_STEP_BITS + 1)),
+        ("--victim-step-bits", "40"),  # 2^40 + 1 reports if it were built
+        ("--attacker-grid", "1"),
+        ("--attacker-grid", str(cli.MAX_ATTACKER_GRID + 1)),
+        ("--attacker-grid", str(10**12)),  # 10^12 grid points if they were built
+    ],
+)
+def test_verify_bic_refuses_grids_before_any_suite(capsys, flags):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "mechanism", "verify-bic", *flags)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == "" and "must lie in" in err
+    assert peak < 1 << 20
 
 
 def _free_port() -> int:

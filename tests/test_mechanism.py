@@ -5,7 +5,10 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blindbargain.losses import as_money
 from blindbargain.mechanism import (
     MechanismOutcome,
     MechanismParams,
@@ -277,6 +280,75 @@ def test_victim_utility_is_uniform_cdf_times_half_surplus():
                 assert expected_victim_utility(params, theta, r) == min(r, 1) * (
                     theta - r / 2
                 )
+
+
+# The Fraction bodies the integer kernels replaced, kept verbatim as the
+# oracle the kernels must equal.
+
+
+def _fraction_attacker_utility(params, theta_a_true, report_a, theta_v_report):
+    if params.q <= 0:
+        raise ValueError("expected utility requires q > 0")
+    theta_a = as_money(theta_a_true)
+    report = as_money(report_a)
+    theta_v = as_money(theta_v_report)
+    q, p_bar = params.q, params.p_bar
+    if report <= q * theta_v:
+        return p_bar * (q * theta_v - theta_a) + (1 - p_bar) * (theta_v - theta_a)
+    if report <= theta_v:
+        return (
+            (1 - p_bar) * (theta_v - theta_a)
+            + p_bar * q * (theta_v - theta_a)
+            + p_bar * (1 - q) * (-theta_a)
+        )
+    return Fraction(0)
+
+
+def _fraction_uniform_cdf(x):
+    return min(max(x, Fraction(0)), Fraction(1))
+
+
+def _fraction_victim_utility(params, theta_v_true, report_v):
+    theta = as_money(theta_v_true)
+    report = as_money(report_v)
+    q, p_bar = params.q, params.p_bar
+    f_low = _fraction_uniform_cdf(q * report)
+    f_mid = _fraction_uniform_cdf(report) - f_low
+    accept_both = p_bar * (theta - q * report) + (1 - p_bar) * (theta - report)
+    counter_stage = (1 - p_bar + p_bar * q) * (theta - report) + p_bar * (1 - q) * theta
+    return f_low * accept_both + f_mid * counter_stage
+
+
+# any q in [1/64, 1/2], plus non-dyadic ones and q = 1/2 (p_bar = 1)
+_QS = st.one_of(
+    st.fractions(min_value=Fraction(1, 64), max_value=Fraction(1, 2)),
+    st.sampled_from([Fraction(1, 3), Fraction(2, 7), Fraction(1, 40), Fraction(1, 2)]),
+)
+# negative, zero, one and above one
+_VALUES = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 2)]),
+    st.fractions(min_value=-3, max_value=3),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_QS, _VALUES, _VALUES, _VALUES, st.sampled_from(["drawn", "screening", "victim"]))
+def test_attacker_kernel_equals_fraction_form(q, theta_a, theta_v, report, edge):
+    # the branch edges report = q * theta_v and report = theta_v exactly
+    report = {"drawn": report, "screening": q * theta_v, "victim": theta_v}[edge]
+    params = params_for(q)
+    got = expected_attacker_utility(params, theta_a, report, theta_v)
+    assert got == _fraction_attacker_utility(params, theta_a, report, theta_v)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_QS, _VALUES, _VALUES, st.sampled_from(["drawn", "one", "q_r_one", "zero"]))
+def test_victim_kernel_equals_fraction_form(q, theta, report, edge):
+    # the CDF clamps at r = 1 and q * r = 1, and both CDFs at 0
+    report = {"drawn": report, "one": Fraction(1), "q_r_one": 1 / q, "zero": Fraction(0)}[edge]
+    params = params_for(q)
+    got = expected_victim_utility(params, theta, report)
+    assert got == _fraction_victim_utility(params, theta, report)
 
 
 def test_attacker_dominance_at_support_endpoints():
