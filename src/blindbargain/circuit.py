@@ -17,7 +17,9 @@ const-0, an AND with const-1 or an XOR with const-0 is the other input,
 an XOR with const-1 is a NOT, and a NOT of a constant is the other
 constant.  So a multiply by the public ``q_scale`` or ``inv_q_scale``
 keeps only the partial products of its set bits, and the AND count
-depends on the constants' values as well as on (k_theta, k).  The only
+depends on the constants' values as well as on (k_theta, k); the rows
+of a constant's zero bits, which would fold away gate by gate, are
+skipped before any folding.  The only
 gates that read the constant wires are their own definitions and the
 copies of revealed outputs that folded to a constant (a ransom bit when
 ``q_scale`` is 0, say): a garbled AND of the constant with itself, so
@@ -36,7 +38,8 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 from .mechanism import (
     MechanismOutcome,
@@ -56,13 +59,17 @@ class GateKind(IntEnum):
     NOT = 2
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """One two-input (or NOT) gate; gate i drives wire n_inputs + i."""
 
     kind: GateKind
     in_a: int
     in_b: int | None
+
+
+# the members as plain names: an Enum attribute lookup costs as much as
+# the gate work it selects in the loops below
+_KINDS = _XOR, _AND, _NOT = tuple(GateKind)
 
 
 @dataclass(frozen=True)
@@ -85,20 +92,21 @@ class Circuit:
     overflow: int
 
     def __post_init__(self) -> None:
-        for position, gate in enumerate(self.gates):
-            if gate.kind not in (GateKind.XOR, GateKind.AND, GateKind.NOT):
-                raise ValueError(f"unknown gate kind {gate.kind!r}")
-            needs_b = gate.kind is not GateKind.NOT
-            if needs_b != (gate.in_b is not None):
+        n_inputs = self.victim_inputs + self.attacker_inputs
+        # gate i drives wire n_inputs + i, so it reads only wires below that
+        for bound, (kind, in_a, in_b) in enumerate(self.gates, n_inputs):
+            if kind not in _KINDS:
+                raise ValueError(f"unknown gate kind {kind!r}")
+            if (kind is not _NOT) != (in_b is not None):
                 raise ValueError("gate arity does not match its kind")
-            srcs = (gate.in_a,) if gate.in_b is None else (gate.in_a, gate.in_b)
-            for src in srcs:
-                if not 0 <= src < self.n_inputs + position:
-                    raise ValueError(
-                        f"gate {position} reads wire {src}, not an earlier one"
-                    )
+            if not 0 <= in_a < bound or not (in_b is None or 0 <= in_b < bound):
+                src = in_b if 0 <= in_a < bound else in_a
+                raise ValueError(
+                    f"gate {bound - n_inputs} reads wire {src}, not an earlier one"
+                )
+        wire_count = n_inputs + len(self.gates)
         for w in (*self.outputs, self.overflow):
-            if not 0 <= w < self.wire_count:
+            if not 0 <= w < wire_count:
                 raise ValueError(f"output wire {w} does not exist")
 
     @property
@@ -109,9 +117,14 @@ class Circuit:
     def wire_count(self) -> int:
         return self.n_inputs + len(self.gates)
 
-    @property
+    @cached_property
     def and_count(self) -> int:
-        return sum(1 for g in self.gates if g.kind is GateKind.AND)
+        return sum(1 for g in self.gates if g.kind is _AND)
+
+    @cached_property
+    def _digest(self) -> bytes:
+        # the fields are immutable, so one hash serves every later check
+        return hashlib.sha256(serialize_circuit(self)).digest()
 
 
 class CircuitBuilder:
@@ -143,7 +156,7 @@ class CircuitBuilder:
             return self.not_(b)
         if b == self._one:
             return self.not_(a)
-        return self._emit(GateKind.XOR, a, b)
+        return self._emit(_XOR, a, b)
 
     def and_(self, a: int, b: int) -> int:
         if self._zero in (a, b):
@@ -152,14 +165,14 @@ class CircuitBuilder:
             return b
         if b == self._one:
             return a
-        return self._emit(GateKind.AND, a, b)
+        return self._emit(_AND, a, b)
 
     def not_(self, a: int) -> int:
         if a == self._zero:
             return self.one()
         if a == self._one:
             return self._zero
-        return self._emit(GateKind.NOT, a, None)
+        return self._emit(_NOT, a, None)
 
     def reveal(self, a: int) -> int:
         """The wire to reveal for ``a``: ``a`` itself unless it is a constant.
@@ -170,7 +183,7 @@ class CircuitBuilder:
         may carry them.
         """
         if a in (self._zero, self._one):
-            return self._emit(GateKind.AND, a, a)
+            return self._emit(_AND, a, a)
         return a
 
     def or_(self, a: int, b: int) -> int:
@@ -178,12 +191,12 @@ class CircuitBuilder:
 
     def zero(self) -> int:
         if self._zero is None:
-            self._zero = self._emit(GateKind.XOR, 0, 0)
+            self._zero = self._emit(_XOR, 0, 0)
         return self._zero
 
     def one(self) -> int:
         if self._one is None:
-            self._one = self._emit(GateKind.NOT, self.zero(), None)
+            self._one = self._emit(_NOT, self.zero(), None)
         return self._one
 
     def const_bits(self, value: int, width: int) -> list[int]:
@@ -238,6 +251,8 @@ class CircuitBuilder:
         m = len(a)
         acc = [self.zero() for _ in range(m + len(b))]
         for j, bj in enumerate(b):
+            if bj == self._zero:
+                continue  # every gate of a zero row would fold away
             partial = [self.and_(ai, bj) for ai in a]
             summed, carry = self.add(acc[j : j + m], partial)
             acc[j : j + m] = summed
@@ -360,9 +375,9 @@ def eval_gates(gates: Iterable[Gate], inputs: Sequence[int], lanes: int = 1) -> 
     ones = (1 << lanes) - 1
     wires = list(inputs)
     for gate in gates:
-        if gate.kind is GateKind.XOR:
+        if gate.kind is _XOR:
             wires.append(wires[gate.in_a] ^ wires[gate.in_b])
-        elif gate.kind is GateKind.AND:
+        elif gate.kind is _AND:
             wires.append(wires[gate.in_a] & wires[gate.in_b])
         else:
             wires.append(wires[gate.in_a] ^ ones)
@@ -429,4 +444,5 @@ def serialize_circuit(circuit: Circuit) -> bytes:
 
 
 def circuit_digest(circuit: Circuit) -> bytes:
-    return hashlib.sha256(serialize_circuit(circuit)).digest()
+    """sha256 of ``serialize_circuit``, computed once per Circuit object."""
+    return circuit._digest

@@ -11,7 +11,9 @@ Row keys come from a fixed-key block cipher in a Davies-Meyer shape,
 tweaked by the gate's position so identical label pairs on different
 gates never share a pad.  All label material is derived from one seed,
 which makes garbling reproducible for tests while the seed itself never
-leaves the garbler.
+leaves the garbler.  Since AND output labels come from the seed too,
+the garbler knows every row's cipher input before it builds a table and
+keys all rows with one AES call; the evaluator goes gate by gate.
 
 The decode table publishes a hash commitment per output label.  Either
 side can map a revealed label to its bit and reject a label that was
@@ -119,25 +121,45 @@ def garble(circuit: Circuit, seed: bytes) -> GarbledMaterial:
     delta = _seed_label(seed, b"delta", 0) | 1
     n_in = circuit.n_inputs
     zero_of = [_seed_label(seed, b"input", w) for w in range(n_in)]
-    enc = _new_encryptor()
-    tables = []
-    for position, gate in enumerate(circuit.gates):
-        if gate.kind is GateKind.XOR:
-            zero_of.append(zero_of[gate.in_a] ^ zero_of[gate.in_b])
-        elif gate.kind is GateKind.NOT:
+    xor, not_ = GateKind.XOR, GateKind.NOT
+    ands = []  # (position, a0, b0, out0) per AND gate
+    for position, (kind, in_a, in_b) in enumerate(circuit.gates):
+        if kind is xor:
+            zero_of.append(zero_of[in_a] ^ zero_of[in_b])
+        elif kind is not_:
             # pass-through label flips meaning, no table row needed
-            zero_of.append(zero_of[gate.in_a] ^ delta)
+            zero_of.append(zero_of[in_a] ^ delta)
         else:
-            a0, b0 = zero_of[gate.in_a], zero_of[gate.in_b]
             out0 = _seed_label(seed, b"gate", position)
             zero_of.append(out0)
-            rows: list[bytes] = [b""] * 4
-            for va, a in enumerate((a0, a0 ^ delta)):
-                for vb, b in enumerate((b0, b0 ^ delta)):
-                    out = out0 ^ delta if va & vb else out0
-                    ct = _row_key(enc, a, b, position) ^ out
-                    rows[((a & 1) << 1) | (b & 1)] = ct.to_bytes(LABEL_BYTES, "big")
-            tables.append(tuple(rows))
+            ands.append((position, zero_of[in_a], zero_of[in_b], out0))
+    # Output labels come from the seed, so every row's cipher input is
+    # known by now and one ECB call keys all rows.  Row c of a table
+    # holds the input labels of colors (c >> 1, c & 1), and the label of
+    # color c on a wire stands for bit c ^ (color of its 0-label).
+    # Doubling is linear: a 1-label's double is the 0-label's double XOR
+    # the offset's.
+    d_delta, dd_delta = _double(delta), _double(_double(delta))
+    cipher_in, masks = [], []
+    for position, a0, b0, out0 in ands:
+        da, ddb = _double(a0), _double(_double(b0))
+        for va in (a0 & 1, (a0 & 1) ^ 1):
+            wa = da ^ d_delta if va else da
+            for vb in (b0 & 1, (b0 & 1) ^ 1):
+                w = wa ^ (ddb ^ dd_delta if vb else ddb) ^ position
+                out = out0 ^ delta if va & vb else out0
+                cipher_in.append(w.to_bytes(LABEL_BYTES, "big"))
+                masks.append((w ^ out).to_bytes(LABEL_BYTES, "big"))
+    # each row is E(w) ^ w (the Davies-Meyer key) ^ its output label
+    keyed = _new_encryptor().update(b"".join(cipher_in))
+    rows = (
+        int.from_bytes(keyed, "big") ^ int.from_bytes(b"".join(masks), "big")
+    ).to_bytes(len(keyed), "big")
+    cuts = range(0, len(rows), LABEL_BYTES)
+    tables = [
+        tuple(rows[i : i + LABEL_BYTES] for i in cuts[start : start + 4])
+        for start in range(0, len(cuts), 4)
+    ]
     input_pairs = tuple(
         (_label(zero_of[w]), _label(zero_of[w] ^ delta)) for w in range(n_in)
     )
@@ -167,14 +189,15 @@ def evaluate(
         raise ValueError("garbled table count does not match the circuit")
     labels = [int.from_bytes(label.bits, "big") for label in input_labels]
     enc = _new_encryptor()
+    xor, not_ = GateKind.XOR, GateKind.NOT
     and_index = 0
-    for position, gate in enumerate(circuit.gates):
-        if gate.kind is GateKind.XOR:
-            labels.append(labels[gate.in_a] ^ labels[gate.in_b])
-        elif gate.kind is GateKind.NOT:
-            labels.append(labels[gate.in_a])
+    for position, (kind, in_a, in_b) in enumerate(circuit.gates):
+        if kind is xor:
+            labels.append(labels[in_a] ^ labels[in_b])
+        elif kind is not_:
+            labels.append(labels[in_a])
         else:
-            a, b = labels[gate.in_a], labels[gate.in_b]
+            a, b = labels[in_a], labels[in_b]
             row = gc.tables[and_index][((a & 1) << 1) | (b & 1)]
             and_index += 1
             labels.append(_row_key(enc, a, b, position) ^ int.from_bytes(row, "big"))

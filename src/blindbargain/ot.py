@@ -12,16 +12,21 @@ and Hauck-Loss (2017) show where Simplest OT falls short of it.
 
 Scalar multiplications run in C through ``cryptography``: fixed-base
 ``derive_private_key`` and variable-base ECDH ``exchange``, which yields
-only the x-coordinate of the product.  The two point additions the
-protocol needs, the receiver's A + bG and the sender's B - A, are
-affine additions here.  The receiver computes A + bG for every transfer
-and picks by the choice bit, so its Python-level work does not depend
-on the choices.
+only the x-coordinate of the product.  They are nearly all of the OT
+time: per transfer, the sender runs two exchanges and one point
+decompression, the receiver one derivation and one exchange.  The two
+point additions the protocol needs, the receiver's A + bG and the
+sender's B - A, are affine additions here, and each message's additions
+share one field inversion (Montgomery's trick).  The receiver computes
+A + bG for every transfer and picks by the choice bit, so its
+Python-level work does not depend on the choices.
 
 Every element is 33 bytes of SEC1 compressed point.  Anything else,
 and any point off the curve, is an ``OtProtocolError``; P-256 has
-cofactor 1, so a point on the curve is in the prime-order group.  The
-sender also refuses x(B) = x(A), for which B - A has no affine result.
+cofactor 1, so a point on the curve is in the prime-order group.  An
+addition of two points with equal x has no affine result: the sender
+refuses x(B) = x(A), and the receiver x(bG) = x(A) (b = +-a, odds
+2^-255), both before any inversion.
 
 Each pad hashes the transfer index, the branch and the shared x.  The
 branch matters: a receiver that sends B = A/2 gets a(B - A) = -aB,
@@ -69,12 +74,33 @@ def _affine(key: ec.EllipticCurvePrivateKey) -> Point:
     return numbers.x, numbers.y
 
 
-def _add(p1: Point, p2: Point) -> Point:
-    """P1 + P2 for points with distinct x, so neither doubling nor infinity."""
-    (x1, y1), (x2, y2) = p1, p2
-    slope = (y2 - y1) * pow(x2 - x1, -1, FIELD_PRIME) % FIELD_PRIME
-    x3 = (slope * slope - x1 - x2) % FIELD_PRIME
-    return x3, (slope * (x1 - x3) - y1) % FIELD_PRIME
+def _add_each(points: Sequence[Point], q: Point, what: str) -> list[Point]:
+    """P + Q for every P, with one field inversion for all of them.
+
+    Montgomery's trick: invert the product of the denominators
+    x(P) - x(Q) once, then peel each inverse off with two products.
+    Every x(P) is checked against x(Q) before anything is inverted:
+    equal x means P = +-Q, a doubling or infinity, and is refused.
+    """
+    qx, qy = q
+    denominators = [x - qx for x, _ in points]
+    for i, d in enumerate(denominators):
+        if d == 0:
+            raise OtProtocolError(f"{what} {i} is A or -A")
+    prefix = []
+    product = 1
+    for d in denominators:
+        prefix.append(product)
+        product = product * d % FIELD_PRIME
+    inverse = pow(product, -1, FIELD_PRIME)
+    sums: list[Point] = [q] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, y = points[i]
+        slope = (y - qy) * (prefix[i] * inverse % FIELD_PRIME) % FIELD_PRIME
+        inverse = inverse * denominators[i] % FIELD_PRIME
+        x3 = (slope * slope - x - qx) % FIELD_PRIME
+        sums[i] = x3, (slope * (qx - x3) - qy) % FIELD_PRIME
+    return sums
 
 
 def _encode(point: Point) -> bytes:
@@ -124,17 +150,20 @@ class OtSender:
     def respond(self, blinded: bytes) -> bytes:
         """Encrypt both labels of every pair; one pad per choice."""
         elements = _parse_elements(blinded, len(self._pairs), "receiver message")
+        points = []
+        for key in elements:
+            numbers = key.public_numbers()
+            points.append((numbers.x, numbers.y))
         ax, ay = self._big_a
-        minus_a = (ax, -ay % FIELD_PRIME)
+        differences = _add_each(
+            points, (ax, -ay % FIELD_PRIME), "receiver message: element"
+        )
         parts = []
-        for i, (b_key, pair) in enumerate(zip(elements, self._pairs)):
-            b_point = b_key.public_numbers()
-            if b_point.x == ax:
-                raise OtProtocolError(f"receiver message: element {i} is A or -A")
-            b_minus_a = ec.EllipticCurvePublicNumbers(
-                *_add((b_point.x, b_point.y), minus_a), CURVE
-            ).public_key()
-            for branch, peer in enumerate((b_key, b_minus_a)):
+        for i, (b_key, b_minus_a, pair) in enumerate(
+            zip(elements, differences, self._pairs)
+        ):
+            b_minus_a_key = ec.EllipticCurvePublicNumbers(*b_minus_a, CURVE).public_key()
+            for branch, peer in enumerate((b_key, b_minus_a_key)):
                 shared_x = self._key.exchange(ec.ECDH(), peer)
                 ct = _pad(i, branch, shared_x) ^ pair[branch]
                 parts.append(ct.to_bytes(LABEL_BYTES, "big"))
@@ -154,16 +183,18 @@ class OtReceiver:
         (big_a,) = _parse_elements(sender_public, 1, "sender message")
         numbers = big_a.public_numbers()
         a_point = (numbers.x, numbers.y)
-        self._big_a = big_a
-        self._keys = []
-        parts = []
-        for choice in self._choices:
-            # the add fails only for x(bG) = x(A), i.e. b = +-a: odds 2^-255
-            key = ec.derive_private_key(_rand_scalar(self._rand_bits), CURVE)
-            b_point = _affine(key)
-            self._keys.append(key)
-            parts.append(_encode((b_point, _add(a_point, b_point))[choice]))
-        return b"".join(parts)
+        keys = [
+            ec.derive_private_key(_rand_scalar(self._rand_bits), CURVE)
+            for _ in self._choices
+        ]
+        b_points = [_affine(key) for key in keys]
+        # x(bG) = x(A) only for b = +-a: odds 2^-255 per transfer
+        sums = _add_each(b_points, a_point, "blinding point")
+        self._keys, self._big_a = keys, big_a
+        return b"".join(
+            _encode((b_point, a_plus_b)[choice])
+            for choice, b_point, a_plus_b in zip(self._choices, b_points, sums)
+        )
 
     def unwrap(self, ciphertexts: bytes) -> list[WireLabel]:
         if self._big_a is None:

@@ -1,9 +1,11 @@
 """Gate-level tests: sub-circuits against integer arithmetic, the full
 circuit against the fixed-point oracle, and the canonical byte format."""
 
+import hashlib
 import itertools
 import random
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blindbargain.bench import GRID
 from blindbargain.circuit import (
     Circuit,
     CircuitBuilder,
@@ -40,6 +43,12 @@ GOLDEN_DIGESTS = {
     (Fraction(1, 2), 8, 8): "027f166c4704dcb0e51dbff906045ba654bd5d9b4b4fd14b10dbf218fcb557c5",
     (Fraction(1, 4), 4, 4): "e16832711b675423db7f6943ab1d50ec84f64035e02a427c2dd789c4424e689a",
 }
+# The six q of perfbench's workloads; with bench.GRID, the 36 profiles
+# its settle-mixed workload settles.
+BENCH_QS = (Fraction(1, 8), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3),
+            Fraction(3, 8), Fraction(1, 2))
+# sha256 over circuit_digest of every GRID x BENCH_QS profile, in that order
+GOLDEN_GRID_DIGESTS = "61970b347186429de399d1b33c7f85e67336065ba512440031bfe04a9af460b9"
 
 
 def _sweep(bld, n_inputs):
@@ -169,6 +178,86 @@ def test_circuit_structural_validation():
         Circuit(2, 0, ok.gates, ok.outputs, 3)
 
 
+@dataclass(frozen=True)
+class _TwoPassCircuit:
+    """The Circuit validator before its one-pass rewrite, verbatim: the oracle."""
+
+    victim_inputs: int
+    attacker_inputs: int
+    gates: tuple
+    outputs: tuple
+    overflow: int
+
+    def __post_init__(self) -> None:
+        for position, gate in enumerate(self.gates):
+            if gate.kind not in (GateKind.XOR, GateKind.AND, GateKind.NOT):
+                raise ValueError(f"unknown gate kind {gate.kind!r}")
+            needs_b = gate.kind is not GateKind.NOT
+            if needs_b != (gate.in_b is not None):
+                raise ValueError("gate arity does not match its kind")
+            srcs = (gate.in_a,) if gate.in_b is None else (gate.in_a, gate.in_b)
+            for src in srcs:
+                if not 0 <= src < self.n_inputs + position:
+                    raise ValueError(
+                        f"gate {position} reads wire {src}, not an earlier one"
+                    )
+        for w in (*self.outputs, self.overflow):
+            if not 0 <= w < self.wire_count:
+                raise ValueError(f"output wire {w} does not exist")
+
+    @property
+    def n_inputs(self) -> int:
+        return self.victim_inputs + self.attacker_inputs
+
+    @property
+    def wire_count(self) -> int:
+        return self.n_inputs + len(self.gates)
+
+
+# members, plain ints equal to them, and unknown kinds
+_KINDS = st.sampled_from(list(GateKind)) | st.integers(-1, 4)
+# wires around every boundary: negative, own output, later ones
+_WIRES = st.integers(-2, 14)
+
+
+@st.composite
+def _gate_lists(draw):
+    n_victim, n_attacker = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    gates = []
+    for position in range(draw(st.integers(0, 8))):
+        bound = n_victim + n_attacker + position
+        earlier = st.integers(0, bound - 1) if bound else _WIRES
+        if draw(st.integers(0, 7)):  # well formed, unless there is no earlier wire
+            kind = draw(st.sampled_from(list(GateKind)))
+            in_a = draw(earlier)
+            in_b = None if kind is GateKind.NOT else draw(earlier)
+        else:
+            kind = draw(_KINDS)
+            in_a = draw(earlier | _WIRES)
+            in_b = draw(st.none() | earlier | _WIRES)
+        gates.append(Gate(kind, in_a, in_b))
+    wire_count = n_victim + n_attacker + len(gates)
+    wires = st.integers(0, max(wire_count - 1, 0))
+    if not draw(st.integers(0, 3)):
+        wires |= _WIRES  # missing outputs
+    outputs = draw(st.lists(wires, max_size=4))
+    return n_victim, n_attacker, tuple(gates), tuple(outputs), draw(wires)
+
+
+def _verdict(cls, fields):
+    try:
+        cls(*fields)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gate_lists())
+def test_one_pass_validator_matches_the_two_pass_one(fields):
+    assert _verdict(Circuit, fields) == _verdict(_TwoPassCircuit, fields)
+
+
 def test_build_is_deterministic():
     first = build_mechanism_circuit(PARAMS, SCALED)
     second = build_mechanism_circuit(PARAMS, SCALED)
@@ -187,6 +276,14 @@ def test_golden_digests_stable():
         params = MechanismParams.from_q(q, kt, k)
         circuit = build_mechanism_circuit(params, ScaledParams.from_params(params))
         assert circuit_digest(circuit).hex() == expected
+
+
+def test_golden_digests_over_the_benchmark_profiles():
+    combined = hashlib.sha256()
+    for kt, k in GRID:
+        for q in BENCH_QS:
+            combined.update(circuit_digest(_build_quiet(q, kt, k)[2]))
+    assert combined.hexdigest() == GOLDEN_GRID_DIGESTS
 
 
 def test_matches_fixed_point_on_random_inputs():

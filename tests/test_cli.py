@@ -16,6 +16,18 @@ import blindbargain
 from blindbargain import cli
 from blindbargain.bargaining import MarginalLossWarning
 from blindbargain.cli import main
+from blindbargain.config import load_config
+from blindbargain.ot import ELEMENT_BYTES, OtReceiver
+from blindbargain.protocol import (
+    MSG_OT_MSG1,
+    MSG_OT_MSG2,
+    MSG_OT_MSG3,
+    AttackerSession,
+    NegotiationAbort,
+    NegotiationConfig,
+    TransportFailure,
+    run_attacker,
+)
 
 VICTIM_CFG = """\
 blocks = 120, 40, 30, 10
@@ -330,7 +342,9 @@ def _free_port() -> int:
         return sock.getsockname()[1]
 
 
-def _settle_over_cli(capsys, tmp_path, attacker_cfg_text, transcript=None):
+def _settle_over_cli(
+    capsys, tmp_path, attacker_cfg_text, transcript=None, attacker_seed="61"
+):
     victim_cfg = tmp_path / "victim.cfg"
     victim_cfg.write_text(VICTIM_CFG)
     attacker_cfg = tmp_path / "attacker.cfg"
@@ -351,7 +365,7 @@ def _settle_over_cli(capsys, tmp_path, attacker_cfg_text, transcript=None):
     thread.start()
     attacker_argv = [
         "attacker", "--config", str(attacker_cfg),
-        "--connect", f"127.0.0.1:{port}", "--seed", "61",
+        "--connect", f"127.0.0.1:{port}", "--seed", attacker_seed,
     ]
     for _ in range(50):  # wait out the listener race
         codes["attacker"] = main(attacker_argv)
@@ -386,6 +400,61 @@ def test_profile_mismatch_exits_abort_code(capsys, tmp_path):
     assert codes["attacker"] == 2
     assert codes["victim"] == 2
     assert "aborted at" in err
+
+
+def test_equal_seeds_abort_at_ot_on_both_sides(capsys, tmp_path):
+    # one seed on both sides makes the attacker's second blinding scalar
+    # the victim's OT scalar, so bG = A: a typed abort, not a bare error
+    codes, out, err = _settle_over_cli(capsys, tmp_path, ATTACKER_CFG, attacker_seed="76")
+    assert codes == {"victim": 2, "attacker": 2}
+    assert out == ""
+    assert "aborted at ot: blinding point 1 is A or -A" in err
+    assert "aborted at peer-abort: ot" in err
+
+
+class _MinusALastAttacker(AttackerSession):
+    """Blinds honestly, then sends -A in place of its last element."""
+
+    def _run_ot(self, circuit):
+        receiver = OtReceiver([0] * circuit.attacker_inputs, self.randomness.word)
+        _, sender_public = self.channel.recv({MSG_OT_MSG1}, "ot")
+        blinded = receiver.blind(sender_public)
+        minus_a = bytes((sender_public[0] ^ 1,)) + sender_public[1:]
+        self.channel.send(MSG_OT_MSG2, blinded[:-ELEMENT_BYTES] + minus_a)
+        self.channel.recv({MSG_OT_MSG3}, "ot")
+        raise AssertionError("victim answered B = -A")
+
+
+def test_sender_point_as_last_ot_element_exits_abort_code(capsys, tmp_path):
+    victim_cfg = tmp_path / "victim.cfg"
+    victim_cfg.write_text(VICTIM_CFG)
+    attacker_cfg = tmp_path / "attacker.cfg"
+    attacker_cfg.write_text(ATTACKER_CFG)
+    port = _free_port()
+    victim_argv = [
+        "victim", "--config", str(victim_cfg), "--listen", f"127.0.0.1:{port}",
+    ]
+    codes = {}
+    thread = threading.Thread(
+        target=lambda: codes.setdefault("victim", main(victim_argv)), daemon=True
+    )
+    thread.start()
+    config = NegotiationConfig(load_config(attacker_cfg).pi(), 0x25, ("127.0.0.1", port))
+    for _ in range(50):  # wait out the listener race
+        try:
+            run_attacker(config, None, _MinusALastAttacker)
+        except TransportFailure:
+            time.sleep(0.1)
+        except NegotiationAbort as exc:
+            attacker = exc
+            break
+    thread.join(15)
+    assert not thread.is_alive()
+    assert codes["victim"] == 2
+    assert attacker.stage == "peer-abort" and attacker.detail == "ot"
+    # 24 attacker input bits at (8, 8): element 23 is the last
+    err = capsys.readouterr().err
+    assert "aborted at ot: receiver message: element 23 is A or -A" in err
 
 
 def test_connect_without_listener_is_transport_failure(capsys, tmp_path):

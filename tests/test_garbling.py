@@ -14,6 +14,8 @@ from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blindbargain import circuit as circuit_module
+from blindbargain.bench import GRID
 from blindbargain.circuit import (
     Circuit,
     CircuitBuilder,
@@ -65,6 +67,15 @@ GOLDEN_GARBLED = {
     (Fraction(1, 2), 8, 8): "97303cf9936fb061a90dd4b8481f68a6cf9eecf6f98fb75f73b483f0322e91fd",
     (Fraction(1, 4), 4, 4): "95be7560cc0c574922a498105b349e33eab9d15a93d06c7dce0735334c71f6ae",
 }
+# The same for a non-dyadic profile, and one sha256 over the blobs of
+# every bench.GRID x BENCH_QS profile, in that order: the 36 profiles
+# perfbench's settle-mixed workload settles.
+BENCH_QS = (Fraction(1, 8), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3),
+            Fraction(3, 8), Fraction(1, 2))
+GOLDEN_GARBLED_NON_DYADIC = {
+    (Fraction(1, 3), 16, 32): "f12c6cc8726eadf3e8c138f1d43d87b755345d2d1b4df162c3605a05de0ec7e3",
+}
+GOLDEN_GRID_GARBLED = "9ebe6db352548b41a4c91aa04caf2a157f76ca22f2fb82e754190b0a65e4e799"
 # sha256 of the seeded OtSender.respond output in test_ot_golden_bytes.
 GOLDEN_OT = "6faf47956e11023f03a8b35f4d2077124da2daf6294661367a8cc5a2de46e764"
 
@@ -210,6 +221,25 @@ def test_garbled_golden_bytes():
         circuit = build_mechanism_circuit(params, ScaledParams.from_params(params))
         blob = serialize_garbled(garble(circuit, b"pin").garbled)
         assert hashlib.sha256(blob).hexdigest() == expected
+
+
+def _pinned_blob(q, kt, k):
+    params = MechanismParams.from_q(q, kt, k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ScalingWarning)
+        scaled = ScaledParams.from_params(params)
+    circuit = build_mechanism_circuit(params, scaled)
+    return serialize_garbled(garble(circuit, b"pin").garbled)
+
+
+def test_garbled_golden_bytes_non_dyadic_and_benchmark_profiles():
+    for (q, kt, k), expected in GOLDEN_GARBLED_NON_DYADIC.items():
+        assert hashlib.sha256(_pinned_blob(q, kt, k)).hexdigest() == expected
+    combined = hashlib.sha256()
+    for kt, k in GRID:
+        for q in BENCH_QS:
+            combined.update(_pinned_blob(q, kt, k))
+    assert combined.hexdigest() == GOLDEN_GRID_GARBLED
 
 
 def test_garbled_serialization_rejects_corrupt_blobs():
@@ -385,6 +415,51 @@ def test_ot_sender_rejects_plus_or_minus_a():
     for element in (big_a, minus_a):
         with pytest.raises(OtProtocolError, match="A or -A"):
             sender.respond(element)
+
+
+def test_ot_sender_checks_every_element_before_inverting():
+    # seven honest elements, then +-A: one batch inversion covers all
+    # eight, so the check has to name the last one instead of dividing by 0
+    rng = random.Random(25)
+    pairs = [
+        (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in range(8)
+    ]
+    sender = OtSender(pairs, _seeded_bits(26))
+    big_a = sender.public_message()
+    honest = OtReceiver([0, 1] * 4, _seeded_bits(27)).blind(big_a)
+    minus_a = bytes((big_a[0] ^ 1,)) + big_a[1:]
+    for last in (big_a, minus_a):
+        with pytest.raises(OtProtocolError, match="element 7 is A or -A"):
+            sender.respond(honest[:-ELEMENT_BYTES] + last)
+
+
+def test_ot_receiver_refuses_a_blinding_scalar_of_plus_or_minus_a():
+    # b = +-a puts bG at +-A, where A + bG has no affine result
+    a = random.Random(28).getrandbits(255) | 2
+    sender = OtSender([(WireLabel(bytes(16)), WireLabel(bytes([1]) * 16))] * 8, lambda _: a)
+    draws = [random.Random(29 + i).getrandbits(255) | 2 for i in range(7)]
+    for last in (a, ORDER - a):
+        scalars = iter(draws + [last])
+        receiver = OtReceiver([0, 1] * 4, lambda _: next(scalars))
+        with pytest.raises(OtProtocolError, match="blinding point 7 is A or -A"):
+            receiver.blind(sender.public_message())
+        with pytest.raises(OtProtocolError, match="unwrap before blind"):
+            receiver.unwrap(bytes(8 * 2 * 16))
+
+
+def test_evaluate_reuses_the_digest_of_the_circuit_in_hand(monkeypatch):
+    circuit = build_mechanism_circuit(PARAMS, SCALED)
+    serialized = []
+    original = circuit_module.serialize_circuit
+    monkeypatch.setattr(
+        circuit_module,
+        "serialize_circuit",
+        lambda c: serialized.append(c) or original(c),
+    )
+    material = garble(circuit, b"once")
+    bits = encode_inputs(circuit, 1, 1, s0_v=0, s1_v=0, s0_a=0, s1_a=0)
+    evaluate(material.garbled, circuit, select_labels(material.input_labels, bits))
+    assert serialized == [circuit]
 
 
 def test_ot_pads_differ_when_receiver_sends_half_of_a():

@@ -6,6 +6,7 @@ modeled as session subclasses and must trip the honest side's check at
 the step that guards against exactly that deviation.
 """
 
+import hashlib
 import random
 import socket
 import struct
@@ -49,6 +50,14 @@ from blindbargain.protocol import (
 
 PI = PiProfile(Fraction(1, 4), Fraction(2, 3), 8, 8, Fraction(3))
 
+# sha256 over the newline-joined payload digests of a seeded loopback
+# session (test_seeded_sessions_golden_transcripts): every message byte,
+# the OT messages included.
+GOLDEN_TRANSCRIPTS = {
+    (Fraction(1, 4), 16, 32): "2862a7413f393c2cd155fa5864b4db7df4984d5c5a131b21e26394a9f31a875c",
+    (Fraction(1, 3), 16, 16): "859dbcafd63bfb9261674f23d35a256cd117caa76de419cc62483e692894dd4a",
+}
+
 
 def oracle(pi, victim_result, attacker_result):
     """Fixed-point outcome from both parties' reports and word shares."""
@@ -75,6 +84,18 @@ def test_deterministic_replay_produces_identical_transcripts():
     assert v1.outcome == v2.outcome
     assert v1.transcript.payload_digests() == v2.transcript.payload_digests()
     assert a1.transcript.payload_digests() == a2.transcript.payload_digests()
+
+
+def test_seeded_sessions_golden_transcripts():
+    for (q, kt, k), expected in GOLDEN_TRANSCRIPTS.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ScalingWarning)
+            pi = PiProfile(q, 1 / (2 * (1 - q)), k, kt, 0)
+            theta_v, theta_a = (1 << kt) * 3 // 4, (1 << kt) // 5
+            v, a = loopback_run(pi, theta_v, theta_a, b"v-pin", b"a-pin")
+        digests = v.transcript.payload_digests()
+        assert a.transcript.payload_digests() == digests
+        assert hashlib.sha256("\n".join(digests).encode()).hexdigest() == expected
 
 
 def test_all_outcome_branches_reachable_over_the_wire():
