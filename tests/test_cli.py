@@ -452,9 +452,9 @@ def test_sender_point_as_last_ot_element_exits_abort_code(capsys, tmp_path):
     assert not thread.is_alive()
     assert codes["victim"] == 2
     assert attacker.stage == "peer-abort" and attacker.detail == "ot"
-    # 24 attacker input bits at (8, 8): element 23 is the last
+    # 24 attacker input bits at (8, 8) go two to an element: element 11 is the last
     err = capsys.readouterr().err
-    assert "aborted at ot: receiver message: element 23 is A or -A" in err
+    assert "aborted at ot: receiver message: element 11 is A or -A" in err
 
 
 def test_connect_without_listener_is_transport_failure(capsys, tmp_path):

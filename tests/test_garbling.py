@@ -77,7 +77,7 @@ GOLDEN_GARBLED_NON_DYADIC = {
 }
 GOLDEN_GRID_GARBLED = "9ebe6db352548b41a4c91aa04caf2a157f76ca22f2fb82e754190b0a65e4e799"
 # sha256 of the seeded OtSender.respond output in test_ot_golden_bytes.
-GOLDEN_OT = "6faf47956e11023f03a8b35f4d2077124da2daf6294661367a8cc5a2de46e764"
+GOLDEN_OT = "1d8c0d6322243298d60573b559c72f8bf2766f39a9682b281bdbfbc9e8216772"
 
 
 def _tiny_circuit(kind):
@@ -322,6 +322,18 @@ def test_ot_all_zero_choices():
     assert got == [p[0] for p in pairs]
 
 
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_ot_odd_bit_counts(n):
+    # the last transfer carries one real wire and the zero filler
+    rng = random.Random(40 + n)
+    pairs = [
+        (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in range(n)
+    ]
+    choices = [rng.randrange(2) for _ in range(n)]
+    got = ot_transfer(pairs, choices, _seeded_bits(41 + n))
+    assert got == [p[c] for p, c in zip(pairs, choices)]
+
+
 def test_ot_interleaved_choices_over_eight_wires():
     rng = random.Random(3)
     pairs = [
@@ -332,6 +344,47 @@ def test_ot_interleaved_choices_over_eight_wires():
     receiver = OtReceiver(choices, _seeded_bits(5))
     ciphertexts = sender.respond(receiver.blind(sender.public_message()))
     assert receiver.unwrap(ciphertexts) == [p[c] for p, c in zip(pairs, choices)]
+
+
+def test_ot_scalar_multiplications_for_80_bits(monkeypatch):
+    # the 80 attacker bits of a (16, 32) session: 40 transfers, each two
+    # sender exchanges, one receiver derivation and exchange, one
+    # decompression; plus A and a^2 G on the sender, A on the receiver
+    calls = dict.fromkeys(("derive", "decode", "exchange"), 0)
+    derive, decode = ec.derive_private_key, ec.EllipticCurvePublicKey.from_encoded_point
+
+    class CountingKey:
+        def __init__(self, key):
+            self._key = key
+
+        def public_key(self):
+            return self._key.public_key()
+
+        def exchange(self, algorithm, peer):
+            calls["exchange"] += 1
+            return self._key.exchange(algorithm, peer)
+
+    def counting_derive(value, curve):
+        calls["derive"] += 1
+        return CountingKey(derive(value, curve))
+
+    def counting_decode(curve, data):
+        calls["decode"] += 1
+        return decode(curve, data)
+
+    monkeypatch.setattr(ec, "derive_private_key", counting_derive)
+    monkeypatch.setattr(
+        ec.EllipticCurvePublicKey, "from_encoded_point", staticmethod(counting_decode)
+    )
+    rng = random.Random(30)
+    pairs = [
+        (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in range(80)
+    ]
+    choices = [rng.randrange(2) for _ in range(80)]
+    assert ot_transfer(pairs, choices, _seeded_bits(31)) == [
+        p[c] for p, c in zip(pairs, choices)
+    ]
+    assert calls == {"derive": 42, "decode": 41, "exchange": 120}
 
 
 def test_ot_golden_bytes():
@@ -406,45 +459,67 @@ def test_ot_rejects_points_off_the_curve():
             OtReceiver([0], _seeded_bits(16)).blind(element)
 
 
+def _compressed(scalar):
+    """sG as a 33-byte element."""
+    key = ec.derive_private_key(scalar % ORDER, CURVE)
+    return key.public_key().public_bytes(Encoding.X962, PublicFormat.CompressedPoint)
+
+
+def _negated(element):
+    return bytes((element[0] ^ 1,)) + element[1:]
+
+
+# (multiple of A, how the refusal names it): each one with its negative
+_MULTIPLES = [(1, "A or -A"), (2, "2A or -2A"), (3, "3A or -3A")]
+
+
 def test_ot_sender_rejects_plus_or_minus_a():
+    # B - jA for j in 0..3 must all be finite and the differential law's
+    # denominators nonzero: x(B) in {x(A), x(2A), x(3A)} is refused
     rng = random.Random(19)
     pairs = [(WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16)))]
-    sender = OtSender(pairs, _seeded_bits(20))
-    big_a = sender.public_message()
-    minus_a = bytes((big_a[0] ^ 1,)) + big_a[1:]
-    for element in (big_a, minus_a):
-        with pytest.raises(OtProtocolError, match="A or -A"):
-            sender.respond(element)
+    a = rng.getrandbits(255) | 2
+    sender = OtSender(pairs, lambda _: a)
+    assert sender.public_message() == _compressed(a)
+    for m, name in _MULTIPLES:
+        for element in (_compressed(m * a), _negated(_compressed(m * a))):
+            with pytest.raises(OtProtocolError, match=f"element 0 is {name}$"):
+                sender.respond(element)
 
 
 def test_ot_sender_checks_every_element_before_inverting():
-    # seven honest elements, then +-A: one batch inversion covers all
-    # eight, so the check has to name the last one instead of dividing by 0
+    # seven honest elements, then a refused multiple of A: one batch
+    # inversion covers all eight, so the check has to name the last one
+    # instead of dividing by 0
     rng = random.Random(25)
     pairs = [
-        (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in range(8)
+        (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in range(16)
     ]
-    sender = OtSender(pairs, _seeded_bits(26))
-    big_a = sender.public_message()
-    honest = OtReceiver([0, 1] * 4, _seeded_bits(27)).blind(big_a)
-    minus_a = bytes((big_a[0] ^ 1,)) + big_a[1:]
-    for last in (big_a, minus_a):
-        with pytest.raises(OtProtocolError, match="element 7 is A or -A"):
-            sender.respond(honest[:-ELEMENT_BYTES] + last)
+    a = rng.getrandbits(255) | 2
+    sender = OtSender(pairs, lambda _: a)
+    honest = OtReceiver([0, 1] * 8, _seeded_bits(27)).blind(sender.public_message())
+    assert len(honest) == 8 * ELEMENT_BYTES
+    for m, name in _MULTIPLES:
+        for last in (_compressed(m * a), _negated(_compressed(m * a))):
+            with pytest.raises(OtProtocolError, match=f"element 7 is {name}$"):
+                sender.respond(honest[:-ELEMENT_BYTES] + last)
 
 
 def test_ot_receiver_refuses_a_blinding_scalar_of_plus_or_minus_a():
-    # b = +-a puts bG at +-A, where A + bG has no affine result
+    # b = +-ma puts bG at +-mA: for m = 1 the receiver's bG + A has no
+    # affine result, and for every m some candidate B is one the sender
+    # refuses; the receiver refuses all six whatever its choices
     a = random.Random(28).getrandbits(255) | 2
-    sender = OtSender([(WireLabel(bytes(16)), WireLabel(bytes([1]) * 16))] * 8, lambda _: a)
+    sender = OtSender([(WireLabel(bytes(16)), WireLabel(bytes([1]) * 16))] * 16, lambda _: a)
     draws = [random.Random(29 + i).getrandbits(255) | 2 for i in range(7)]
-    for last in (a, ORDER - a):
-        scalars = iter(draws + [last])
-        receiver = OtReceiver([0, 1] * 4, lambda _: next(scalars))
-        with pytest.raises(OtProtocolError, match="blinding point 7 is A or -A"):
-            receiver.blind(sender.public_message())
-        with pytest.raises(OtProtocolError, match="unwrap before blind"):
-            receiver.unwrap(bytes(8 * 2 * 16))
+    for m, name in _MULTIPLES:
+        for last in (m * a % ORDER, -m * a % ORDER):
+            scalars = iter(draws + [last])
+            receiver = OtReceiver([0, 1] * 8, lambda _: next(scalars))
+            with pytest.raises(OtProtocolError, match=f"blinding point 7 is {name}$"):
+                receiver.blind(sender.public_message())
+            with pytest.raises(OtProtocolError, match="unwrap before blind"):
+                receiver.unwrap(bytes(8 * 4 * 32))
 
 
 def test_evaluate_reuses_the_digest_of_the_circuit_in_hand(monkeypatch):
@@ -463,27 +538,93 @@ def test_evaluate_reuses_the_digest_of_the_circuit_in_hand(monkeypatch):
 
 
 def test_ot_pads_differ_when_receiver_sends_half_of_a():
-    # B = A/2 makes a(B - A) = -aB, whose x equals x(aB); only the
-    # branch in the pad keeps ct0 ^ ct1 from revealing k0 ^ k1
+    # B = kA/2 makes a(B - jA) and a(B - j'A) negatives of each other
+    # when j + j' = k, so their x agree; only the branch in the pad keeps
+    # ct_j ^ ct_j' from revealing the XOR of the two branches' labels
     rng = random.Random(21)
     n = 8
     pairs = [
-        (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in range(n)
+        (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in range(2 * n)
     ]
-    sender = OtSender(pairs, _seeded_bits(22))
+    a = rng.getrandbits(255) | 2
+    sender = OtSender(pairs, lambda _: a)
     big_a = ec.EllipticCurvePublicKey.from_encoded_point(
         CURVE, sender.public_message()
     )
     half = pow(2, -1, ORDER)
-    half_a = ec.derive_private_key(half, CURVE).exchange(ec.ECDH(), big_a)
-    # the x of A/2 is all ECDH yields; either lift of it is +-A/2
-    for prefix in (b"\x02", b"\x03"):
-        ciphertexts = sender.respond((prefix + half_a) * n)
-        for i, (k0, k1) in enumerate(pairs):
-            ct0 = ciphertexts[32 * i : 32 * i + 16]
-            ct1 = ciphertexts[32 * i + 16 : 32 * i + 32]
-            xor_ct = bytes(a ^ b for a, b in zip(ct0, ct1))
-            assert xor_ct != bytes(a ^ b for a, b in zip(k0.bits, k1.bits))
+    for k in (1, 3, 5):
+        shared_pairs = 0
+        x_only = ec.derive_private_key(k * half % ORDER, CURVE).exchange(ec.ECDH(), big_a)
+        # the x of kA/2 is all ECDH yields; either lift of it is +-kA/2
+        for prefix in (b"\x02", b"\x03"):
+            element = prefix + x_only
+            sign = 1 if element == _compressed(k * half * a) else -1
+            # a(B - jA) = a^2 (+-k/2 - j) G
+            key_xs = [
+                _compressed(a * a * (sign * k * half - j))[1:] for j in range(4)
+            ]
+            ciphertexts = sender.respond(element * n)
+            for j, j2 in itertools.combinations(range(4), 2):
+                if key_xs[j] != key_xs[j2]:
+                    continue
+                shared_pairs += 1
+                for i in range(n):
+                    plain = [
+                        pairs[2 * i][b & 1].bits + pairs[2 * i + 1][b >> 1].bits
+                        for b in (j, j2)
+                    ]
+                    cts = [ciphertexts[32 * (4 * i + b) : 32 * (4 * i + b + 1)] for b in (j, j2)]
+                    xor_ct = bytes(x ^ y for x, y in zip(*cts))
+                    assert xor_ct != bytes(x ^ y for x, y in zip(*plain))
+        assert shared_pairs == (2 if k == 3 else 1)
+
+
+def _point_add(p, q):
+    """Affine P + Q on P-256 for x(P) != x(Q)."""
+    (x1, y1), (x2, y2) = p, q
+    slope = (y2 - y1) * pow(x2 - x1, -1, FIELD_PRIME) % FIELD_PRIME
+    x3 = (slope * slope - x1 - x2) % FIELD_PRIME
+    return x3, (slope * (x1 - x3) - y1) % FIELD_PRIME
+
+
+def _reference_respond(pairs, a, blinded):
+    """OtSender.respond by its definition: per transfer, B - jA by point
+    additions and four direct exchanges, no differential law."""
+    key = ec.derive_private_key(a, CURVE)
+    numbers = key.public_key().public_numbers()
+    minus_a = (numbers.x, -numbers.y % FIELD_PRIME)
+    labels = [(k0.bits, k1.bits) for k0, k1 in pairs]
+    labels += [(bytes(16), bytes(16))] * (len(labels) % 2)
+    out = b""
+    for i in range(len(labels) // 2):
+        element = blinded[ELEMENT_BYTES * i : ELEMENT_BYTES * (i + 1)]
+        b = ec.EllipticCurvePublicKey.from_encoded_point(CURVE, element).public_numbers()
+        points = [(b.x, b.y)]
+        while len(points) < 4:
+            points.append(_point_add(points[-1], minus_a))
+        for j, point in enumerate(points):
+            peer = ec.EllipticCurvePublicNumbers(*point, CURVE).public_key()
+            shared_x = key.exchange(ec.ECDH(), peer)
+            pad = hashlib.sha256(b"ot-pad" + struct.pack("<IB", i, j) + shared_x).digest()
+            plain = labels[2 * i][j & 1] + labels[2 * i + 1][j >> 1]
+            out += bytes(x ^ y for x, y in zip(pad, plain))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.lists(st.integers(0, 1), min_size=1, max_size=9))
+def test_ot_sender_matches_the_four_exchange_reference(seed, choices):
+    rng = random.Random(seed)
+    pairs = [
+        (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in choices
+    ]
+    a = rng.getrandbits(255) | 2
+    sender = OtSender(pairs, lambda _: a)
+    receiver = OtReceiver(choices, rng.getrandbits)
+    blinded = receiver.blind(sender.public_message())
+    ciphertexts = sender.respond(blinded)
+    assert ciphertexts == _reference_respond(pairs, a, blinded)
+    assert receiver.unwrap(ciphertexts) == [p[c] for p, c in zip(pairs, choices)]
 
 
 # one transfer, so the sender and the receiver both expect one element;

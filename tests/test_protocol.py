@@ -28,7 +28,7 @@ from blindbargain.mechanism import (
     ScalingWarning,
     outcome_fixed,
 )
-from blindbargain.ot import ELEMENT_BYTES, OtReceiver
+from blindbargain.ot import BRANCHES, ELEMENT_BYTES, OtReceiver
 from blindbargain.protocol import (
     MSG_ABORT,
     MSG_PI_ACK,
@@ -54,8 +54,8 @@ PI = PiProfile(Fraction(1, 4), Fraction(2, 3), 8, 8, Fraction(3))
 # session (test_seeded_sessions_golden_transcripts): every message byte,
 # the OT messages included.
 GOLDEN_TRANSCRIPTS = {
-    (Fraction(1, 4), 16, 32): "2862a7413f393c2cd155fa5864b4db7df4984d5c5a131b21e26394a9f31a875c",
-    (Fraction(1, 3), 16, 16): "859dbcafd63bfb9261674f23d35a256cd117caa76de419cc62483e692894dd4a",
+    (Fraction(1, 4), 16, 32): "da0e341770c39e5be73daf29c2454f67a10072113d80cb482790d48be1f79f89",
+    (Fraction(1, 3), 16, 16): "fbb48898d7368fefcfb24fe45f8bda8a3706cc819c744e1d11ca8a14df1f8541",
 }
 
 
@@ -187,19 +187,24 @@ def _assert_victim_aborts_at_ot(attacker_cls, detail):
     assert attacker.stage == "peer-abort" and attacker.detail == "ot"
 
 
+def _transfers(circuit):
+    """One OT element per pair of attacker input bits, the last maybe half full."""
+    return -(-circuit.attacker_inputs // 2)
+
+
 class GarbageOtAttacker(AttackerSession):
     """Sends all-zero elements of the right length instead of blinded choices."""
 
     def _run_ot(self, circuit):
-        n_attacker = circuit.attacker_inputs
         self.channel.recv({5}, "ot")
-        self.channel.send(6, b"\x00" * (ELEMENT_BYTES * n_attacker))
+        # the right length, so the prefix check fires and not the length check
+        self.channel.send(6, b"\x00" * (ELEMENT_BYTES * _transfers(circuit)))
         self.channel.recv({7}, "ot")
         raise AssertionError("victim accepted invalid group elements")
 
 
 def test_invalid_ot_elements_abort():
-    _assert_victim_aborts_at_ot(GarbageOtAttacker, "compressed point")
+    _assert_victim_aborts_at_ot(GarbageOtAttacker, "element 0 is not a compressed point")
 
 
 class OffCurveOtAttacker(AttackerSession):
@@ -222,7 +227,7 @@ class SenderPointOtAttacker(AttackerSession):
 
     def _run_ot(self, circuit):
         _, sender_public = self.channel.recv({5}, "ot")
-        self.channel.send(6, sender_public * circuit.attacker_inputs)
+        self.channel.send(6, sender_public * _transfers(circuit))
         self.channel.recv({7}, "ot")
         raise AssertionError("victim answered B = A")
 
@@ -312,6 +317,21 @@ def test_transcript_shape_independent_of_victim_report():
         for theta_v in (0, 128, 255)
     }
     assert len(shapes) == 1
+
+
+def test_ot_message_sizes_follow_the_bit_pairs():
+    # 33 bytes per pair of attacker bits and four 32-byte ciphertexts per
+    # pair, for every report; k_theta = 5 leaves a half-full last pair
+    odd = PiProfile(Fraction(1, 4), Fraction(2, 3), 8, 5, 0)
+    for pi, reports in ((PI, [(200, 0), (0, 255)]), (odd, [(31, 0), (0, 31), (20, 9)])):
+        transfers = -(-(pi.k_theta + 2 * pi.k) // 2)
+        for theta_v, theta_a in reports:
+            v, a = loopback_run(pi, theta_v, theta_a, b"v-odd", b"a-odd")
+            assert v.outcome == a.outcome == oracle(pi, v, a)
+            sizes = {t: n for _, t, n in v.transcript.shape()}
+            assert sizes["OT_MSG2"] == ELEMENT_BYTES * transfers
+            assert sizes["OT_MSG3"] == BRANCHES * 32 * transfers
+    assert (odd.k_theta + 2 * odd.k) % 2 == 1
 
 
 def _send_frame(sock, msg_type, payload=b""):
