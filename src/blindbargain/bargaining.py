@@ -172,15 +172,18 @@ def determine_horizon(inst: BargainingInstance) -> int:
         raise InfiniteHorizon(
             f"r_min={inst.r_min} never exceeds the tail mass {profile.tail}"
         )
-    if inst.r_min >= residual_value(profile, 1):
+    v_first = residual_value(profile, 1)
+    if inst.r_min >= v_first:
         raise NoFeasibleHorizon(
-            f"r_min={inst.r_min} is already at or above v(1)={residual_value(profile, 1)}"
+            f"r_min={inst.r_min} is already at or above v(1)={v_first}"
         )
     # v is non-increasing and hits the tail after the profiled rounds, so
-    # the scan terminates: N = max{n >= 1 : v(n) > r_min}.
-    n = 1
-    while residual_value(profile, n + 1) > inst.r_min:
+    # the scan terminates: N = max{n >= 1 : v(n) > r_min}.  Each step
+    # takes one block off, v(n + 1) = v(n) - b_n, rather than re-summing.
+    n, v_next = 1, v_first - block_mass(profile, 1)
+    while v_next > inst.r_min:
         n += 1
+        v_next -= block_mass(profile, n)
     if n % 2 == 0:
         raise NonOddHorizon(n)
     return n

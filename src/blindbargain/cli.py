@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from .bargaining import (
     rubinstein_split,
 )
 from .config import ConfigError, config_from_values, load_config, parse_config_text
-from .losses import LossProfile, VictimParams, as_money, residual_value, total_value
+from .losses import LossProfile, VictimParams, as_money, block_mass, residual_value, total_value
 from .mechanism import (
     MechanismParams,
     Report,
@@ -76,8 +77,8 @@ def _parse_address(text: str) -> tuple[str, int]:
         raise ConfigError(f"bad port in {text!r}") from exc
 
 
-def _loss_inputs(args) -> tuple[LossProfile, Fraction, Fraction]:
-    """Loss profile, r_min, r_max: the config file's keys, each flag over its own."""
+def _loss_inputs(args) -> tuple[LossProfile, BargainingInstance]:
+    """Loss profile and negotiation: the config file's keys, each flag over its own."""
     values = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -94,7 +95,7 @@ def _loss_inputs(args) -> tuple[LossProfile, Fraction, Fraction]:
     r_max = config.r_max
     if r_max is None:
         r_max = total_value(config.profile)  # non-binding cap
-    return config.profile, config.r_min, r_max
+    return config.profile, BargainingInstance(VictimParams(r_max, config.profile), config.r_min)
 
 
 def _add_loss_flags(parser) -> None:
@@ -107,15 +108,15 @@ def _add_loss_flags(parser) -> None:
 
 
 def _cmd_offers(args) -> int:
-    profile, r_min, r_max = _loss_inputs(args)
-    inst = BargainingInstance(VictimParams(r_max, profile), r_min)
-    horizon = args.horizon if args.horizon is not None else determine_horizon(inst)
+    profile, inst = _loss_inputs(args)
+    horizon = _offers_horizon(args, inst)
     schedule = backward_induction_offers(inst, horizon)
     lint_marginal_loss(profile, horizon)
-    rows = [
-        (n, schedule.offer(n), residual_value(profile, n))
-        for n in range(1, horizon + 1)
-    ]
+    # remaining value step by step, v(n + 1) = v(n) - b_n
+    rows, remaining = [], residual_value(profile, 1)
+    for n, offer in enumerate(schedule.offers, start=1):
+        rows.append((n, offer, remaining))
+        remaining -= block_mass(profile, n)
     print(f"N = {horizon}")
     print("round  offer  remaining_value")
     for n, offer, remaining in rows:
@@ -132,8 +133,7 @@ def _cmd_offers(args) -> int:
 
 
 def _cmd_horizon(args) -> int:
-    profile, r_min, r_max = _loss_inputs(args)
-    inst = BargainingInstance(VictimParams(r_max, profile), r_min)
+    profile, inst = _loss_inputs(args)
     horizon = determine_horizon(inst)
     lint_marginal_loss(profile, horizon)
     print(f"N = {horizon}")
@@ -279,7 +279,34 @@ def _cmd_attacker(args) -> int:
     return EXIT_OK
 
 
+# below the commands: their warnings report the line that called them here
+def _offers_horizon(args, inst: BargainingInstance) -> int:
+    """``--horizon`` if given, else the computed horizon.
+
+    From round len(blocks) on the remaining value is the tail, and so is
+    every offer: a longer schedule only appends copies of that row.  An
+    N past len(blocks) + 2 is refused before any schedule is built.
+    """
+    if args.horizon is None:
+        return determine_horizon(inst)
+    rounds = len(inst.victim.profile.blocks)
+    if args.horizon > rounds + 2:
+        raise ValueError(
+            f"--horizon must be at most {rounds + 2} "
+            f"({rounds} profiled rounds + 2), got {args.horizon}"
+        )
+    return args.horizon
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on first use and shared for the process.
+
+    Building it costs more than most requests (about 60 arguments, each
+    with its own help formatter), so ``main`` reuses one instance;
+    ``build_parser.__wrapped__()`` builds a fresh one.  Parsing mutates
+    nothing in it: every call gets a new namespace.
+    """
     parser = _Parser(
         prog="blindbargain",
         description="Ransom bargaining solvers and the garbled settlement protocol.",

@@ -1,6 +1,8 @@
 """End-user command surface: output formats and exit codes."""
 
+import argparse
 import os
+import random
 import socket
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ from blindbargain import cli
 from blindbargain.bargaining import MarginalLossWarning
 from blindbargain.cli import main
 from blindbargain.config import load_config
+from blindbargain.losses import LossProfile, residual_value
 from blindbargain.ot import ELEMENT_BYTES, OtReceiver
 from blindbargain.protocol import (
     MSG_OT_MSG1,
@@ -132,6 +136,118 @@ def test_offers_csv_export(capsys, tmp_path):
         "2,2,3",
         "3,2,2",
     ]
+    # the remaining_value column, text and CSV, is v(n) from its definition;
+    # an explicit --horizon at len(blocks) + 2 runs the column into the tail
+    rng = random.Random(0x0FF3)
+    at_limit = 0
+    for trial in range(60):
+        blocks = [Fraction(rng.randint(1, 24), rng.randint(1, 8)) for _ in range(rng.randint(1, 9))]
+        tail = Fraction(rng.randrange(12), rng.choice((1, 2, 4)))
+        profile = LossProfile(blocks=blocks, tail=tail)
+        flags = ["--blocks", ",".join(map(str, blocks)), "--tail", str(tail)]
+        if trial % 3 and len(blocks) % 2:
+            horizon = len(blocks) + 2
+        elif trial % 3 or len(blocks) < 2:
+            horizon = rng.randrange(1, len(blocks) + 2, 2)
+        else:
+            horizon = None
+        if horizon is None:
+            # r_min strictly inside (v(N + 1), v(N)) fixes the computed horizon at N
+            n = rng.randrange(1, len(blocks), 2)
+            flags += ["--r-min", str(residual_value(profile, n + 1) + blocks[n] / 2)]
+        else:
+            flags += ["--r-min", "0", "--horizon", str(horizon)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MarginalLossWarning)
+            code, out, _ = run(capsys, "offers", *flags, "--csv", str(path))
+        assert code == 0
+        horizon = int(out.splitlines()[0].removeprefix("N = "))
+        expected = [(str(n), str(residual_value(profile, n))) for n in range(1, horizon + 1)]
+        text_rows = [line.split() for line in out.splitlines()[2 : 2 + horizon]]
+        csv_rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [(row[0], row[2]) for row in text_rows] == expected
+        assert [(row[0], row[2]) for row in csv_rows] == expected
+        if horizon == len(blocks) + 2:
+            at_limit += 1
+            assert expected[-3][1] == expected[-1][1] == str(tail)
+    assert at_limit > 10
+
+
+def test_offers_refuses_a_horizon_past_the_profile(capsys):
+    # round len(blocks) + 2 is the last one accepted; every later row would
+    # repeat the tail, and 10^9 rounds would be a list of 10^9 offers
+    five = ("--blocks", "1,1,1,1,1", "--r-min", "1.5")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MarginalLossWarning)
+        code, out, _ = run(capsys, "offers", *five, "--horizon", "7")
+    assert code == 0 and out.splitlines()[-1] == "offers: [2, 1, 1, 0, 0, 0, 0]"
+    tracemalloc.start()
+    try:
+        for horizon in ("8", "9", "200001", "999999999"):
+            code, out, err = run(capsys, "offers", *five, "--horizon", horizon)
+            assert code == 1 and out == ""
+            assert err == f"error: --horizon must be at most 7 (5 profiled rounds + 2), got {horizon}\n"
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    proc = _python_m_blindbargain("offers", *five, "--horizon", "999999999")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: --horizon must be at most 7")
+
+
+def test_second_main_call_builds_no_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "rubinstein", "10", "8", "2")[:2] == (0, "5\n")
+    del built[:]
+    assert run(capsys, "rubinstein", "10", "9", "2")[:2] == (0, "11/2\n")
+    assert built == []
+    assert cli.build_parser.cache_info().currsize == 1
+    # the counter does see a build: the root parser and each subcommand's
+    cli.build_parser.cache_clear()
+    assert run(capsys, "rubinstein", "10", "8", "2")[:2] == (0, "5\n")
+    assert built[0] == "blindbargain" and len(built) > 10
+
+
+def test_parser_reuse_leaks_no_state(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "schedule.csv"
+    five = ("--blocks", "1,1,1,1,1", "--r-min", "1.5")
+    calls = [
+        ("offers", "--horizon", "x"),  # usage error
+        ("--help",),
+        ("offers", *five, "--csv", str(path)),
+        ("offers", *five),  # no --csv: writes no file
+        ("stage-game", "--r-f", "3", "--v", "10", "--r-max", "5"),
+    ]
+    results = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MarginalLossWarning)
+        for shared in (True, False):
+            if not shared:
+                monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            path.unlink(missing_ok=True)
+            results[shared] = []
+            for argv in calls:
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                results[shared].append((code, captured.out, captured.err, path.exists()))
+                if path.exists():
+                    path.rename(tmp_path / f"written-{shared}.csv")
+    assert results[True] == results[False]
+    assert [(r[0], r[3]) for r in results[True]] == [(1, False), (0, False), (0, True), (0, False), (0, False)]
+    assert "schedule written to" in results[True][2][1]
+    assert "schedule written to" not in results[True][3][1]
+    assert (tmp_path / "written-True.csv").read_text() == (tmp_path / "written-False.csv").read_text()
 
 
 def test_offers_from_config_file(capsys, tmp_path):

@@ -12,7 +12,8 @@ import blindbargain
 
 def test_import_loads_no_numpy():
     # a fresh interpreter, so modules the test run already loaded do not count;
-    # the cli imports every other module of the package
+    # the cli imports every other module of the package, and builds its
+    # argument parser on first use, not at import
     subprocess.run(
         [
             sys.executable,
@@ -20,7 +21,8 @@ def test_import_loads_no_numpy():
             "import sys, blindbargain\n"
             "assert [m for m in sys.modules if m.startswith('blindbargain.')] == []\n"
             "import blindbargain.cli\n"
-            "assert 'numpy' not in sys.modules",
+            "assert 'numpy' not in sys.modules\n"
+            "assert blindbargain.cli.build_parser.cache_info().currsize == 0",
         ],
         check=True,
         timeout=60,
