@@ -19,16 +19,19 @@ constant.  So a multiply by the public ``q_scale`` or ``inv_q_scale``
 keeps only the partial products of its set bits, and the AND count
 depends on the constants' values as well as on (k_theta, k); the rows
 of a constant's zero bits, which would fold away gate by gate, are
-skipped before any folding.  The only
+skipped before any folding, and so are the rows whose sums never carry
+into the bits the right-shift keeps.  Every AND gate therefore reaches
+a revealed output.  The only
 gates that read the constant wires are their own definitions and the
 copies of revealed outputs that folded to a constant (a ransom bit when
 ``q_scale`` is 0, say): a garbled AND of the constant with itself, so
 every revealed wire carries fresh labels.
 
 Right-shifts cost zero gates: they are bit reindexing.  The product
-r2 * inv_q_scale can exceed the output width in branches that are never
-selected; a dedicated overflow wire ORs the truncated high bits under
-the selecting condition so tests can assert it never fires.
+r2 * inv_q_scale can exceed the output width, but only in branches that
+are never selected: ``in_deal`` compares theta_v against the full-width
+r3, so on the counter branch r3 <= theta_v < 2^k_theta and the bits the
+revealed ransom drops are zero.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .mechanism import (
 )
 
 MAGIC = b"BCIR"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 NOT_SENTINEL = 0xFFFFFFFF
 
 
@@ -80,16 +83,13 @@ class Circuit:
     next attacker_inputs wires the attacker's, both as
     ``party_input_bits`` lays them out; gate i drives wire n_inputs + i.
     ``outputs`` are the revealed wires, r_f LSB first, then alpha, then
-    sigma.  ``overflow`` is a builder diagnostic, not a protocol output;
-    it is serialized so rebuilt circuits stay byte-identical, but it is
-    not part of the revealed result.
+    sigma.
     """
 
     victim_inputs: int
     attacker_inputs: int
     gates: tuple[Gate, ...]
     outputs: tuple[int, ...]
-    overflow: int
 
     def __post_init__(self) -> None:
         n_inputs = self.victim_inputs + self.attacker_inputs
@@ -105,7 +105,7 @@ class Circuit:
                     f"gate {bound - n_inputs} reads wire {src}, not an earlier one"
                 )
         wire_count = n_inputs + len(self.gates)
-        for w in (*self.outputs, self.overflow):
+        for w in self.outputs:
             if not 0 <= w < wire_count:
                 raise ValueError(f"output wire {w} does not exist")
 
@@ -225,17 +225,16 @@ class CircuitBuilder:
         return out, carry
 
     def less_than(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """Unsigned a < b.
+        """Unsigned a < b, one AND per bit.
 
-        Scans LSB to MSB; at each bit either the bits differ (one term)
-        or they are equal and the verdict carries (other term), so the
-        two AND terms are exclusive and XOR acts as OR.
+        Scans LSB to MSB: where the bits differ, b's bit decides,
+        otherwise the verdict carries.  lt ^ ((x ^ y) & (y ^ lt)) is y
+        when x != y and lt when x == y.
         """
         self._match(a, b)
         lt = self.zero()
         for x, y in zip(a, b):
-            eq = self.not_(self.xor(x, y))
-            lt = self.xor(self.and_(self.not_(x), y), self.and_(eq, lt))
+            lt = self.xor(lt, self.and_(self.xor(x, y), self.xor(y, lt)))
         return lt
 
     def mux(self, sel: int, x: int, y: int) -> int:
@@ -289,6 +288,21 @@ def party_input_bits(k: int, k_theta: int, s0: int, s1: int, report: int) -> lis
     return bits
 
 
+def _rows_reaching(const: int, width: int, k: int) -> int:
+    """``const`` without the rows whose sums never carry into bit k.
+
+    Row j of a ``width``-bit multiply writes product bits j .. j + width;
+    rows that end below k before a gap leave (a * const) >> k unchanged.
+    """
+    top = -1  # the highest product bit the kept rows write
+    for j in range(const.bit_length()):
+        if const >> j & 1:
+            if top < min(j, k):
+                const &= -1 << j
+            top = j + width
+    return const if top >= k else 0
+
+
 def build_mechanism_circuit(params: MechanismParams, scaled: ScaledParams) -> Circuit:
     """Lower the fixed-point settlement rules to gates.
 
@@ -323,14 +337,16 @@ def build_mechanism_circuit(params: MechanismParams, scaled: ScaledParams) -> Ci
     )
 
     # r2 = (q_scale * theta_v) >> k on the screening branch, else theta_v.
-    prod1 = bld.multiply(theta_v, bld.const_bits(scaled.q_scale, k))
+    q_rows = _rows_reaching(scaled.q_scale, kt, k)
+    prod1 = bld.multiply(theta_v, bld.const_bits(q_rows, k))
     r2 = bld.mux_vec(below_p, prod1[k:], theta_v)
 
     accept = bld.not_(bld.less_than(r2, theta_a))
 
     # r3 = max((r2 * inv_q_scale) >> k, theta_a), carried at full width.
     inv_w = scaled.inv_q_scale.bit_length()
-    prod2 = bld.multiply(r2, bld.const_bits(scaled.inv_q_scale, inv_w))
+    inv_rows = _rows_reaching(scaled.inv_q_scale, kt, k)
+    prod2 = bld.multiply(r2, bld.const_bits(inv_rows, inv_w))
     undone = prod2[k:]
     w3 = len(undone)
     theta_a_ext = bld.zero_extend(theta_a, w3)
@@ -351,16 +367,9 @@ def build_mechanism_circuit(params: MechanismParams, scaled: ScaledParams) -> Ci
     r_f_bits = [bld.reveal(b) for b in r_f_bits]
     sigma = bld.reveal(sigma)
     alpha = bld.or_(bld.or_tree(r_f_bits), sigma)
-    # r3 <= theta_v < 2^kt whenever the counter branch is live, so the
-    # bits dropped by the truncation above must all be zero then.
-    overflow = bld.and_(countered, bld.or_tree(r3[kt:]))
 
     return Circuit(
-        n_victim,
-        bld.n_inputs - n_victim,
-        tuple(bld.gates),
-        (*r_f_bits, alpha, sigma),
-        overflow,
+        n_victim, bld.n_inputs - n_victim, tuple(bld.gates), (*r_f_bits, alpha, sigma)
     )
 
 
@@ -435,7 +444,7 @@ def serialize_circuit(circuit: Circuit) -> bytes:
             len(circuit.gates),
             n_out,
         ),
-        struct.pack(f"<{n_out + 1}I", *circuit.outputs, circuit.overflow),
+        struct.pack(f"<{n_out}I", *circuit.outputs),
     ]
     for gate in circuit.gates:
         in_b = NOT_SENTINEL if gate.in_b is None else gate.in_b

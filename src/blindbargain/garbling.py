@@ -206,12 +206,12 @@ def evaluate(
 
 def decode_and_prove(
     gc: GarbledCircuit, output_labels: Sequence[WireLabel]
-) -> tuple[tuple[int, ...], tuple[WireLabel, ...]]:
+) -> tuple[int, ...]:
     """Map output labels to bits via the commitments.
 
-    Returns the bits together with the labels themselves; the labels
-    are the proof the other side checks against the same commitments.
-    Raises LabelDecodeError on any label that was never issued.
+    The labels themselves are the proof the other side checks against
+    the same commitments.  Raises LabelDecodeError on any label that was
+    never issued.
     """
     if len(output_labels) != len(gc.output_decode):
         raise ValueError(
@@ -226,7 +226,7 @@ def decode_and_prove(
             bits.append(1)
         else:
             raise LabelDecodeError(f"output label {position} matches no commitment")
-    return tuple(bits), tuple(output_labels)
+    return tuple(bits)
 
 
 def select_labels(

@@ -89,6 +89,7 @@ MSG_NAMES = {
 
 MAX_FRAME = 1 << 26
 DEFAULT_TIMEOUT = 10.0
+MAX_TIMEOUT = 1e9  # seconds; socket timeouts overflow near 9.2e9
 SEED_BYTES = 32
 
 _PI_STRUCT = struct.Struct("<QQQQIIQQ")
@@ -185,6 +186,10 @@ class NegotiationConfig:
     def __post_init__(self):
         if not 0 <= self.theta_hat < (1 << self.pi.k_theta):
             raise ValueError(f"report does not fit in {self.pi.k_theta} bits")
+        if not 0 <= self.address[1] <= 0xFFFF:
+            raise ValueError(f"port must lie in 0..65535, got {self.address[1]}")
+        if not 0 < self.timeout <= MAX_TIMEOUT:  # nan fails too
+            raise ValueError(f"timeout must lie in (0, {MAX_TIMEOUT:g}] s, got {self.timeout}")
 
 
 @dataclass(frozen=True)
@@ -431,7 +436,7 @@ class VictimSession:
             payload, len(material.garbled.output_decode), self.channel, "output-verify"
         )
         try:
-            bits, _ = decode_and_prove(material.garbled, labels)
+            bits = decode_and_prove(material.garbled, labels)
         except LabelDecodeError as exc:
             self.channel.abort("output-verify", str(exc))
         outcome = decode_outcome(circuit, bits)
@@ -522,10 +527,10 @@ class AttackerSession:
     def _evaluate(self, gc, circuit: Circuit, labels):
         try:
             output_labels = evaluate(gc, circuit, labels)
-            bits, proof = decode_and_prove(gc, output_labels)
+            bits = decode_and_prove(gc, output_labels)
         except (LabelDecodeError, ValueError) as exc:
             self.channel.abort("extract", str(exc))
-        return decode_outcome(circuit, bits), proof
+        return decode_outcome(circuit, bits), output_labels
 
     def _check_result_ack(self, outcome: MechanismOutcome) -> None:
         _, payload = self.channel.recv({MSG_RESULT_ACK}, "result")

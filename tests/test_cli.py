@@ -508,6 +508,37 @@ def test_protocol_roles_over_cli(capsys, tmp_path):
     assert records[-1].msg_type == "RESULT_ACK"
 
 
+@pytest.mark.parametrize("role", ["victim", "attacker"])
+@pytest.mark.parametrize(
+    "port, timeout, message",
+    [
+        ("65536", "10", "port must lie in 0..65535"),
+        ("70000", "10", "port must lie in 0..65535"),  # would dial 4464
+        ("-1", "10", "port must lie in 0..65535"),
+        ("0", "inf", "timeout must lie in"),
+        ("0", "nan", "timeout must lie in"),
+        ("0", "0", "timeout must lie in"),  # a non-blocking socket
+        ("0", "1e300", "timeout must lie in"),
+    ],
+)
+def test_out_of_range_port_or_timeout_exits_one_before_any_socket(
+    capsys, tmp_path, monkeypatch, role, port, timeout, message
+):
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    monkeypatch.setattr(socket, "create_connection", no_socket)
+    cfg = tmp_path / f"{role}.cfg"
+    cfg.write_text(VICTIM_CFG if role == "victim" else ATTACKER_CFG)
+    flag = "--listen" if role == "victim" else "--connect"
+    code, out, err = run(
+        capsys, role, "--config", str(cfg), flag, f"127.0.0.1:{port}", "--timeout", timeout
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
 def test_profile_mismatch_exits_abort_code(capsys, tmp_path):
     # both sides hold internally valid profiles that disagree on t_e
     codes, _, err = _settle_over_cli(

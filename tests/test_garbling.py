@@ -63,9 +63,9 @@ SCALED = ScaledParams.from_params(PARAMS)
 # sha256 of serialize_garbled(garble(circuit, b"pin").garbled) for the
 # profiles of test_circuit.GOLDEN_DIGESTS; pins the garbled wire bytes.
 GOLDEN_GARBLED = {
-    (Fraction(1, 4), 8, 8): "4765bb301a1aeaec87ea20c9cc9a486acc3e95af6edc71c35933ef27859b49a5",
-    (Fraction(1, 2), 8, 8): "97303cf9936fb061a90dd4b8481f68a6cf9eecf6f98fb75f73b483f0322e91fd",
-    (Fraction(1, 4), 4, 4): "95be7560cc0c574922a498105b349e33eab9d15a93d06c7dce0735334c71f6ae",
+    (Fraction(1, 4), 8, 8): "9589ba66f51b1e8d0765832dd8ce0e9224bf7942fd4c09fc1c265c66038baac3",
+    (Fraction(1, 2), 8, 8): "663d3c68f57ff93dea62b61d889df95da239a9a209c92d9893084e3f21e853fa",
+    (Fraction(1, 4), 4, 4): "5975311bf2d4ee2bbd7555a31df818dd0a88a885e874dc516253160a69064105",
 }
 # The same for a non-dyadic profile, and one sha256 over the blobs of
 # every bench.GRID x BENCH_QS profile, in that order: the 36 profiles
@@ -73,15 +73,15 @@ GOLDEN_GARBLED = {
 BENCH_QS = (Fraction(1, 8), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3),
             Fraction(3, 8), Fraction(1, 2))
 GOLDEN_GARBLED_NON_DYADIC = {
-    (Fraction(1, 3), 16, 32): "f12c6cc8726eadf3e8c138f1d43d87b755345d2d1b4df162c3605a05de0ec7e3",
+    (Fraction(1, 3), 16, 32): "9f5e350d1304a100459a07a1a2c4f43c26822d4bc6380e417d87215bc3a517b2",
 }
-GOLDEN_GRID_GARBLED = "9ebe6db352548b41a4c91aa04caf2a157f76ca22f2fb82e754190b0a65e4e799"
+GOLDEN_GRID_GARBLED = "38cea0bc57c61de5671039c371998628d42824b00e933ac2eebed4c425f40651"
 # sha256 of the seeded OtSender.respond output in test_ot_golden_bytes.
 GOLDEN_OT = "1d8c0d6322243298d60573b559c72f8bf2766f39a9682b281bdbfbc9e8216772"
 
 
 def _tiny_circuit(kind):
-    return Circuit(2, 0, (Gate(kind, 0, 1),), (2, 2, 2), 2)
+    return Circuit(2, 0, (Gate(kind, 0, 1),), (2, 2, 2))
 
 
 def _random_small_circuit(rng, n_inputs, n_gates):
@@ -98,9 +98,7 @@ def _random_small_circuit(rng, n_inputs, n_gates):
             wires.append(bld.and_(a, rng.choice(wires)))
     per = [n_inputs // 6 + (1 if i < n_inputs % 6 else 0) for i in range(6)]
     out = wires[-1]
-    return Circuit(
-        sum(per[:3]), sum(per[3:]), tuple(bld.gates), (out, out, out), out
-    )
+    return Circuit(sum(per[:3]), sum(per[3:]), tuple(bld.gates), (out, out, out))
 
 
 def test_single_and_gate_truth_table():
@@ -108,7 +106,7 @@ def test_single_and_gate_truth_table():
     material = garble(circuit, b"t")
     for a, b in itertools.product((0, 1), repeat=2):
         labels = select_labels(material.input_labels, [a, b])
-        bits, _ = decode_and_prove(
+        bits = decode_and_prove(
             material.garbled, evaluate(material.garbled, circuit, labels)
         )
         assert bits[0] == (a & b)
@@ -135,7 +133,7 @@ def test_identity_wiring_passes_labels_through():
     w = bld.new_inputs(2)
     zero = bld.xor(w[1], w[1])
     out = bld.xor(w[0], zero)
-    circuit = Circuit(2, 0, tuple(bld.gates), (out, out, out), out)
+    circuit = Circuit(2, 0, tuple(bld.gates), (out, out, out))
     material = garble(circuit, b"identity")
     for bit in (0, 1):
         labels = select_labels(material.input_labels, [bit, 0])
@@ -152,7 +150,7 @@ def test_small_circuits_match_plaintext_exhaustively():
         for value in range(1 << n_inputs):
             bits = [(value >> i) & 1 for i in range(n_inputs)]
             labels = select_labels(material.input_labels, bits)
-            got, _ = decode_and_prove(
+            got = decode_and_prove(
                 material.garbled, evaluate(material.garbled, circuit, labels)
             )
             want = eval_plain(circuit, bits)
@@ -169,9 +167,8 @@ def test_mechanism_circuit_garbled_matches_oracle():
         s0a, s1a = rng.randrange(256), rng.randrange(256)
         bits = encode_inputs(circuit, tv, ta, s0_v=s0v, s1_v=s1v, s0_a=s0a, s1_a=s1a)
         labels = select_labels(material.input_labels, bits)
-        decoded, proof = decode_and_prove(
-            material.garbled, evaluate(material.garbled, circuit, labels)
-        )
+        proof = evaluate(material.garbled, circuit, labels)
+        decoded = decode_and_prove(material.garbled, proof)
         got = decode_outcome(circuit, decoded)
         want = outcome_fixed(PARAMS, SCALED, Report(tv, ta), s0v ^ s0a, s1v ^ s1a)
         assert got == want
@@ -199,7 +196,7 @@ def test_constant_ransom_bits_get_fresh_output_labels():
         tv, ta, s0, s1 = (rng.randrange(16) for _ in range(4))
         bits = encode_inputs(circuit, tv, ta, s0_v=s0, s1_v=s1, s0_a=0, s1_a=0)
         labels = select_labels(material.input_labels, bits)
-        decoded, _ = decode_and_prove(
+        decoded = decode_and_prove(
             material.garbled, evaluate(material.garbled, circuit, labels)
         )
         assert decode_outcome(circuit, decoded) == outcome_fixed(
@@ -299,9 +296,8 @@ def test_zero_output_decodes_and_verifies():
     circuit = _tiny_circuit(GateKind.AND)
     material = garble(circuit, b"zero")
     labels = select_labels(material.input_labels, [0, 0])
-    bits, proof = decode_and_prove(
-        material.garbled, evaluate(material.garbled, circuit, labels)
-    )
+    proof = evaluate(material.garbled, circuit, labels)
+    bits = decode_and_prove(material.garbled, proof)
     assert set(bits) == {0}
     for label, pair in zip(proof, material.garbled.output_decode):
         assert hashlib.sha256(label.bits).digest() == pair[0]
@@ -412,7 +408,7 @@ def test_ot_feeds_garbled_evaluation():
     attacker_labels = ot_transfer(
         material.input_labels[n_victim:], bits[n_victim:], _seeded_bits(6)
     )
-    decoded, _ = decode_and_prove(
+    decoded = decode_and_prove(
         material.garbled,
         evaluate(material.garbled, circuit, victim_labels + attacker_labels),
     )

@@ -30,6 +30,7 @@ from blindbargain.mechanism import (
 )
 from blindbargain.ot import BRANCHES, ELEMENT_BYTES, OtReceiver
 from blindbargain.protocol import (
+    MAX_TIMEOUT,
     MSG_ABORT,
     MSG_PI_ACK,
     MSG_RESULT_ACK,
@@ -54,8 +55,8 @@ PI = PiProfile(Fraction(1, 4), Fraction(2, 3), 8, 8, Fraction(3))
 # session (test_seeded_sessions_golden_transcripts): every message byte,
 # the OT messages included.
 GOLDEN_TRANSCRIPTS = {
-    (Fraction(1, 4), 16, 32): "da0e341770c39e5be73daf29c2454f67a10072113d80cb482790d48be1f79f89",
-    (Fraction(1, 3), 16, 16): "fbb48898d7368fefcfb24fe45f8bda8a3706cc819c744e1d11ca8a14df1f8541",
+    (Fraction(1, 4), 16, 32): "5cd8fe3df1c88a0ff8dd6fd86a4ed894b5fe129ae10a499c27fef5ec486376c3",
+    (Fraction(1, 3), 16, 16): "a63c5844e38fa5d8ee1694d628929cd6869c252f19e5cdbcc88c2f7fb608482e",
 }
 
 
@@ -477,6 +478,18 @@ def test_profile_roundtrip_and_validation():
         PiProfile(Fraction(1, 4), Fraction(1, 2), 8, 8, Fraction(3))  # constraint
     with pytest.raises(ValueError):
         NegotiationConfig(PI, 256)  # report too wide
+
+
+def test_config_bounds_the_port_and_the_timeout():
+    for port in (0, 65535):
+        NegotiationConfig(PI, 200, ("127.0.0.1", port))
+    NegotiationConfig(PI, 200, timeout=MAX_TIMEOUT)
+    for port in (-1, 65536, 70000):
+        with pytest.raises(ValueError, match="port"):
+            NegotiationConfig(PI, 200, ("127.0.0.1", port))
+    for timeout in (0, -1.0, float("nan"), float("inf"), MAX_TIMEOUT * 2, 1e300):
+        with pytest.raises(ValueError, match="timeout"):
+            NegotiationConfig(PI, 200, timeout=timeout)
 
 
 def test_profile_rejects_what_its_wire_form_cannot_carry():
