@@ -19,7 +19,6 @@ best response when the victim's reservation value is private.
 
 from __future__ import annotations
 
-import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -340,19 +339,10 @@ def lint_marginal_loss(profile: LossProfile, horizon: int) -> None:
     last_block = block_mass(profile, horizon - 1)
     remaining = residual_value(profile, horizon + 1)
     if last_block > MARGINAL_LOSS_SHARE * remaining:
-        # warn() would key the caller's module registry on this text, one
-        # entry per profile for the life of the process; a fresh registry
-        # per call keeps nothing and reports the same caller location
-        caller = sys._getframe(1)
-        warnings.warn_explicit(
+        warnings.warn(
             f"final-round block {last_block} is not small next to the "
             f"remaining mass {remaining}",
             MarginalLossWarning,
-            caller.f_code.co_filename,
-            caller.f_lineno,
-            module=caller.f_globals.get("__name__", "<string>"),
-            registry={},
-            module_globals=caller.f_globals,
         )
 
 

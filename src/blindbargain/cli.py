@@ -8,7 +8,8 @@ settlement protocol over TCP; ``bench`` times it on loopback.
 
 All money is printed as exact rationals ("3", "3/2"), never floats.
 Exit codes: 0 success, 1 domain or configuration error, 2 protocol
-abort on a failed check, 3 transport failure.
+abort on a failed check, 3 transport failure.  Warnings print as
+``warning: <message>`` on stderr, once per message per command.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import csv
 import functools
 import sys
+import warnings
 from fractions import Fraction
 
 from . import bench as bench_mod
@@ -68,13 +70,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_address(text: str) -> tuple[str, int]:
+    """``host:port``; an IPv6 host may be bracketed, as in ``[::1]:7301``."""
     host, sep, port = text.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
     if not sep or not host:
         raise ConfigError(f"address must be host:port, got {text!r}")
     try:
-        return host, int(port)
-    except ValueError as exc:
-        raise ConfigError(f"bad port in {text!r}") from exc
+        if str(int(port)) == port:  # int() alone also reads "7_301", "+80", " 80"
+            return host, int(port)
+    except ValueError:
+        pass
+    raise ConfigError(f"bad port in {text!r}")
 
 
 def _loss_inputs(args) -> tuple[LossProfile, BargainingInstance]:
@@ -105,6 +112,24 @@ def _add_loss_flags(parser) -> None:
     parser.add_argument("--tail", help="loss mass beyond the profiled rounds")
     parser.add_argument("--r-min", help="attacker reservation ransom")
     parser.add_argument("--r-max", help="largest affordable ransom")
+
+
+def _offers_horizon(args, inst: BargainingInstance) -> int:
+    """``--horizon`` if given, else the computed horizon.
+
+    From round len(blocks) on the remaining value is the tail, and so is
+    every offer: a longer schedule only appends copies of that row.  An
+    N past len(blocks) + 2 is refused before any schedule is built.
+    """
+    if args.horizon is None:
+        return determine_horizon(inst)
+    rounds = len(inst.victim.profile.blocks)
+    if args.horizon > rounds + 2:
+        raise ValueError(
+            f"--horizon must be at most {rounds + 2} "
+            f"({rounds} profiled rounds + 2), got {args.horizon}"
+        )
+    return args.horizon
 
 
 def _cmd_offers(args) -> int:
@@ -279,25 +304,6 @@ def _cmd_attacker(args) -> int:
     return EXIT_OK
 
 
-# below the commands: their warnings report the line that called them here
-def _offers_horizon(args, inst: BargainingInstance) -> int:
-    """``--horizon`` if given, else the computed horizon.
-
-    From round len(blocks) on the remaining value is the tail, and so is
-    every offer: a longer schedule only appends copies of that row.  An
-    N past len(blocks) + 2 is refused before any schedule is built.
-    """
-    if args.horizon is None:
-        return determine_horizon(inst)
-    rounds = len(inst.victim.profile.blocks)
-    if args.horizon > rounds + 2:
-        raise ValueError(
-            f"--horizon must be at most {rounds + 2} "
-            f"({rounds} profiled rounds + 2), got {args.horizon}"
-        )
-    return args.horizon
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument tree, built on first use and shared for the process.
@@ -386,17 +392,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ConfigError, HorizonError, NoDeal, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except NegotiationAbort as exc:
-        print(f"aborted at {exc.stage}" + (f": {exc.detail}" if exc.detail else ""), file=sys.stderr)
-        return EXIT_ABORT
-    except TransportFailure as exc:
-        print(f"transport failure: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
+    shown = set()
+
+    def show(message, *_):
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+
+    # copies the caller's filters (-W, simplefilter); not thread-safe
+    with warnings.catch_warnings():
+        warnings.showwarning = show
+        try:
+            return args.func(args)
+        except (ConfigError, HorizonError, NoDeal, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
+        except NegotiationAbort as exc:
+            print(f"aborted at {exc.stage}" + (f": {exc.detail}" if exc.detail else ""), file=sys.stderr)
+            return EXIT_ABORT
+        except TransportFailure as exc:
+            print(f"transport failure: {exc}", file=sys.stderr)
+            return EXIT_TRANSPORT
 
 
 if __name__ == "__main__":

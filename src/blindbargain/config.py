@@ -81,7 +81,6 @@ class SessionConfig:
                     f"theta_hex=0x{self.theta_hex:x} overrides the loss-model "
                     f"value {derived} at t_e={self.t_e}",
                     ConfigWarning,
-                    stacklevel=2,
                 )
             report = self.theta_hex
         elif derived is not None:

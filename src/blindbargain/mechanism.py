@@ -97,7 +97,6 @@ class ScaledParams:
             warnings.warn(
                 f"q={params.q} is not dyadic; scaled constants round down",
                 ScalingWarning,
-                stacklevel=2,
             )
         unit = 1 << params.k
         return cls(

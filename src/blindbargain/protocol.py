@@ -562,13 +562,10 @@ def run_victim(
     transcript = SessionTranscript()
     own_listener = listener is None
     if own_listener:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        family = socket.AF_INET6 if ":" in config.address[0] else socket.AF_INET
         try:
-            listener.bind(config.address)
-            listener.listen(1)
+            listener = socket.create_server(config.address, family=family, backlog=1)
         except OSError as exc:
-            listener.close()
             raise TransportFailure(f"cannot listen: {exc}", transcript) from exc
     listener.settimeout(config.timeout)
     try:
@@ -620,10 +617,7 @@ def loopback_exchange(
     NegotiationResult or the exception that ended that side.
     ``victim_pi`` lets tests hand the garbler a divergent profile.
     """
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
+    listener = socket.create_server(("127.0.0.1", 0), backlog=1)
     address = listener.getsockname()
     victim_cfg = NegotiationConfig(victim_pi or pi, theta_v, address)
     attacker_cfg = NegotiationConfig(pi, theta_a, address)

@@ -176,7 +176,6 @@ def spne(
             "reputation parameters fit neither analyzed regime; "
             "equilibrium computed by backward induction only",
             RegimeWarning,
-            stacklevel=2,
         )
 
     after_pay = _best_after(rep, ransom, value, VictimAction.PAY, _AFTER_PAY)

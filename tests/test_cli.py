@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import blindbargain
-from blindbargain import cli
+from blindbargain import bargaining, cli
 from blindbargain.bargaining import MarginalLossWarning
 from blindbargain.cli import main
 from blindbargain.config import load_config
@@ -79,42 +79,70 @@ def _python_m_blindbargain(*argv):
     )
 
 
+SCALING_WARNING = "warning: q=1/3 is not dyadic; scaled constants round down\n"
+STEEP_WARNING = "warning: final-round block 1 is not small next to the remaining mass 1\n"
+
+
 def test_schedule_outside_marginal_loss_assumption_warns(capsys):
     # the last block (1) is not small next to the remaining mass (1)
     steep = ("--blocks", "1,1,1,1,1", "--r-min", "1.5")
-    with pytest.warns(MarginalLossWarning):
-        code, out, _ = run(capsys, "offers", *steep)
+    code, out, err = run(capsys, "offers", *steep)
     assert code == 0 and out.splitlines()[-1] == "offers: [3, 2, 2]"
-    with pytest.warns(MarginalLossWarning):
-        code, out, _ = run(capsys, "horizon", *steep)
-    assert code == 0 and out == "N = 3\n"
+    assert err == STEEP_WARNING
+    code, out, err = run(capsys, "horizon", *steep)
+    assert (code, out, err) == (0, "N = 3\n", STEEP_WARNING)
+    # the caller's filters still decide what is shown
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MarginalLossWarning)
+        code, out, err = run(capsys, "offers", *steep)
+    assert code == 0 and out.splitlines()[-1] == "offers: [3, 2, 2]" and err == ""
     flat = ("--blocks", "1,1,1,1", "--tail", "100", "--r-min", "100.5")
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings():
         warnings.simplefilter("always")
-        code, out, _ = run(capsys, "offers", *flat)
-        assert code == 0 and "offers: [102, 101, 101]" in out
-        code, out, _ = run(capsys, "horizon", *flat)
-        assert code == 0 and out == "N = 3\n"
-    assert caught == []
-    # from the command line the warning reaches stderr, stdout unchanged
-    proc = _python_m_blindbargain("offers", *steep)
-    assert proc.returncode == 0 and proc.stdout.endswith("offers: [3, 2, 2]\n")
-    assert "MarginalLossWarning: final-round block 1" in proc.stderr
+        code, out, err = run(capsys, "offers", *flat)
+        assert code == 0 and "offers: [102, 101, 101]" in out and err == ""
+        assert run(capsys, "horizon", *flat) == (0, "N = 3\n", "")
+
+
+def test_readme_offers_example_prints_what_it_quotes():
+    # the first sh block of the README's CLI section quotes the output of
+    # its offers line as "# " comments, stdout first, then "on stderr:"
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    command = "blindbargain offers --blocks 1,1,1,1,1 --r-min 1.5"
+    quoted = []
+    for line in lines[lines.index(command) + 1 :]:
+        if not line.startswith("# "):
+            break
+        quoted.append(line[2:] + "\n")
+    split = quoted.index("on stderr:\n")
+    proc = _python_m_blindbargain(*command.split()[1:])
+    assert proc.returncode == 0
+    assert proc.stdout == "".join(quoted[:split])
+    assert proc.stderr == "".join(quoted[split + 1 :])
 
 
 def test_marginal_loss_warning_leaves_no_registry_entries(capsys):
     # under the default filter, warn() records each message text in the
-    # calling module's registry, and this text carries the profile
-    vars(cli).pop("__warningregistry__", None)
-    with warnings.catch_warnings(record=True) as caught:
+    # warning module's registry, and this text carries the profile; the
+    # catch_warnings of each main() call invalidates what earlier calls left
+    for module in (cli, bargaining):
+        vars(module).pop("__warningregistry__", None)
+    lines = []
+    with warnings.catch_warnings():
         warnings.simplefilter("default", MarginalLossWarning)
         for k in range(200):
             tail = f"{k}/400"  # every tail keeps N = 3 and the warning
-            code, _, _ = run(capsys, "offers", "--blocks", "1,1,1,1,1", "--tail", tail, "--r-min", "1.5")
+            code, _, err = run(capsys, "offers", "--blocks", "1,1,1,1,1", "--tail", tail, "--r-min", "1.5")
             assert code == 0
-    assert len(caught) == 200
-    assert all(w.filename == cli.__file__ for w in caught)
-    assert vars(cli).get("__warningregistry__", {}) == {}
+            lines += err.splitlines()
+    assert len(set(lines)) == len(lines) == 200
+    assert all(line.startswith("warning: final-round block 1 is not small") for line in lines)
+    last = lines[-1].removeprefix("warning: ")
+    for module in (cli, bargaining):
+        registry = vars(module).get("__warningregistry__", {})
+        assert all(key == "version" or key[0] == last for key in registry)
 
 
 def test_offers_csv_export(capsys, tmp_path):
@@ -386,12 +414,12 @@ def test_mechanism_eval_refuses_huge_k_before_scaling(capsys):
     assert code == 1 and "64 bits" in err
     assert peak < 1 << 20
     # a non-dyadic q still warns about rounding exactly once
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings():
         warnings.simplefilter("always")
         non_dyadic = ("200", "60", "1/3", "3/4", "8", "8", "17", "20")
-        code, out, _ = run(capsys, "mechanism", "eval", *non_dyadic)
+        code, out, err = run(capsys, "mechanism", "eval", *non_dyadic)
     assert code == 0 and "r_f = 66" in out
-    assert [w.category.__name__ for w in caught] == ["ScalingWarning"]
+    assert err == SCALING_WARNING
 
 
 def test_mechanism_verify_bic(capsys):
@@ -452,23 +480,23 @@ def test_verify_bic_refuses_grids_before_any_suite(capsys, flags):
     assert peak < 1 << 20
 
 
-def _free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
+def _free_port(host="127.0.0.1") -> int:
+    with socket.socket(socket.AF_INET6 if ":" in host else socket.AF_INET) as sock:
+        sock.bind((host, 0))
         return sock.getsockname()[1]
 
 
 def _settle_over_cli(
-    capsys, tmp_path, attacker_cfg_text, transcript=None, attacker_seed="61"
+    capsys, tmp_path, attacker_cfg_text, transcript=None, attacker_seed="61", host="127.0.0.1"
 ):
     victim_cfg = tmp_path / "victim.cfg"
     victim_cfg.write_text(VICTIM_CFG)
     attacker_cfg = tmp_path / "attacker.cfg"
     attacker_cfg.write_text(attacker_cfg_text)
-    port = _free_port()
+    address = f"{host}:{_free_port(host.strip('[]'))}"
     victim_argv = [
         "victim", "--config", str(victim_cfg),
-        "--listen", f"127.0.0.1:{port}", "--seed", "76",
+        "--listen", address, "--seed", "76",
     ]
     if transcript:
         victim_argv += ["--transcript", str(transcript)]
@@ -481,7 +509,7 @@ def _settle_over_cli(
     thread.start()
     attacker_argv = [
         "attacker", "--config", str(attacker_cfg),
-        "--connect", f"127.0.0.1:{port}", "--seed", attacker_seed,
+        "--connect", address, "--seed", attacker_seed,
     ]
     for _ in range(50):  # wait out the listener race
         codes["attacker"] = main(attacker_argv)
@@ -508,10 +536,52 @@ def test_protocol_roles_over_cli(capsys, tmp_path):
     assert records[-1].msg_type == "RESULT_ACK"
 
 
+def test_protocol_roles_over_cli_on_ipv6_loopback(capsys, tmp_path):
+    try:
+        _free_port("::1")
+    except OSError:
+        pytest.skip("::1 cannot be bound on this host")
+    codes, out, _ = _settle_over_cli(capsys, tmp_path, ATTACKER_CFG, host="[::1]")
+    assert codes == {"victim": 0, "attacker": 0}
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[0] == lines[1] and lines[0].startswith("settled:")
+
+
+def test_non_dyadic_settlement_warns_once_per_role(capsys, tmp_path):
+    # each role scales q when it loads its config and again in its session;
+    # the victim runs through main() here, the attacker in its own process
+    victim_cfg, attacker_cfg = tmp_path / "victim.cfg", tmp_path / "attacker.cfg"
+    for path, text in ((victim_cfg, VICTIM_CFG), (attacker_cfg, ATTACKER_CFG)):
+        path.write_text(text.replace("q = 1/4\np_bar = 2/3", "q = 1/3\np_bar = 3/4"))
+    address = f"127.0.0.1:{_free_port()}"
+    codes = {}
+    victim_argv = ["victim", "--config", str(victim_cfg), "--listen", address, "--seed", "76"]
+    thread = threading.Thread(target=lambda: codes.update(victim=main(victim_argv)), daemon=True)
+    thread.start()
+    for _ in range(50):  # wait out the listener race
+        attacker = _python_m_blindbargain(
+            "attacker", "--config", str(attacker_cfg), "--connect", address, "--seed", "61"
+        )
+        if attacker.returncode != 3:
+            break
+        time.sleep(0.1)
+    thread.join(15)
+    assert not thread.is_alive()
+    victim_out, victim_err = capsys.readouterr()
+    assert (codes["victim"], attacker.returncode) == (0, 0)
+    assert victim_out == attacker.stdout and victim_out.startswith("settled:")
+    assert victim_err == attacker.stderr == SCALING_WARNING
+
+
 @pytest.mark.parametrize("role", ["victim", "attacker"])
 @pytest.mark.parametrize(
     "port, timeout, message",
     [
+        # int() takes these; a port must be written in plain decimal
+        ("7_301", "10", "bad port in"),
+        ("+80", "10", "bad port in"),
+        (" 80", "10", "bad port in"),
+        ("\u0668\u0660", "10", "bad port in"),  # Arabic-Indic 80
         ("65536", "10", "port must lie in 0..65535"),
         ("70000", "10", "port must lie in 0..65535"),  # would dial 4464
         ("-1", "10", "port must lie in 0..65535"),
@@ -527,7 +597,7 @@ def test_out_of_range_port_or_timeout_exits_one_before_any_socket(
     def no_socket(*args, **kwargs):
         raise AssertionError("a socket was opened")
 
-    monkeypatch.setattr(socket, "socket", no_socket)
+    monkeypatch.setattr(socket, "socket", no_socket)  # create_server calls it too
     monkeypatch.setattr(socket, "create_connection", no_socket)
     cfg = tmp_path / f"{role}.cfg"
     cfg.write_text(VICTIM_CFG if role == "victim" else ATTACKER_CFG)
