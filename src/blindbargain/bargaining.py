@@ -12,9 +12,7 @@ tree.  They must agree exactly, in rational arithmetic; the test suite
 enforces that.
 
 Also covered: determining the horizon N from the attacker's reservation
-value, the infinite-horizon (Rubinstein) split, the limit of the
-opening offer for slowly varying losses, and the attacker's screening
-best response when the victim's reservation value is private.
+value and the infinite-horizon (Rubinstein) split.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .losses import (
     LossProfile,
@@ -108,50 +105,6 @@ class OfferSchedule:
         if not 1 <= n <= len(self.offers):
             raise ValueError(f"round {n} outside 1..{len(self.offers)}")
         return self.offers[n - 1]
-
-
-@dataclass(frozen=True)
-class Round1Limit:
-    """Opening-offer value: exact alternating-block sum vs. half-value.
-
-    ``has_tail`` flags profiles whose tail mass forced an attribution
-    choice (half the tail is counted into ``exact``).
-    """
-
-    exact: Money
-    approx: Money
-    has_tail: bool
-
-
-@dataclass(frozen=True)
-class IncompleteInfoProfile:
-    """Screening-strategy parameters when the victim's value is private.
-
-    q is the assumed chance the victim plays weak, p_bar the chance the
-    victim makes the screening (low) offer, rho the chance the attacker
-    tolerates a third round.
-    """
-
-    q: Fraction
-    p_bar: Fraction
-    rho: Fraction
-
-    def __init__(self, q: MoneyLike, p_bar: MoneyLike, rho: MoneyLike) -> None:
-        object.__setattr__(self, "q", as_money(q))
-        object.__setattr__(self, "p_bar", as_money(p_bar))
-        object.__setattr__(self, "rho", as_money(rho))
-        for name in ("q", "p_bar", "rho"):
-            value = getattr(self, name)
-            if not 0 <= value <= 1:
-                raise ValueError(f"{name} must be a probability in [0, 1]")
-
-
-@dataclass(frozen=True)
-class AttackerResponse:
-    """Attacker's reply to the round-2 offer: accept it or counter."""
-
-    accepts: bool
-    counteroffer: Optional[Money] = None
 
 
 def determine_horizon(inst: BargainingInstance) -> int:
@@ -242,90 +195,6 @@ def rubinstein_split(v: MoneyLike, r_max: MoneyLike, r_min: MoneyLike) -> Money:
     if floor_ > ceiling:
         raise NoDeal(f"r_min={floor_} exceeds min(v, r_max)={ceiling}")
     return (ceiling + floor_) / 2
-
-
-def round1_limit(profile: LossProfile) -> Round1Limit:
-    """Opening offer for slowly varying losses, exact and approximate.
-
-    The exact value sums the odd-indexed blocks (the rounds the victim
-    concedes); a nonzero tail is split evenly, and flagged, because the
-    block data does not determine how the alternation continues inside
-    it.  The approximation is half the total value, which the exact sum
-    approaches when blocks vary slowly.
-    """
-    exact = sum(profile.blocks[1::2], start=Fraction(0)) + profile.tail / 2
-    return Round1Limit(
-        exact=exact,
-        approx=total_value(profile) / 2,
-        has_tail=profile.tail > 0,
-    )
-
-
-def validate_profile_bounds(
-    profile: IncompleteInfoProfile, loss: LossProfile
-) -> None:
-    """Check the screening-profile feasibility bounds against a loss profile.
-
-    The bounds tie q to the first loss blocks (the weak-victim story must
-    be consistent with how fast value burns), force rho high enough that
-    a third round is believable, and force p_bar high enough that the
-    screening offer is worth making.  Raises ValueError on violation.
-    """
-    v_total = total_value(loss)
-    if v_total <= 0:
-        raise ValueError("loss profile has no value at stake")
-    b2 = elapsed_loss(loss, 2)
-    b3 = elapsed_loss(loss, 3)
-    v2 = residual_value(loss, 2)
-    v3 = residual_value(loss, 3)
-
-    if profile.q * v_total < b2:
-        raise ValueError(f"q={profile.q} below lower bound {b2}/{v_total}")
-    if profile.q * b3 > b2:
-        raise ValueError(f"q={profile.q} above upper bound {b2}/{b3}")
-
-    excess = profile.q * v_total - b2
-    if v3 > 0:
-        if profile.rho * v3 < excess:
-            raise ValueError(f"rho={profile.rho} below lower bound {excess}/{v3}")
-    elif excess > 0:
-        raise ValueError("rho bound unsatisfiable: no value left after round 3")
-
-    denom = profile.rho * v3 + (1 - profile.q) * v_total
-    if denom <= 0:
-        if v2 > 0:
-            raise ValueError("p_bar bound unsatisfiable: zero continuation value")
-    elif profile.p_bar * denom < v2:
-        raise ValueError(f"p_bar={profile.p_bar} below lower bound {v2}/{denom}")
-
-
-def screening_offer(profile: IncompleteInfoProfile, loss: LossProfile) -> Money:
-    """Low round-2 offer that screens the attacker's reservation value."""
-    return profile.q * total_value(loss) - elapsed_loss(loss, 2)
-
-
-def attacker_best_response(
-    profile: IncompleteInfoProfile,
-    r2: MoneyLike,
-    r_min: MoneyLike,
-    loss: LossProfile,
-) -> AttackerResponse:
-    """Attacker's reply to the victim's round-2 offer under screening.
-
-    Accept any offer covering the reservation; otherwise counter in
-    round 3 with the offer inflated back by the weak-victim odds, never
-    below the reservation itself.
-    """
-    validate_profile_bounds(profile, loss)
-    offer = as_money(r2)
-    reservation = as_money(r_min)
-    if reservation <= offer:
-        return AttackerResponse(accepts=True)
-    if profile.q == 0:
-        raise ValueError("counteroffer undefined for q=0")
-    return AttackerResponse(
-        accepts=False, counteroffer=max(offer / profile.q, reservation)
-    )
 
 
 def lint_marginal_loss(profile: LossProfile, horizon: int) -> None:

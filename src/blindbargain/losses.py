@@ -130,12 +130,3 @@ def residual_value(profile: LossProfile, n: int) -> Money:
     profiled round has elapsed only the tail remains.
     """
     return total_value(profile) - elapsed_loss(profile, n)
-
-
-def reservation(victim: VictimParams, n: int) -> Money:
-    """Most the victim would rationally pay after ``n`` rounds.
-
-    The remaining value of the data, capped by what the victim can pay
-    at all.
-    """
-    return min(residual_value(victim.profile, n), victim.r_max)

@@ -527,10 +527,10 @@ class AttackerSession:
     def _evaluate(self, gc, circuit: Circuit, labels):
         try:
             output_labels = evaluate(gc, circuit, labels)
-            bits = decode_and_prove(gc, output_labels)
+            outcome = decode_outcome(circuit, decode_and_prove(gc, output_labels))
         except (LabelDecodeError, ValueError) as exc:
             self.channel.abort("extract", str(exc))
-        return decode_outcome(circuit, bits), output_labels
+        return outcome, output_labels
 
     def _check_result_ack(self, outcome: MechanismOutcome) -> None:
         _, payload = self.channel.recv({MSG_RESULT_ACK}, "result")

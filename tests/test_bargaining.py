@@ -6,31 +6,23 @@ from fractions import Fraction
 import pytest
 
 from blindbargain.bargaining import (
-    AttackerResponse,
     BargainingInstance,
-    IncompleteInfoProfile,
     InfiniteHorizon,
     MarginalLossWarning,
     NoDeal,
     NoFeasibleHorizon,
     NonOddHorizon,
     OfferSchedule,
-    attacker_best_response,
     backward_induction_offers,
     closed_form_offer,
     determine_horizon,
     lint_marginal_loss,
-    round1_limit,
     rubinstein_split,
-    screening_offer,
-    validate_profile_bounds,
 )
 from blindbargain.losses import (
     LossProfile,
     VictimParams,
-    elapsed_loss,
     residual_value,
-    total_value,
 )
 
 FIVE_ONES = LossProfile(blocks=[1, 1, 1, 1, 1])
@@ -181,92 +173,6 @@ def test_instance_needs_overlapping_reservations():
     with pytest.raises(NoDeal):
         instance(FIVE_ONES, "1.5", r_max=1)
     assert determine_horizon(instance(FIVE_ONES, "1.5", r_max="1.5")) == 3
-
-
-def test_round1_limit_examples():
-    r = round1_limit(LossProfile(blocks=[1, 1, 1, 1, 1, 1]))
-    assert (r.exact, r.approx, r.has_tail) == (3, 3, False)
-    r = round1_limit(LossProfile(blocks=[4]))
-    assert (r.exact, r.approx) == (0, 2)
-    r = round1_limit(LossProfile(blocks=[2, 2], tail=3))
-    assert r.exact == 2 + Fraction(3, 2)
-    assert r.has_tail
-
-
-def test_round1_limit_ratio_approaches_one():
-    for count in (5, 11, 25, 101, 1001):
-        r = round1_limit(LossProfile(blocks=[1] * count))
-        ratio = r.exact / r.approx
-        assert 1 - Fraction(1, count) <= ratio <= 1
-
-
-# --- screening under incomplete information -----------------------------
-
-
-def screening_setup():
-    loss = FIVE_ONES
-    profile = IncompleteInfoProfile(q="1/2", p_bar="9/10", rho="1/2")
-    validate_profile_bounds(profile, loss)
-    return profile, loss
-
-
-def test_attacker_accepts_covering_offer():
-    profile, loss = screening_setup()
-    r2 = screening_offer(profile, loss)
-    assert r2 == Fraction(1, 2)
-    assert attacker_best_response(profile, r2, Fraction(1, 4), loss) == (
-        AttackerResponse(accepts=True)
-    )
-
-
-def test_attacker_counters_below_reservation():
-    profile, loss = screening_setup()
-    r2 = screening_offer(profile, loss)
-    response = attacker_best_response(profile, r2, Fraction(3, 4), loss)
-    assert not response.accepts
-    assert response.counteroffer == max(r2 / profile.q, Fraction(3, 4))
-    # Reservation above the inflated offer: the reservation wins the max.
-    response = attacker_best_response(profile, r2, 2, loss)
-    assert response.counteroffer == 2
-
-
-def test_counteroffer_at_upper_q_never_exceeds_round3_value():
-    rng = random.Random(0x9B)
-    checked = 0
-    for _ in range(300):
-        loss = random_profile(rng, max_blocks=8)
-        b2, b3 = elapsed_loss(loss, 2), elapsed_loss(loss, 3)
-        if b2 == 0 or b3 == b2:
-            continue
-        q = b2 / b3
-        profile = IncompleteInfoProfile(q=q, p_bar=1, rho=1)
-        validate_profile_bounds(profile, loss)
-        r2 = screening_offer(profile, loss)
-        if r2 <= 0 or r2 / q == r2:
-            continue
-        assert r2 / q <= residual_value(loss, 3)
-        # Reservation strictly between offer and inflated offer: the
-        # counter branch fires and the inflation wins the max.
-        r_min = (r2 + r2 / q) / 2
-        response = attacker_best_response(profile, r2, r_min, loss)
-        assert not response.accepts
-        assert response.counteroffer == r2 / q
-        checked += 1
-    assert checked > 50
-
-
-def test_profile_bounds_reject_out_of_range():
-    loss = FIVE_ONES
-    with pytest.raises(ValueError):
-        validate_profile_bounds(IncompleteInfoProfile("1/5", 1, 1), loss)  # q low
-    with pytest.raises(ValueError):
-        validate_profile_bounds(IncompleteInfoProfile("3/4", 1, 1), loss)  # q high
-    with pytest.raises(ValueError):
-        validate_profile_bounds(IncompleteInfoProfile("1/2", 1, 0), loss)  # rho low
-    with pytest.raises(ValueError):
-        validate_profile_bounds(IncompleteInfoProfile("1/2", "1/2", 1), loss)
-    with pytest.raises(ValueError):
-        IncompleteInfoProfile(2, 1, 1)
 
 
 # --- profile lint --------------------------------------------------------

@@ -486,6 +486,26 @@ def _free_port(host="127.0.0.1") -> int:
         return sock.getsockname()[1]
 
 
+def _settle_roles(capsys, victim_argv, attacker_argv):
+    """Victim through main() on a thread, attacker in its own process.
+
+    Two overlapping main() calls in one process would share the warnings
+    module's process-wide hooks, so the attacker never runs in-process.
+    """
+    codes = {}
+    thread = threading.Thread(target=lambda: codes.update(victim=main(victim_argv)), daemon=True)
+    thread.start()
+    for _ in range(50):  # wait out the listener race
+        attacker = _python_m_blindbargain(*attacker_argv)
+        if attacker.returncode != 3:
+            break
+        time.sleep(0.1)
+    thread.join(15)
+    assert not thread.is_alive()
+    victim_out, victim_err = capsys.readouterr()
+    return codes, victim_out, victim_err, attacker
+
+
 def _settle_over_cli(
     capsys, tmp_path, attacker_cfg_text, transcript=None, attacker_seed="61", host="127.0.0.1"
 ):
@@ -500,26 +520,13 @@ def _settle_over_cli(
     ]
     if transcript:
         victim_argv += ["--transcript", str(transcript)]
-    codes = {}
-
-    def victim_main():
-        codes["victim"] = main(victim_argv)
-
-    thread = threading.Thread(target=victim_main, daemon=True)
-    thread.start()
     attacker_argv = [
         "attacker", "--config", str(attacker_cfg),
         "--connect", address, "--seed", attacker_seed,
     ]
-    for _ in range(50):  # wait out the listener race
-        codes["attacker"] = main(attacker_argv)
-        if codes["attacker"] != 3:
-            break
-        time.sleep(0.1)
-    thread.join(15)
-    assert not thread.is_alive()
-    captured = capsys.readouterr()
-    return codes, captured.out, captured.err
+    codes, victim_out, victim_err, attacker = _settle_roles(capsys, victim_argv, attacker_argv)
+    codes["attacker"] = attacker.returncode
+    return codes, victim_out + attacker.stdout, victim_err + attacker.stderr
 
 
 def test_protocol_roles_over_cli(capsys, tmp_path):
@@ -554,20 +561,9 @@ def test_non_dyadic_settlement_warns_once_per_role(capsys, tmp_path):
     for path, text in ((victim_cfg, VICTIM_CFG), (attacker_cfg, ATTACKER_CFG)):
         path.write_text(text.replace("q = 1/4\np_bar = 2/3", "q = 1/3\np_bar = 3/4"))
     address = f"127.0.0.1:{_free_port()}"
-    codes = {}
     victim_argv = ["victim", "--config", str(victim_cfg), "--listen", address, "--seed", "76"]
-    thread = threading.Thread(target=lambda: codes.update(victim=main(victim_argv)), daemon=True)
-    thread.start()
-    for _ in range(50):  # wait out the listener race
-        attacker = _python_m_blindbargain(
-            "attacker", "--config", str(attacker_cfg), "--connect", address, "--seed", "61"
-        )
-        if attacker.returncode != 3:
-            break
-        time.sleep(0.1)
-    thread.join(15)
-    assert not thread.is_alive()
-    victim_out, victim_err = capsys.readouterr()
+    attacker_argv = ["attacker", "--config", str(attacker_cfg), "--connect", address, "--seed", "61"]
+    codes, victim_out, victim_err, attacker = _settle_roles(capsys, victim_argv, attacker_argv)
     assert (codes["victim"], attacker.returncode) == (0, 0)
     assert victim_out == attacker.stdout and victim_out.startswith("settled:")
     assert victim_err == attacker.stderr == SCALING_WARNING

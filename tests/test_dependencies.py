@@ -1,6 +1,7 @@
 """Import hygiene: the package imports without numpy, importing the
-package alone loads none of its modules, and no module imports a name it
-never uses."""
+package alone loads none of its modules, no module imports a name it
+never uses, and every public name of the package has a reader outside
+the tests."""
 
 import ast
 import subprocess
@@ -63,3 +64,69 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def test_unused_import_check_flags_an_unused_name():
     assert _unused_imports("import secrets\nimport os\nos.getcwd()\n") == ["secrets (line 1)"]
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# public names of the package that only the tests read, each with why it stays
+KEPT_FOR_TESTS = {
+    "outcome_real": "exact-rational mechanism, the oracle of outcome_fixed and the circuit",
+    "eval_plain": "plaintext circuit evaluation, the oracle of garbled evaluation",
+    "encode_inputs": "packs reports and draws into circuit input bits for eval_plain",
+    "ot_transfer": "runs the three OT flows in one process, so OT is tested without sockets",
+    "load_transcript": "reads back what persist_transcript writes",
+}
+
+
+def _read_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names a tree reads: bare names, attributes and from-imports, minus ``skip``."""
+    skipped = {id(node) for node in ast.walk(skip)} if skip else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _test_only_names(modules: dict[str, str], outside: list[str]) -> list[str]:
+    """Public top-level functions and classes of ``modules`` that nothing reads.
+
+    A name counts as read when another module of ``modules``, a source in
+    ``outside``, or its own module outside its own definition reads it.
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    reads = {name: _read_names(tree) for name, tree in trees.items()}
+    outside_reads = set().union(*(_read_names(ast.parse(source)) for source in outside))
+    unread = []
+    for name, tree in trees.items():
+        others = outside_reads.union(*(r for other, r in reads.items() if other != name))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or node.name in others:
+                continue
+            if node.name not in _read_names(tree, skip=node):
+                unread.append(node.name)
+    return sorted(unread)
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    package = Path(blindbargain.__file__).parent
+    modules = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    outside = [path.read_text(encoding="utf-8") for path in PERFBENCH.glob("*.py")]
+    assert _test_only_names(modules, outside) == sorted(KEPT_FOR_TESTS)
+
+
+def test_test_only_check_flags_an_unread_name():
+    modules = {
+        "a.py": "def used():\n    pass\n\n\ndef lonely():\n    return lonely\n",
+        "b.py": "from a import used\n\n\nclass Kept:\n    pass\n\n\nKept()\n",
+    }
+    assert _test_only_names(modules, []) == ["lonely"]
+    assert _test_only_names(modules, ["a.lonely()"]) == []

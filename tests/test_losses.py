@@ -8,11 +8,9 @@ import pytest
 from blindbargain.losses import (
     MAX_DECIMAL_EXPONENT,
     LossProfile,
-    VictimParams,
     as_money,
     block_mass,
     elapsed_loss,
-    reservation,
     residual_value,
     total_value,
 )
@@ -39,15 +37,6 @@ def test_residual_value_drops_by_elapsed_blocks():
     assert residual_value(profile, 3) == 2
     assert residual_value(profile, 0) == total_value(profile)
     assert residual_value(LossProfile(blocks=[2, 3], tail="1.5"), 5) == Fraction(3, 2)
-
-
-def test_reservation_caps_at_r_max():
-    profile = LossProfile(blocks=[1, 1, 1, 1, 1])
-    assert reservation(VictimParams(10, profile), 1) == 4
-    assert reservation(VictimParams("2.5", profile), 1) == Fraction(5, 2)
-    constant = VictimParams(7, LossProfile(blocks=[], tail=7))
-    for n in (0, 1, 5, 100):
-        assert reservation(constant, n) == 7
 
 
 def test_as_money_rejects_floats():
@@ -88,18 +77,6 @@ def test_residual_value_monotone_and_converges_to_tail():
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[0] == total_value(profile)
         assert values[-1] == profile.tail
-
-
-def test_reservation_is_binding_min():
-    rng = random.Random(0xCAFE)
-    for _ in range(200):
-        profile = random_profile(rng)
-        victim = VictimParams(Fraction(rng.randrange(0, 40), 2), profile)
-        for n in range(len(profile.blocks) + 2):
-            r = reservation(victim, n)
-            assert r <= victim.r_max
-            assert r <= residual_value(profile, n)
-            assert r == victim.r_max or r == residual_value(profile, n)
 
 
 def test_block_mass_zero_beyond_profile():

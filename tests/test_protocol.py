@@ -136,6 +136,30 @@ def test_tampered_table_aborts_at_extraction():
     assert victim.stage == "peer-abort" and victim.detail == "extract"
 
 
+class SwappedAlphaCommitmentVictim(VictimSession):
+    """Garbles honestly, then swaps alpha's two output commitments."""
+
+    def _build_and_garble(self):
+        circuit, material = super()._build_and_garble()
+        decode = list(material.garbled.output_decode)
+        c0, c1 = decode[-2]
+        decode[-2] = (c1, c0)
+        garbled = replace(material.garbled, output_decode=tuple(decode))
+        return circuit, replace(material, garbled=garbled)
+
+
+@pytest.mark.parametrize("theta_v,theta_a", [(200, 60), (10, 250)])
+def test_inconsistent_decoded_outcome_aborts_at_extraction(theta_v, theta_a):
+    # the flipped alpha bit decodes to an outcome MechanismOutcome refuses
+    victim, attacker = loopback_exchange(
+        PI, theta_v, theta_a, b"v", b"a", victim_session_cls=SwappedAlphaCommitmentVictim
+    )
+    assert isinstance(attacker, NegotiationAbort)
+    assert attacker.stage == "extract"
+    assert isinstance(victim, NegotiationAbort)
+    assert victim.stage == "peer-abort" and victim.detail == "extract"
+
+
 class WrongCircuitVictim(VictimSession):
     """Claims the agreed profile but garbles a different circuit."""
 
