@@ -442,6 +442,26 @@ def test_encode_and_decode_guards():
         eval_plain(circuit, [0] * 3)
 
 
+def test_decode_refuses_a_flipped_alpha_or_sigma_bit():
+    # every legal settlement becomes illegal when alpha or sigma alone
+    # flips, so a garbler that swaps one of their commitments is caught
+    circuit = build_mechanism_circuit(PARAMS, SCALED)
+    rng = random.Random(0x5A)
+    seen = set()
+    for _ in range(60):
+        tv, ta = rng.randrange(16), rng.randrange(16)
+        draws = {name: rng.randrange(16) for name in ("s0_v", "s1_v", "s0_a", "s1_a")}
+        bits = eval_plain(circuit, encode_inputs(circuit, tv, ta, **draws))
+        out = decode_outcome(circuit, bits)
+        seen.add((out.alpha, out.sigma, out.r_f > 0))
+        for flipped in (-2, -1):
+            tampered = list(bits)
+            tampered[flipped] ^= 1
+            with pytest.raises(ValueError):
+                decode_outcome(circuit, tampered)
+    assert seen == {(0, 0, False), (1, 0, True), (1, 1, False)}
+
+
 def test_zero_report_forces_zero_ransom():
     circuit = build_mechanism_circuit(PARAMS, SCALED)
     bits = encode_inputs(circuit, 0, 0, s0_v=0, s1_v=0, s0_a=0, s1_a=0)

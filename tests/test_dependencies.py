@@ -67,6 +67,7 @@ def test_unused_import_check_flags_an_unused_name():
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TESTS = Path(__file__).resolve().parent
 
 # public names of the package that only the tests read, each with why it stays
 KEPT_FOR_TESTS = {
@@ -121,6 +122,14 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     modules = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
     outside = [path.read_text(encoding="utf-8") for path in PERFBENCH.glob("*.py")]
     assert _test_only_names(modules, outside) == sorted(KEPT_FOR_TESTS)
+
+
+def test_every_name_kept_for_tests_is_read_by_a_test():
+    # a kept name no test reads has no reader at all and should be deleted
+    tests = set().union(
+        *(_read_names(ast.parse(path.read_text(encoding="utf-8"))) for path in TESTS.glob("*.py"))
+    )
+    assert sorted(set(KEPT_FOR_TESTS) - tests) == []
 
 
 def test_test_only_check_flags_an_unread_name():

@@ -139,11 +139,13 @@ def test_tampered_table_aborts_at_extraction():
 class SwappedAlphaCommitmentVictim(VictimSession):
     """Garbles honestly, then swaps alpha's two output commitments."""
 
+    swapped_output = -2
+
     def _build_and_garble(self):
         circuit, material = super()._build_and_garble()
         decode = list(material.garbled.output_decode)
-        c0, c1 = decode[-2]
-        decode[-2] = (c1, c0)
+        c0, c1 = decode[self.swapped_output]
+        decode[self.swapped_output] = (c1, c0)
         garbled = replace(material.garbled, output_decode=tuple(decode))
         return circuit, replace(material, garbled=garbled)
 
@@ -156,6 +158,30 @@ def test_inconsistent_decoded_outcome_aborts_at_extraction(theta_v, theta_a):
     )
     assert isinstance(attacker, NegotiationAbort)
     assert attacker.stage == "extract"
+    assert isinstance(victim, NegotiationAbort)
+    assert victim.stage == "peer-abort" and victim.detail == "extract"
+
+
+class SwappedSigmaCommitmentVictim(SwappedAlphaCommitmentVictim):
+    """Garbles honestly, then swaps sigma's two output commitments."""
+
+    swapped_output = -1
+
+
+@pytest.mark.parametrize(
+    "theta_v,theta_a,reason",
+    [
+        (200, 255, "alpha must be 1"),  # no deal turns into a keyless free release
+        (200, 37, "a free release carries no payment"),  # paid deal
+        (200, 60, "alpha must be 1"),  # free release loses its only reason for alpha
+    ],
+)
+def test_flipped_release_bit_aborts_at_extraction(theta_v, theta_a, reason):
+    victim, attacker = loopback_exchange(
+        PI, theta_v, theta_a, b"v", b"a", victim_session_cls=SwappedSigmaCommitmentVictim
+    )
+    assert isinstance(attacker, NegotiationAbort)
+    assert attacker.stage == "extract" and reason in attacker.detail
     assert isinstance(victim, NegotiationAbort)
     assert victim.stage == "peer-abort" and victim.detail == "extract"
 
