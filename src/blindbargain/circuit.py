@@ -44,12 +44,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .mechanism import (
-    MechanismOutcome,
-    MechanismParams,
-    ScaledParams,
-    check_product_widths,
-)
+from .mechanism import MechanismOutcome, MechanismParams, ScaledParams
 
 MAGIC = b"BCIR"
 FORMAT_VERSION = 4
@@ -112,10 +107,6 @@ class Circuit:
     @property
     def n_inputs(self) -> int:
         return self.victim_inputs + self.attacker_inputs
-
-    @property
-    def wire_count(self) -> int:
-        return self.n_inputs + len(self.gates)
 
     @cached_property
     def and_count(self) -> int:
@@ -309,9 +300,9 @@ def build_mechanism_circuit(params: MechanismParams, scaled: ScaledParams) -> Ci
     The gate list mirrors ``outcome_fixed`` exactly: same products, same
     shifts, same comparisons, same tie directions.  Both sides of the
     protocol call this with the agreed parameters and must obtain the
-    same bytes.
+    same bytes.  ``ScaledParams.from_params`` has bounded the product
+    widths.
     """
-    check_product_widths(params, scaled)
     k, kt = params.k, params.k_theta
     bld = CircuitBuilder()
     # the victim's inputs, then the attacker's, as party_input_bits lays them out

@@ -24,8 +24,6 @@ from fractions import Fraction
 from . import bench as bench_mod
 from .bargaining import (
     BargainingInstance,
-    HorizonError,
-    NoDeal,
     backward_induction_offers,
     determine_horizon,
     lint_marginal_loss,
@@ -36,8 +34,8 @@ from .losses import LossProfile, VictimParams, as_money, block_mass, residual_va
 from .mechanism import (
     MechanismParams,
     Report,
+    ScaledParams,
     attacker_truthfulness_margin,
-    check_product_widths,
     expected_victim_utility,
     outcome_fixed,
 )
@@ -198,7 +196,7 @@ def _cmd_stage_game(args) -> int:
 
 def _cmd_mechanism_eval(args) -> int:
     params = MechanismParams(args.q, args.p_bar, args.k_theta, args.k)
-    scaled = check_product_widths(params)  # before 2^k is formed
+    scaled = ScaledParams.from_params(params)  # refuses a huge k before 2^k is formed
     outcome = outcome_fixed(
         params, scaled, Report(args.theta_v, args.theta_a), args.s0, args.s1
     )
@@ -404,7 +402,7 @@ def main(argv=None) -> int:
         warnings.showwarning = show
         try:
             return args.func(args)
-        except (ConfigError, HorizonError, NoDeal, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:  # ConfigError, HorizonError, NoDeal included
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
         except NegotiationAbort as exc:

@@ -91,6 +91,16 @@ class ScaledParams:
 
     @classmethod
     def from_params(cls, params: MechanismParams) -> "ScaledParams":
+        """Scale ``params``, refusing products wider than ``DEFAULT_MAX_WIDTH`` bits.
+
+        The products are q_scale * theta_v (k + k_theta bits) and
+        r2 * inv_q_scale (k_theta + the bit length of inv_q_scale).  The
+        first, the narrower, is checked before 2^k is formed, so a huge
+        k is refused without computing it.  Raises ValueError.
+        """
+        too_wide = f"fixed-point products exceed {DEFAULT_MAX_WIDTH} bits: lower k or k_theta"
+        if params.k + params.k_theta > DEFAULT_MAX_WIDTH:
+            raise ValueError(too_wide)
         if params.q <= 0:
             raise ValueError("scaling requires q > 0")
         if (params.q.denominator & (params.q.denominator - 1)) != 0:
@@ -99,11 +109,14 @@ class ScaledParams:
                 ScalingWarning,
             )
         unit = 1 << params.k
-        return cls(
+        scaled = cls(
             p_scale=int(params.p_bar * unit),
             q_scale=int(params.q * unit),
             inv_q_scale=int(unit / params.q),
         )
+        if params.k_theta + scaled.inv_q_scale.bit_length() > DEFAULT_MAX_WIDTH:
+            raise ValueError(too_wide)
+        return scaled
 
 
 @dataclass(frozen=True)
@@ -170,27 +183,6 @@ def outcome_real(
     return _settle(Fraction(0), 0)
 
 
-def check_product_widths(
-    params: MechanismParams, scaled: ScaledParams | None = None
-) -> ScaledParams:
-    """Refuse fixed-point products wider than ``DEFAULT_MAX_WIDTH`` bits.
-
-    The products are q_scale * theta_v (k + k_theta bits) and
-    r2 * inv_q_scale (k_theta + the bit length of inv_q_scale).  The
-    first, the narrower, is checked before ``scaled`` is formed, so a
-    huge k is refused without computing 2^k; ``scaled`` defaults to the
-    constants scaled from ``params``.  Returns the checked constants;
-    raises ValueError.
-    """
-    if params.k + params.k_theta <= DEFAULT_MAX_WIDTH:
-        scaled = scaled or ScaledParams.from_params(params)
-        if params.k_theta + scaled.inv_q_scale.bit_length() <= DEFAULT_MAX_WIDTH:
-            return scaled
-    raise ValueError(
-        f"fixed-point products exceed {DEFAULT_MAX_WIDTH} bits: lower k or k_theta"
-    )
-
-
 def outcome_fixed(
     params: MechanismParams,
     scaled: ScaledParams,
@@ -204,7 +196,6 @@ def outcome_fixed(
     (q_scale*theta_v) >> k, r2/q by (r2*inv_q_scale) >> k, and the draws
     by k-bit words compared against the scaled constants.
     """
-    check_product_widths(params, scaled)
     theta_v, theta_a = _fixed_report(params, rep)
     if not 0 <= s0 < (1 << params.k) or not 0 <= s1 < (1 << params.k):
         raise ValueError("random words must be k-bit")

@@ -4,7 +4,7 @@ The victim listens, garbles, and serves labels; the attacker connects,
 checks the circuit, evaluates, and returns the output labels:
 
   1. victim proposes the profile (q, p_bar, k, k_theta, t_e); the
-     attacker acks it or aborts,
+     attacker acks it if the bytes equal its own profile's, else aborts,
   2. victim builds the circuit from the profile, garbles it, and sends
      the garbled tables with output commitments,
   3. victim sends its own input labels directly and serves the
@@ -55,12 +55,7 @@ from .garbling import (
     serialize_garbled,
 )
 from .losses import MoneyLike, as_money
-from .mechanism import (
-    MechanismOutcome,
-    MechanismParams,
-    ScaledParams,
-    check_product_widths,
-)
+from .mechanism import MechanismOutcome, MechanismParams, ScaledParams
 from .ot import OtProtocolError, OtReceiver, OtSender
 
 MSG_HELLO = 1
@@ -120,13 +115,21 @@ class _StepTimeout(Exception):
 
 @dataclass(frozen=True)
 class PiProfile:
-    """The public strategy profile both parties must agree on."""
+    """The public strategy profile both parties must agree on.
+
+    Construction validates it and scales it once; ``params()`` and
+    ``scaled`` are derived from the five fields and take no part in
+    equality.  Equal profiles have equal ``to_bytes()``, the form the
+    parties compare.
+    """
 
     q: Fraction
     p_bar: Fraction
     k: int
     k_theta: int
     t_e: Fraction
+    scaled: ScaledParams = field(init=False, repr=False, compare=False)
+    _params: MechanismParams = field(init=False, repr=False, compare=False)
 
     def __init__(self, q: MoneyLike, p_bar: MoneyLike, k: int, k_theta: int, t_e: MoneyLike):
         object.__setattr__(self, "q", as_money(q))
@@ -134,7 +137,7 @@ class PiProfile:
         object.__setattr__(self, "k", int(k))
         object.__setattr__(self, "k_theta", int(k_theta))
         object.__setattr__(self, "t_e", as_money(t_e))
-        params = self.params()  # validates q, p_bar, widths
+        params = MechanismParams(self.q, self.p_bar, self.k_theta, self.k)
         if self.t_e < 0:
             raise ValueError("t_e must be >= 0")
         try:
@@ -144,13 +147,14 @@ class PiProfile:
                 "profile does not fit its wire form: numerators and denominators "
                 "must be below 2^64, bitwidths below 2^32"
             ) from None
-        # A profile the sessions cannot scale (q = 0) or the circuit
-        # builder refuses must never be agreed.  A non-dyadic q warns
-        # about rounding here, at configuration time.
-        check_product_widths(params)
+        # A profile that cannot be scaled (q = 0, products too wide) must
+        # never be agreed.  A non-dyadic q warns about rounding here, at
+        # configuration time.
+        object.__setattr__(self, "scaled", ScaledParams.from_params(params))
+        object.__setattr__(self, "_params", params)
 
     def params(self) -> MechanismParams:
-        return MechanismParams(self.q, self.p_bar, self.k_theta, self.k)
+        return self._params
 
     def to_bytes(self) -> bytes:
         return _PI_STRUCT.pack(
@@ -163,15 +167,6 @@ class PiProfile:
             self.t_e.numerator,
             self.t_e.denominator,
         )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PiProfile":
-        if len(data) != _PI_STRUCT.size:
-            raise ValueError("malformed profile payload")
-        qn, qd, pn, pd, k, kt, tn, td = _PI_STRUCT.unpack(data)
-        if qd == 0 or pd == 0 or td == 0:
-            raise ValueError("zero denominator in profile")
-        return cls(Fraction(qn, qd), Fraction(pn, pd), k, kt, Fraction(tn, td))
 
 
 @dataclass(frozen=True)
@@ -312,8 +307,8 @@ class _Channel:
             buf.extend(chunk)
         return bytes(buf)
 
-    def recv(self, expected: set[int], stage: str) -> tuple[int, bytes]:
-        """Read one frame; only ``expected`` types (and ABORT) are legal.
+    def recv(self, msg_type: int, stage: str) -> bytes:
+        """Read one frame's payload; only ``msg_type`` (and ABORT) is legal.
 
         The socket's timeout is the step's budget: the whole frame must
         arrive before one monotonic deadline, so a peer trickling bytes
@@ -334,15 +329,15 @@ class _Channel:
             self.sock.settimeout(step)
             self.abort(f"timeout:{stage}")
         self.sock.settimeout(step)
-        msg_type, payload = body[0], body[1:]
-        self.transcript.append("received", msg_type, payload)
-        if msg_type == MSG_ABORT:
+        received, payload = body[0], body[1:]
+        self.transcript.append("received", received, payload)
+        if received == MSG_ABORT:
             raise NegotiationAbort(
                 "peer-abort", payload.decode("utf-8", "replace"), self.transcript
             )
-        if msg_type not in expected:
-            self.abort(stage, f"unexpected message type {msg_type}")
-        return msg_type, payload
+        if received != msg_type:
+            self.abort(stage, f"unexpected message type {received}")
+        return payload
 
     def abort(self, stage: str, detail: str = "") -> None:
         try:
@@ -388,7 +383,7 @@ class VictimSession:
         self.randomness = randomness
         self.pi = config.pi
         self.params = self.pi.params()
-        self.scaled = ScaledParams.from_params(self.params)
+        self.scaled = self.pi.scaled
 
     def run(self) -> NegotiationResult:
         self._agree_profile()
@@ -403,7 +398,7 @@ class VictimSession:
 
     def _agree_profile(self) -> None:
         self.channel.send(MSG_HELLO, self.pi.to_bytes())
-        self.channel.recv({MSG_PI_ACK}, "pi-agreement")
+        self.channel.recv(MSG_PI_ACK, "pi-agreement")
 
     def _build_and_garble(self):
         circuit = build_mechanism_circuit(self.params, self.scaled)
@@ -423,7 +418,7 @@ class VictimSession:
             material.input_labels[circuit.victim_inputs :], self.randomness.word
         )
         self.channel.send(MSG_OT_MSG1, sender.public_message())
-        _, blinded = self.channel.recv({MSG_OT_MSG2}, "ot")
+        blinded = self.channel.recv(MSG_OT_MSG2, "ot")
         try:
             ciphertexts = sender.respond(blinded)
         except OtProtocolError as exc:
@@ -431,7 +426,7 @@ class VictimSession:
         self.channel.send(MSG_OT_MSG3, ciphertexts)
 
     def _receive_output(self, circuit: Circuit, material) -> MechanismOutcome:
-        _, payload = self.channel.recv({MSG_OUTPUT_LABELS}, "output-verify")
+        payload = self.channel.recv(MSG_OUTPUT_LABELS, "output-verify")
         labels = _parse_labels(
             payload, len(material.garbled.output_decode), self.channel, "output-verify"
         )
@@ -462,9 +457,8 @@ class AttackerSession:
         self.randomness = randomness
 
     def run(self) -> NegotiationResult:
-        pi = self._agree_profile()
-        params = pi.params()
-        gc, circuit = self._receive_and_check_circuit(params)
+        self._agree_profile()
+        gc, circuit = self._receive_and_check_circuit()
         victim_labels = self._receive_victim_labels(circuit)
         own_labels, s0, s1 = self._run_ot(circuit)
         outcome, proof = self._evaluate(gc, circuit, victim_labels + own_labels)
@@ -474,26 +468,24 @@ class AttackerSession:
             outcome, self.channel.transcript, (s0, s1), self.config.theta_hat
         )
 
-    def _agree_profile(self) -> PiProfile:
-        _, payload = self.channel.recv({MSG_HELLO}, "pi-agreement")
-        try:
-            proposed = PiProfile.from_bytes(payload)
-        except ValueError as exc:
-            self.channel.abort("pi-agreement", str(exc))
-        if proposed != self.config.pi:
+    def _agree_profile(self) -> None:
+        # equal profiles have equal canonical bytes, so the proposal is
+        # compared, never parsed
+        payload = self.channel.recv(MSG_HELLO, "pi-agreement")
+        if payload != self.config.pi.to_bytes():
             self.channel.abort("pi-agreement", "profile does not match configuration")
         self.channel.send(MSG_PI_ACK)
-        return proposed
 
-    def _receive_and_check_circuit(self, params: MechanismParams):
-        _, payload = self.channel.recv({MSG_CIRCUIT}, "circuit-check")
+    def _receive_and_check_circuit(self):
+        payload = self.channel.recv(MSG_CIRCUIT, "circuit-check")
         try:
             gc = deserialize_garbled(payload)
         except ValueError as exc:
             self.channel.abort("circuit-check", str(exc))
         # rebuild from the agreed profile; the digest pins the garbled
         # tables to exactly that circuit
-        circuit = build_mechanism_circuit(params, ScaledParams.from_params(params))
+        pi = self.config.pi
+        circuit = build_mechanism_circuit(pi.params(), pi.scaled)
         if circuit_digest(circuit) != gc.base_circuit_digest:
             self.channel.abort("circuit-check", "digest does not match the profile")
         if len(gc.tables) != circuit.and_count:
@@ -503,7 +495,7 @@ class AttackerSession:
         return gc, circuit
 
     def _receive_victim_labels(self, circuit: Circuit):
-        _, payload = self.channel.recv({MSG_GARBLER_INPUT_LABELS}, "victim-labels")
+        payload = self.channel.recv(MSG_GARBLER_INPUT_LABELS, "victim-labels")
         return _parse_labels(
             payload, circuit.victim_inputs, self.channel, "victim-labels"
         )
@@ -511,13 +503,13 @@ class AttackerSession:
     def _run_ot(self, circuit: Circuit):
         s0, s1, bits = _draw_inputs(self.config, self.randomness)
         receiver = OtReceiver(bits, self.randomness.word)
-        _, sender_public = self.channel.recv({MSG_OT_MSG1}, "ot")
+        sender_public = self.channel.recv(MSG_OT_MSG1, "ot")
         try:
             blinded = receiver.blind(sender_public)
         except OtProtocolError as exc:
             self.channel.abort("ot", str(exc))
         self.channel.send(MSG_OT_MSG2, blinded)
-        _, ciphertexts = self.channel.recv({MSG_OT_MSG3}, "ot")
+        ciphertexts = self.channel.recv(MSG_OT_MSG3, "ot")
         try:
             labels = receiver.unwrap(ciphertexts)
         except OtProtocolError as exc:
@@ -528,12 +520,12 @@ class AttackerSession:
         try:
             output_labels = evaluate(gc, circuit, labels)
             outcome = decode_outcome(circuit, decode_and_prove(gc, output_labels))
-        except (LabelDecodeError, ValueError) as exc:
+        except ValueError as exc:  # LabelDecodeError included
             self.channel.abort("extract", str(exc))
         return outcome, output_labels
 
     def _check_result_ack(self, outcome: MechanismOutcome) -> None:
-        _, payload = self.channel.recv({MSG_RESULT_ACK}, "result")
+        payload = self.channel.recv(MSG_RESULT_ACK, "result")
         if len(payload) != _RESULT_STRUCT.size:
             self.channel.abort("result", "malformed result payload")
         r_f, alpha, sigma = _RESULT_STRUCT.unpack(payload)

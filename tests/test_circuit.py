@@ -153,7 +153,7 @@ def test_eval_plain_single_gates():
 
 def test_circuit_structural_validation():
     ok = _single_gate_circuit(GateKind.XOR)
-    assert (ok.n_inputs, ok.wire_count) == (2, 3)
+    assert (ok.n_inputs, len(ok.gates)) == (2, 1)
     # the same wires split between the parties are just as valid
     Circuit(1, 1, ok.gates, ok.outputs)
     bad_gates = [
@@ -426,10 +426,14 @@ def test_and_count_monotone_in_widths():
 
 
 def test_width_overflow_guard():
+    # the constants the builder reads are scaled only for products within 64 bits
     params = MechanismParams.from_q(Fraction(1, 4), 8, 60)  # k + k_theta = 68 bits
-    scaled = ScaledParams.from_params(params)
-    with pytest.raises(ValueError):
-        build_mechanism_circuit(params, scaled)
+    with pytest.raises(ValueError, match="64 bits"):
+        ScaledParams.from_params(params)
+    # k + k_theta = 64 fits, but r2 * inv_q_scale needs 16 + 51 bits
+    params = MechanismParams.from_q(Fraction(1, 4), 16, 48)
+    with pytest.raises(ValueError, match="64 bits"):
+        ScaledParams.from_params(params)
 
 
 def test_encode_and_decode_guards():

@@ -630,11 +630,11 @@ class _MinusALastAttacker(AttackerSession):
 
     def _run_ot(self, circuit):
         receiver = OtReceiver([0] * circuit.attacker_inputs, self.randomness.word)
-        _, sender_public = self.channel.recv({MSG_OT_MSG1}, "ot")
+        sender_public = self.channel.recv(MSG_OT_MSG1, "ot")
         blinded = receiver.blind(sender_public)
         minus_a = bytes((sender_public[0] ^ 1,)) + sender_public[1:]
         self.channel.send(MSG_OT_MSG2, blinded[:-ELEMENT_BYTES] + minus_a)
-        self.channel.recv({MSG_OT_MSG3}, "ot")
+        self.channel.recv(MSG_OT_MSG3, "ot")
         raise AssertionError("victim answered B = -A")
 
 

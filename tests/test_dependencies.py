@@ -1,7 +1,7 @@
 """Import hygiene: the package imports without numpy, importing the
 package alone loads none of its modules, no module imports a name it
-never uses, and every public name of the package has a reader outside
-the tests."""
+never uses, and every public name of the package, and every public
+member of its classes, has a reader outside the tests."""
 
 import ast
 import subprocess
@@ -69,13 +69,19 @@ def test_unused_import_check_flags_an_unused_name():
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TESTS = Path(__file__).resolve().parent
 
-# public names of the package that only the tests read, each with why it stays
+# public names and class members (``Class.member``) of the package that
+# only the tests read, each with why it stays
 KEPT_FOR_TESTS = {
     "outcome_real": "exact-rational mechanism, the oracle of outcome_fixed and the circuit",
     "eval_plain": "plaintext circuit evaluation, the oracle of garbled evaluation",
     "encode_inputs": "packs reports and draws into circuit input bits for eval_plain",
     "ot_transfer": "runs the three OT flows in one process, so OT is tested without sockets",
     "load_transcript": "reads back what persist_transcript writes",
+    "SessionTranscript.payload_digests": "the per-message digests the golden transcripts pin",
+    "BenchCell.times_ms": "the samples behind median_ms, which show warmup reps are left out",
+    "OfferSchedule.offer": "the offer of round n, numbered from 1 as the paper numbers rounds",
+    "GarbledMaterial.output_labels": "the garbler's output pairs, checked against the commitments",
+    "GarbledMaterial.delta": "the free-XOR offset, checked to separate every label pair",
 }
 
 
@@ -117,11 +123,63 @@ def _test_only_names(modules: dict[str, str], outside: list[str]) -> list[str]:
     return sorted(unread)
 
 
-def test_every_public_name_has_a_reader_outside_the_tests():
+def _attributes(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Attribute names a tree reads (``x.name``), minus those inside ``skip``."""
+    skipped = {id(node) for node in ast.walk(skip)} if skip else set()
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and id(node) not in skipped
+    }
+
+
+def _test_only_members(modules: dict[str, str], outside: list[str]) -> list[str]:
+    """Public methods, properties and fields of classes in ``modules`` that nothing reads.
+
+    A member counts as read when ``.member`` appears in another module of
+    ``modules``, in a source in ``outside``, or in its own module outside
+    its own definition.  Results read ``Class.member``.
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    reads = {name: _attributes(tree) for name, tree in trees.items()}
+    outside_reads = set().union(*(_attributes(ast.parse(source)) for source in outside))
+    unread = []
+    for name, tree in trees.items():
+        others = outside_reads.union(*(r for other, r in reads.items() if other != name))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    member = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    member = node.target.id
+                else:
+                    continue
+                if member.startswith("_") or member in others:
+                    continue
+                if member not in _attributes(tree, skip=node):
+                    unread.append(f"{cls.name}.{member}")
+    return sorted(unread)
+
+
+def _package_and_perfbench() -> tuple[dict[str, str], list[str]]:
     package = Path(blindbargain.__file__).parent
     modules = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
     outside = [path.read_text(encoding="utf-8") for path in PERFBENCH.glob("*.py")]
-    assert _test_only_names(modules, outside) == sorted(KEPT_FOR_TESTS)
+    return modules, outside
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    modules, outside = _package_and_perfbench()
+    kept = sorted(name for name in KEPT_FOR_TESTS if "." not in name)
+    assert _test_only_names(modules, outside) == kept
+
+
+def test_every_public_member_has_a_reader_outside_the_tests():
+    modules, outside = _package_and_perfbench()
+    kept = sorted(name for name in KEPT_FOR_TESTS if "." in name)
+    assert _test_only_members(modules, outside) == kept
 
 
 def test_every_name_kept_for_tests_is_read_by_a_test():
@@ -129,7 +187,8 @@ def test_every_name_kept_for_tests_is_read_by_a_test():
     tests = set().union(
         *(_read_names(ast.parse(path.read_text(encoding="utf-8"))) for path in TESTS.glob("*.py"))
     )
-    assert sorted(set(KEPT_FOR_TESTS) - tests) == []
+    unread = [name for name in KEPT_FOR_TESTS if name.rpartition(".")[2] not in tests]
+    assert unread == []
 
 
 def test_test_only_check_flags_an_unread_name():
@@ -139,3 +198,18 @@ def test_test_only_check_flags_an_unread_name():
     }
     assert _test_only_names(modules, []) == ["lonely"]
     assert _test_only_names(modules, ["a.lonely()"]) == []
+
+
+def test_test_only_member_check_flags_an_unread_member():
+    modules = {
+        "a.py": (
+            "class Box:\n    size: int\n    spare: int\n\n"
+            "    def grow(self):\n        return self.grow\n\n"
+            "    @property\n    def area(self):\n        return self.size\n"
+        ),
+        "b.py": "def use(box):\n    return box.area\n",
+    }
+    # size is read in its own module outside its definition, area by b.py;
+    # grow reads only itself
+    assert _test_only_members(modules, []) == ["Box.grow", "Box.spare"]
+    assert _test_only_members(modules, ["box.spare + box.grow()"]) == []

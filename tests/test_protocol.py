@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blindbargain.garbling import WireLabel
+from blindbargain.circuit import GateKind, build_mechanism_circuit
+from blindbargain.garbling import WireLabel, _seed_label, garble
 from blindbargain.mechanism import (
     MechanismParams,
     Report,
@@ -32,11 +33,13 @@ from blindbargain.ot import BRANCHES, ELEMENT_BYTES, OtReceiver
 from blindbargain.protocol import (
     MAX_TIMEOUT,
     MSG_ABORT,
+    MSG_HELLO,
     MSG_PI_ACK,
     MSG_RESULT_ACK,
     AttackerSession,
     NegotiationAbort,
     NegotiationConfig,
+    NegotiationResult,
     PiProfile,
     SessionRandomness,
     SessionTranscript,
@@ -136,6 +139,86 @@ def test_tampered_table_aborts_at_extraction():
     assert victim.stage == "peer-abort" and victim.detail == "extract"
 
 
+def _retabled_gates(circuit):
+    """Positions of the ANDs a garbler re-tables so r_f reveals theta_a.
+
+    Each maps to the function it computes instead of AND: ``True`` for
+    its second input, ``False`` for constant 0.  The walk follows the
+    muxes back from each revealed ransom bit: r_f = picked ^ AND(accept,
+    r2 ^ picked), picked = AND(pay_counter, r3) and r3 = undone ^
+    AND(lt, theta_a ^ undone), or the AND alone where undone is 0.
+    """
+    n = circuit.n_inputs
+
+    def gate(wire):
+        return circuit.gates[wire - n]
+
+    *r_f, _alpha, sigma = circuit.outputs
+    targets = {sigma - n: False}
+    for wire in r_f:
+        picked, r_f_and = gate(wire).in_a, gate(wire).in_b
+        r3 = gate(picked).in_b
+        r3_and = r3 if gate(r3).kind is GateKind.AND else gate(r3).in_b
+        targets.update({r_f_and - n: False, picked - n: True, r3_and - n: True})
+    assert all(circuit.gates[position].kind is GateKind.AND for position in targets)
+    return targets
+
+
+class RetablingVictim(VictimSession):
+    """Keeps the honest circuit and digest, re-tables ANDs to read theta_a.
+
+    The revealed r_f becomes theta_a and sigma 0, so alpha, which the
+    circuit still computes from them, stays consistent.
+    """
+
+    def _build_and_garble(self):
+        circuit = build_mechanism_circuit(self.params, self.scaled)
+        seed = self.randomness.seed_bytes()
+        material = garble(circuit, seed)
+        delta = material.delta.bits
+        # every wire's 0-label, derived as garble derives it
+        zero = [int.from_bytes(pair[0].bits, "big") for pair in material.input_labels]
+        ands = []
+        for position, (kind, in_a, in_b) in enumerate(circuit.gates):
+            if kind is GateKind.XOR:
+                zero.append(zero[in_a] ^ zero[in_b])
+            elif kind is GateKind.NOT:
+                zero.append(zero[in_a] ^ int.from_bytes(delta, "big"))
+            else:
+                zero.append(_seed_label(seed, b"gate", position))
+                ands.append(position)
+        tables = [list(rows) for rows in material.garbled.tables]
+        for position, second in _retabled_gates(circuit).items():
+            _, in_a, in_b = circuit.gates[position]
+            rows = tables[ands.index(position)]
+            for color in range(4):
+                va, vb = (color >> 1) ^ (zero[in_a] & 1), (color & 1) ^ (zero[in_b] & 1)
+                if (vb if second else 0) != va & vb:  # flip the row's output bit
+                    rows[color] = bytes(x ^ y for x, y in zip(rows[color], delta))
+        garbled = replace(material.garbled, tables=tuple(tuple(rows) for rows in tables))
+        return circuit, replace(material, garbled=garbled)
+
+
+@pytest.mark.parametrize("k_theta,k", [(8, 8), (16, 32)])
+def test_retabling_garbler_reads_the_attacker_report_unnoticed(k_theta, k):
+    # the semi-honest limit the README states: the digest binds the gate
+    # list, not the tables, so nothing the attacker checks fails
+    pi = PiProfile(Fraction(1, 4), Fraction(2, 3), k, k_theta, 0)
+    rng = random.Random(0x1B)
+    for session in range(10):
+        theta_v, theta_a = rng.randrange(1 << k_theta), rng.randrange(1 << k_theta)
+        victim, attacker = loopback_exchange(
+            pi, theta_v, theta_a, b"v%d" % session, b"a%d" % session,
+            victim_session_cls=RetablingVictim,
+        )
+        assert isinstance(attacker, NegotiationResult)
+        assert isinstance(victim, NegotiationResult)
+        assert victim.outcome == attacker.outcome
+        assert victim.outcome.r_f == theta_a and victim.outcome.sigma == 0
+        # an honest garbler would have settled otherwise
+        assert victim.outcome != oracle(pi, victim, attacker)
+
+
 class SwappedAlphaCommitmentVictim(VictimSession):
     """Garbles honestly, then swaps alpha's two output commitments."""
 
@@ -190,9 +273,6 @@ class WrongCircuitVictim(VictimSession):
     """Claims the agreed profile but garbles a different circuit."""
 
     def _build_and_garble(self):
-        from blindbargain.circuit import build_mechanism_circuit
-        from blindbargain.garbling import garble
-
         bad = replace(self.scaled, q_scale=self.scaled.q_scale + 1)
         circuit = build_mechanism_circuit(self.params, bad)
         return circuit, garble(circuit, self.randomness.seed_bytes())
@@ -247,10 +327,10 @@ class GarbageOtAttacker(AttackerSession):
     """Sends all-zero elements of the right length instead of blinded choices."""
 
     def _run_ot(self, circuit):
-        self.channel.recv({5}, "ot")
+        self.channel.recv(5, "ot")
         # the right length, so the prefix check fires and not the length check
         self.channel.send(6, b"\x00" * (ELEMENT_BYTES * _transfers(circuit)))
-        self.channel.recv({7}, "ot")
+        self.channel.recv(7, "ot")
         raise AssertionError("victim accepted invalid group elements")
 
 
@@ -264,12 +344,12 @@ class OffCurveOtAttacker(AttackerSession):
     def _run_ot(self, circuit):
         n_attacker = circuit.attacker_inputs
         receiver = OtReceiver([0] * n_attacker, self.randomness.word)
-        _, sender_public = self.channel.recv({5}, "ot")
+        sender_public = self.channel.recv(5, "ot")
         blinded = receiver.blind(sender_public)
         # x = 1 has no point on P-256 (test_garbling checks why)
         off_curve = b"\x02" + (1).to_bytes(32, "big")
         self.channel.send(6, blinded[:-ELEMENT_BYTES] + off_curve)
-        self.channel.recv({7}, "ot")
+        self.channel.recv(7, "ot")
         raise AssertionError("victim answered a point off the curve")
 
 
@@ -277,9 +357,9 @@ class SenderPointOtAttacker(AttackerSession):
     """Echoes the sender's A as every blinded choice, so B - A has no result."""
 
     def _run_ot(self, circuit):
-        _, sender_public = self.channel.recv({5}, "ot")
+        sender_public = self.channel.recv(5, "ot")
         self.channel.send(6, sender_public * _transfers(circuit))
-        self.channel.recv({7}, "ot")
+        self.channel.recv(7, "ot")
         raise AssertionError("victim answered B = A")
 
 
@@ -303,9 +383,10 @@ class LyingResultVictim(VictimSession):
         self.channel.send(3, serialize_garbled(material.garbled))
         s0, s1 = self._send_own_labels(circuit, material)
         self._serve_ot(circuit, material)
-        _, payload = self.channel.recv({8}, "output-verify")
+        self.channel.recv(8, "output-verify")
         self.channel.send(MSG_RESULT_ACK, struct.pack("<QBB", 9999, 1, 0))
-        self.channel.recv(set(), "result")
+        # the attacker answers with ABORT, which recv raises before any type check
+        self.channel.recv(MSG_RESULT_ACK, "result")
         raise AssertionError("attacker accepted a contradictory ack")
 
 
@@ -520,10 +601,11 @@ def test_seeded_randomness_replays_and_unseeded_differs():
     assert c.seed_bytes() != d.seed_bytes()
 
 
-def test_profile_roundtrip_and_validation():
-    assert PiProfile.from_bytes(PI.to_bytes()) == PI
-    with pytest.raises(ValueError):
-        PiProfile.from_bytes(PI.to_bytes()[:-1])
+def test_profile_validation_and_canonical_bytes():
+    # equal profiles have equal bytes, however their fractions were written
+    same = PiProfile(Fraction(2, 8), Fraction(4, 6), 8, 8, Fraction(6, 2))
+    assert same == PI and same.to_bytes() == PI.to_bytes()
+    assert len(PI.to_bytes()) == _PI_WIRE.size
     with pytest.raises(ValueError):
         PiProfile(Fraction(1, 4), Fraction(1, 2), 8, 8, Fraction(3))  # constraint
     with pytest.raises(ValueError):
@@ -549,8 +631,10 @@ def test_profile_rejects_what_its_wire_form_cannot_carry():
             PiProfile(q, p_bar, 8, 8, t_e)
     with pytest.raises(ValueError):
         PiProfile(q, p_bar, 2**32, 8, 0)
+    # the widest profile the wire form carries is still agreed and settled
     widest = PiProfile(q, p_bar, 8, 8, Fraction(2**64 - 1, 2**64 - 2))
-    assert PiProfile.from_bytes(widest.to_bytes()) == widest
+    v, a = loopback_run(widest, 200, 37, b"v", b"a")
+    assert v.outcome == a.outcome == oracle(widest, v, a)
 
 
 def test_empty_transcript_roundtrip(tmp_path):
@@ -559,30 +643,45 @@ def test_empty_transcript_roundtrip(tmp_path):
     assert load_transcript(path).records == []
 
 
-# well-formed payloads with valid (q, p_bar) pairs and small widths get past
-# the odds checks to the width and wire-form limits
 _PI_WIRE = struct.Struct("<QQQQIIQQ")
-_U64 = st.integers(0, 70) | st.integers(0, 2**64 - 1)
-_U32 = st.integers(0, 70) | st.integers(0, 2**32 - 1)
-_ODDS = st.tuples(_U64, _U64, _U64, _U64) | st.sampled_from(
-    [(1, 4, 2, 3), (1, 2, 1, 1), (1, 5, 5, 8), (0, 1, 1, 2), (1, 2**63, 2**62, 2**63 - 1)]
-)
-_FUZZED_PROFILES = st.binary(max_size=80) | st.builds(
-    lambda odds, k, k_theta, t_e: _PI_WIRE.pack(*odds, k, k_theta, *t_e),
-    _ODDS,
-    _U32,
-    _U32,
-    st.tuples(_U64, _U64),
+_CANONICAL = PI.to_bytes()
+
+
+def _flip_one_byte(position, mask):
+    data = bytearray(_CANONICAL)
+    data[position] ^= mask
+    return bytes(data)
+
+
+# HELLO payloads that differ from the profile's canonical bytes: junk,
+# truncated or extended, one byte flipped, and the same profile with its
+# fractions unreduced (q sent as 2/8, say)
+_UNEQUAL_HELLOS = (
+    st.binary(max_size=80).filter(lambda data: data != _CANONICAL)
+    | st.integers(0, len(_CANONICAL) - 1).map(lambda n: _CANONICAL[:n])
+    | st.binary(min_size=1, max_size=16).map(lambda tail: _CANONICAL + tail)
+    | st.builds(_flip_one_byte, st.integers(0, len(_CANONICAL) - 1), st.integers(1, 255))
+    | st.integers(2, 2**61).map(lambda m: _PI_WIRE.pack(m, 4 * m, 2 * m, 3 * m, 8, 8, 3 * m, m))
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(_FUZZED_PROFILES)
-def test_fuzzed_profile_payloads_raise_only_value_error(payload):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ScalingWarning)
-        try:
-            pi = PiProfile.from_bytes(payload)
-        except ValueError:
-            return
-        assert PiProfile.from_bytes(pi.to_bytes()) == pi
+class ProposingVictim(VictimSession):
+    """Proposes ``hello`` in place of its profile's canonical bytes."""
+
+    hello = b""
+
+    def _agree_profile(self):
+        self.channel.send(MSG_HELLO, self.hello)
+        self.channel.recv(MSG_PI_ACK, "pi-agreement")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_UNEQUAL_HELLOS)
+def test_hello_unequal_to_the_profile_bytes_aborts_at_pi_agreement(hello):
+    victim_cls = type("Proposing", (ProposingVictim,), {"hello": hello})
+    victim, attacker = loopback_exchange(PI, 200, 37, b"v", b"a", victim_session_cls=victim_cls)
+    assert isinstance(attacker, NegotiationAbort)
+    assert attacker.stage == "pi-agreement"
+    assert [r.msg_type for r in attacker.transcript.records] == ["HELLO", "ABORT"]
+    assert isinstance(victim, NegotiationAbort)
+    assert victim.stage == "peer-abort" and victim.detail == "pi-agreement"
