@@ -2,9 +2,11 @@
 
 ``build_mechanism_circuit`` lowers the integer semantics of
 ``outcome_fixed`` to a flat list of XOR/AND/NOT gates over the two
-parties' input bits: each contributes two k-bit random words and one
-k_theta-bit report.  The format is positional: gate i drives the wire
-after the inputs and the i earlier gates, so no gate names its output.
+parties' input bits.  Each party lays out two k-bit random words and one
+k_theta-bit report (``party_input_bits``), and the circuit reads only
+the positions of that layout that reach a revealed output.  The format
+is positional: gate i drives the wire after the inputs and the i earlier
+gates, so no gate names its output.
 The circuit XORs the word shares, compares them against
 hard-wired scaled constants, multiplies with shift-and-add, and selects
 the branch with two-input muxes.  Construction is a pure function of the
@@ -20,8 +22,14 @@ keeps only the partial products of its set bits, and the AND count
 depends on the constants' values as well as on (k_theta, k); the rows
 of a constant's zero bits, which would fold away gate by gate, are
 skipped before any folding, and so are the rows whose sums never carry
-into the bits the right-shift keeps.  Every AND gate therefore reaches
-a revealed output.  The only
+into the bits the right-shift keeps.  Folding still leaves gates and
+input bits that no output reads: a comparison against a constant
+ignores every bit below the constant's lowest set bit, so at
+q = 1/4, k = 32 the low 30 bits of s1 and bit 0 of s0 are dead.
+``CircuitBuilder.finish`` walks back from the revealed outputs, drops
+every gate and input wire they do not reach, and renumbers the rest;
+the circuit records which layout positions each party still feeds, and
+only those bits are encoded, sent and transferred.  The only
 gates that read the constant wires are their own definitions and the
 copies of revealed outputs that folded to a constant (a ransom bit when
 ``q_scale`` is 0, say): a garbled AND of the constant with itself, so
@@ -47,7 +55,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .mechanism import MechanismOutcome, MechanismParams, ScaledParams
 
 MAGIC = b"BCIR"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 NOT_SENTINEL = 0xFFFFFFFF
 
 
@@ -72,22 +80,34 @@ _KINDS = _XOR, _AND, _NOT = tuple(GateKind)
 
 @dataclass(frozen=True)
 class Circuit:
-    """A positional gate list over the two parties' input wires.
+    """A positional gate list over the two parties' live input bits.
 
-    Wires 0 .. victim_inputs - 1 carry the victim's input bits and the
-    next attacker_inputs wires the attacker's, both as
-    ``party_input_bits`` lays them out; gate i drives wire n_inputs + i.
-    ``outputs`` are the revealed wires, r_f LSB first, then alpha, then
-    sigma.
+    Each party lays out its inputs as ``party_input_bits`` describes,
+    2k + k_theta bits; ``victim_positions`` and ``attacker_positions``
+    are the increasing positions of that layout the circuit reads.  Wires
+    0 .. victim_inputs - 1 carry the victim's bits at those positions and
+    the next attacker_inputs wires the attacker's; gate i drives wire
+    n_inputs + i.  ``outputs`` are the revealed wires, r_f LSB first,
+    then alpha, then sigma.
     """
 
-    victim_inputs: int
-    attacker_inputs: int
+    k: int
+    k_theta: int
+    victim_positions: tuple[int, ...]
+    attacker_positions: tuple[int, ...]
     gates: tuple[Gate, ...]
     outputs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n_inputs = self.victim_inputs + self.attacker_inputs
+        layout = 2 * self.k + self.k_theta
+        for positions in (self.victim_positions, self.attacker_positions):
+            if list(positions) != sorted(set(positions)) or not all(
+                0 <= p < layout for p in positions
+            ):
+                raise ValueError(
+                    f"input positions must increase within the {layout}-bit layout"
+                )
+        n_inputs = self.n_inputs
         # gate i drives wire n_inputs + i, so it reads only wires below that
         for bound, (kind, in_a, in_b) in enumerate(self.gates, n_inputs):
             if kind not in _KINDS:
@@ -105,6 +125,14 @@ class Circuit:
                 raise ValueError(f"output wire {w} does not exist")
 
     @property
+    def victim_inputs(self) -> int:
+        return len(self.victim_positions)
+
+    @property
+    def attacker_inputs(self) -> int:
+        return len(self.attacker_positions)
+
+    @property
     def n_inputs(self) -> int:
         return self.victim_inputs + self.attacker_inputs
 
@@ -119,24 +147,32 @@ class Circuit:
 
 
 class CircuitBuilder:
-    """Gate assembler: wires are write-once, emission order is the topo order."""
+    """Gate assembler: wires are write-once, emission order is the topo order.
+
+    Emitted gates are kept as three plain lists (kind, first and second
+    input); ``finish`` makes a ``Gate`` only for each gate it keeps.
+    """
 
     def __init__(self) -> None:
         self.n_inputs = 0
-        self.gates: list[Gate] = []
+        self._kinds: list[GateKind] = []
+        self._in_a: list[int] = []
+        self._in_b: list[int | None] = []
         self._zero: int | None = None
         self._one: int | None = None
 
     def new_inputs(self, length: int) -> list[int]:
-        if self.gates:
+        if self._kinds:
             raise ValueError("inputs must be allocated before any gate")
         wires = list(range(self.n_inputs, self.n_inputs + length))
         self.n_inputs += length
         return wires
 
     def _emit(self, kind: GateKind, in_a: int, in_b: int | None) -> int:
-        self.gates.append(Gate(kind, in_a, in_b))
-        return self.n_inputs + len(self.gates) - 1
+        self._kinds.append(kind)
+        self._in_a.append(in_a)
+        self._in_b.append(in_b)
+        return self.n_inputs + len(self._kinds) - 1
 
     def xor(self, a: int, b: int) -> int:
         if a == self._zero:
@@ -264,19 +300,69 @@ class CircuitBuilder:
         if len(a) != len(b):
             raise ValueError(f"width mismatch: {len(a)} vs {len(b)}")
 
+    def finish(self, k: int, k_theta: int, outputs: Sequence[int]) -> Circuit:
+        """The circuit of everything ``outputs`` reach, renumbered.
 
-def party_input_bits(k: int, k_theta: int, s0: int, s1: int, report: int) -> list[int]:
-    """One party's input bits in circuit order: s0, s1, report, each LSB first.
+        The first 2k + k_theta inputs are the victim's layout, the rest
+        the attacker's.  A gate or input wire no output reaches is
+        dropped; the constant zero, an XOR of a wire with itself, reads
+        no bit, so it is re-pointed at wire 0 and keeps nothing alive.
+        """
+        n_in, kinds, in_a, in_b = self.n_inputs, self._kinds, self._in_a, self._in_b
+        live = bytearray(n_in + len(kinds))
+        for w in outputs:
+            live[w] = 1
+        for wire in range(len(live) - 1, n_in - 1, -1):
+            if live[wire] and wire != self._zero:
+                position = wire - n_in
+                live[in_a[position]] = 1
+                if in_b[position] is not None:
+                    live[in_b[position]] = 1
+        layout = 2 * k + k_theta
+        kept = [w for w in range(n_in) if live[w]]
+        index = [0] * len(live)
+        for new, w in enumerate(kept):
+            index[w] = new
+        gates = []
+        for position, kind in enumerate(kinds):
+            wire = n_in + position
+            if not live[wire]:
+                continue
+            index[wire] = len(kept) + len(gates)
+            if wire == self._zero:
+                gates.append(Gate(_XOR, 0, 0))
+            else:
+                b = in_b[position]
+                gates.append(
+                    Gate(kind, index[in_a[position]], None if b is None else index[b])
+                )
+        return Circuit(
+            k,
+            k_theta,
+            tuple(w for w in kept if w < layout),
+            tuple(w - layout for w in kept if w >= layout),
+            tuple(gates),
+            tuple(index[w] for w in outputs),
+        )
 
-    The victim's bits occupy the first input wires and the attacker's
-    the next, both in this layout.
+
+def party_input_bits(
+    circuit: Circuit, positions: Sequence[int], s0: int, s1: int, report: int
+) -> list[int]:
+    """One party's input bits, as the circuit reads them.
+
+    The party's layout is s0 and s1 (k bits each) and then the report
+    (k_theta bits), each LSB first; the result holds the layout's bits
+    at ``positions``, the party's ``victim_positions`` or
+    ``attacker_positions``.  Every value must fit its full width, read
+    or not.
     """
-    bits = []
-    for value, width in ((s0, k), (s1, k), (report, k_theta)):
+    layout = []
+    for value, width in ((s0, circuit.k), (s1, circuit.k), (report, circuit.k_theta)):
         if value < 0 or value >= 1 << width:
             raise ValueError(f"value {value} does not fit in {width} bits")
-        bits += [(value >> i) & 1 for i in range(width)]
-    return bits
+        layout += [(value >> i) & 1 for i in range(width)]
+    return [layout[p] for p in positions]
 
 
 def _rows_reaching(const: int, width: int, k: int) -> int:
@@ -309,7 +395,6 @@ def build_mechanism_circuit(params: MechanismParams, scaled: ScaledParams) -> Ci
     s0_v = bld.new_inputs(k)
     s1_v = bld.new_inputs(k)
     theta_v = bld.new_inputs(kt)
-    n_victim = bld.n_inputs
     s0_a = bld.new_inputs(k)
     s1_a = bld.new_inputs(k)
     theta_a = bld.new_inputs(kt)
@@ -359,9 +444,7 @@ def build_mechanism_circuit(params: MechanismParams, scaled: ScaledParams) -> Ci
     sigma = bld.reveal(sigma)
     alpha = bld.or_(bld.or_tree(r_f_bits), sigma)
 
-    return Circuit(
-        n_victim, bld.n_inputs - n_victim, tuple(bld.gates), (*r_f_bits, alpha, sigma)
-    )
+    return bld.finish(k, kt, (*r_f_bits, alpha, sigma))
 
 
 def eval_gates(gates: Iterable[Gate], inputs: Sequence[int], lanes: int = 1) -> list[int]:
@@ -403,12 +486,11 @@ def encode_inputs(
     s0_a: int,
     s1_a: int,
 ) -> list[int]:
-    """Pack the six field values into the circuit's input bit-vector."""
-    kt = len(circuit.outputs) - 3  # r_f has k_theta + 1 bits
-    k = (circuit.victim_inputs - kt) // 2
-    return party_input_bits(k, kt, s0_v, s1_v, theta_v) + party_input_bits(
-        k, kt, s0_a, s1_a, theta_a
-    )
+    """Pack the six field values into the circuit's input bit-vector:
+    the victim's live bits, then the attacker's."""
+    return party_input_bits(
+        circuit, circuit.victim_positions, s0_v, s1_v, theta_v
+    ) + party_input_bits(circuit, circuit.attacker_positions, s0_a, s1_a, theta_a)
 
 
 def decode_outcome(circuit: Circuit, output_bits: Sequence[int]) -> MechanismOutcome:
@@ -423,19 +505,31 @@ def decode_outcome(circuit: Circuit, output_bits: Sequence[int]) -> MechanismOut
 
 
 def serialize_circuit(circuit: Circuit) -> bytes:
-    """Canonical little-endian byte form; input to the digest and the wire."""
+    """Canonical little-endian byte form; input to the digest and the wire.
+
+    The header carries the layout widths and the list lengths; the
+    outputs, then both parties' input positions, then the gates follow.
+    """
     n_out = len(circuit.outputs)
+    n_victim, n_attacker = circuit.victim_inputs, circuit.attacker_inputs
     parts = [
         struct.pack(
-            "<4sHIIII",
+            "<4sHIIIIII",
             MAGIC,
             FORMAT_VERSION,
-            circuit.victim_inputs,
-            circuit.attacker_inputs,
+            circuit.k,
+            circuit.k_theta,
+            n_victim,
+            n_attacker,
             len(circuit.gates),
             n_out,
         ),
-        struct.pack(f"<{n_out}I", *circuit.outputs),
+        struct.pack(
+            f"<{n_out + n_victim + n_attacker}I",
+            *circuit.outputs,
+            *circuit.victim_positions,
+            *circuit.attacker_positions,
+        ),
     ]
     for gate in circuit.gates:
         in_b = NOT_SENTINEL if gate.in_b is None else gate.in_b

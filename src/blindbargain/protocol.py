@@ -9,7 +9,8 @@ checks the circuit, evaluates, and returns the output labels:
      the garbled tables with output commitments,
   3. victim sends its own input labels directly and serves the
      attacker's through oblivious transfer, so neither report nor
-     random word crosses the wire in the clear,
+     random word crosses the wire in the clear; only the input bits
+     the circuit reads have labels,
   4. attacker independently rebuilds the circuit from the agreed
      profile and compares digests before evaluating; a mismatch aborts,
   5. attacker sends the output labels back; the victim verifies them
@@ -348,12 +349,20 @@ class _Channel:
 
 
 def _draw_inputs(
-    config: NegotiationConfig, randomness: SessionRandomness
+    config: NegotiationConfig,
+    randomness: SessionRandomness,
+    circuit: Circuit,
+    positions: tuple[int, ...],
 ) -> tuple[int, int, list[int]]:
-    """Draw one party's two random words; returns them with its input bits."""
+    """Draw one party's two random words; returns them with the input
+    bits the circuit reads at ``positions``.
+
+    Both words are drawn in full whatever the circuit reads, so the
+    draws, and the settled outcome, do not depend on the pruning.
+    """
     k = config.pi.k
     s0, s1 = randomness.word(k), randomness.word(k)
-    return s0, s1, party_input_bits(k, config.pi.k_theta, s0, s1, config.theta_hat)
+    return s0, s1, party_input_bits(circuit, positions, s0, s1, config.theta_hat)
 
 
 def _parse_labels(payload: bytes, count: int, channel: _Channel, stage: str):
@@ -406,7 +415,9 @@ class VictimSession:
         return circuit, material
 
     def _send_own_labels(self, circuit: Circuit, material):
-        s0, s1, bits = _draw_inputs(self.config, self.randomness)
+        s0, s1, bits = _draw_inputs(
+            self.config, self.randomness, circuit, circuit.victim_positions
+        )
         labels = select_labels(material.input_labels[: circuit.victim_inputs], bits)
         self.channel.send(
             MSG_GARBLER_INPUT_LABELS, b"".join(l.bits for l in labels)
@@ -501,7 +512,9 @@ class AttackerSession:
         )
 
     def _run_ot(self, circuit: Circuit):
-        s0, s1, bits = _draw_inputs(self.config, self.randomness)
+        s0, s1, bits = _draw_inputs(
+            self.config, self.randomness, circuit, circuit.attacker_positions
+        )
         receiver = OtReceiver(bits, self.randomness.word)
         sender_public = self.channel.recv(MSG_OT_MSG1, "ot")
         try:

@@ -31,6 +31,7 @@ from blindbargain.circuit import (
     encode_inputs,
     eval_gates,
     eval_plain,
+    party_input_bits,
 )
 from blindbargain.cli import main as cli_main
 from blindbargain.garbling import decode_and_prove, evaluate, garble, select_labels
@@ -214,16 +215,30 @@ def test_criterion_07_expected_payment_half_value():
 
 
 def _batch_outcomes(circuit, fields: np.ndarray):
-    """Rows of (s0_v, s1_v, theta_v, s0_a, s1_a, theta_a) to outcome arrays."""
-    k_theta = len(circuit.outputs) - 3  # r_f has k_theta + 1 bits
-    k = (circuit.victim_inputs - k_theta) // 2
+    """Rows of (s0_v, s1_v, theta_v, s0_a, s1_a, theta_a) to outcome arrays.
+
+    Bit-sliced: each input wire gets one word holding its bit of every
+    row.  Which wire a field's bit i feeds, if any, is read off the
+    encoding of that bit alone.
+    """
     n = fields.shape[0]
     words = []
-    for width, column in zip((k, k, k_theta, k, k, k_theta), fields.T):
-        for i in range(width):
-            lane_bits = ((column >> i) & 1).astype(np.uint8)
-            packed = np.packbits(lane_bits, bitorder="little").tobytes()
-            words.append(int.from_bytes(packed, "little"))
+    widths = (circuit.k, circuit.k, circuit.k_theta)
+    for positions, columns in (
+        (circuit.victim_positions, fields.T[:3]),
+        (circuit.attacker_positions, fields.T[3:]),
+    ):
+        party = [0] * len(positions)
+        for field, (column, width) in enumerate(zip(columns, widths)):
+            for i in range(width):
+                alone = [0, 0, 0]
+                alone[field] = 1 << i
+                encoded = party_input_bits(circuit, positions, *alone)
+                if 1 in encoded:
+                    lane_bits = ((column >> i) & 1).astype(np.uint8)
+                    packed = np.packbits(lane_bits, bitorder="little").tobytes()
+                    party[encoded.index(1)] = int.from_bytes(packed, "little")
+        words += party
     wires = eval_gates(circuit.gates, words, n)
 
     def lanes(wire):

@@ -5,7 +5,7 @@ import hashlib
 import itertools
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -39,23 +39,31 @@ PARAMS = MechanismParams.from_q(Fraction(1, 4), 4, 4)
 SCALED = ScaledParams.from_params(PARAMS)
 
 GOLDEN_DIGESTS = {
-    (Fraction(1, 4), 8, 8): "fa9739acdb06e06103de076f39893a67719474f36b747d89c9138e13943517d3",
-    (Fraction(1, 2), 8, 8): "3cd0ae83b7626023daf03da7aaf1135c95421ece5bc20d92d4d686f45cf0d917",
-    (Fraction(1, 4), 4, 4): "d55556cc5b51b53fbb55a23cfab455a0cdc77c53a6137bb7802ab349c0a3b423",
+    (Fraction(1, 4), 8, 8): "bf22b72697f19fcb91e2adb0f947c03bf649844c1911b38f6e435dc45a8f462b",
+    (Fraction(1, 2), 8, 8): "1dc102ae2770410a81e207ebe1aaeb309ead84391f1ea3d333fdd03a1562f3dd",
+    (Fraction(1, 4), 4, 4): "3c21d86a6ce9bcf0c6a6817f6a0a0d31eb878dc9685085570497f71e674e638a",
 }
 # The six q of perfbench's workloads; with bench.GRID, the 36 profiles
 # its settle-mixed workload settles.
 BENCH_QS = (Fraction(1, 8), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3),
             Fraction(3, 8), Fraction(1, 2))
 # sha256 over circuit_digest of every GRID x BENCH_QS profile, in that order
-GOLDEN_GRID_DIGESTS = "ecae7c829fe9c4c52d969fe704884fcece1d3298b474b4d70a3fb032362cca73"
+GOLDEN_GRID_DIGESTS = "b69577d7cadabab37c4f11b612861ebefd3929c98f558eb0656e58cecc6756c8"
 
 
-def _sweep(bld, n_inputs):
-    """All input assignments at once: lane v sets input wire i to bit i of v."""
+def _sweep(bld, n_inputs, outputs):
+    """All input assignments at once, lane v setting input i to bit i of v.
+
+    Returns the words of ``outputs``.  One party's layout holds every
+    input, and ``finish`` drops whatever ``outputs`` do not read.
+    """
+    circuit = bld.finish(0, n_inputs, outputs)
     lanes = 1 << n_inputs
-    inputs = [sum(((v >> i) & 1) << v for v in range(lanes)) for i in range(n_inputs)]
-    return eval_gates(bld.gates, inputs, lanes)
+    inputs = [
+        sum(((v >> i) & 1) << v for v in range(lanes)) for i in circuit.victim_positions
+    ]
+    wires = eval_gates(circuit.gates, inputs, lanes)
+    return [wires[w] for w in circuit.outputs]
 
 
 def _lane(words, wires, v):
@@ -78,9 +86,9 @@ def test_adder_exhaustive_small_widths():
         xa = bld.new_inputs(width)
         xb = bld.new_inputs(width)
         out, carry = bld.add(xa, xb)
-        words = _sweep(bld, 2 * width)
+        words = _sweep(bld, 2 * width, out + [carry])
         for a, b in itertools.product(range(1 << width), repeat=2):
-            assert _lane(words, out + [carry], a | b << width) == a + b
+            assert _lane(words, range(width + 1), a | b << width) == a + b
 
 
 def test_comparator_exhaustive_small_widths():
@@ -89,9 +97,9 @@ def test_comparator_exhaustive_small_widths():
         xa = bld.new_inputs(width)
         xb = bld.new_inputs(width)
         lt = bld.less_than(xa, xb)
-        words = _sweep(bld, 2 * width)
+        words = _sweep(bld, 2 * width, [lt])
         for a, b in itertools.product(range(1 << width), repeat=2):
-            assert _lane(words, [lt], a | b << width) == (1 if a < b else 0)
+            assert _lane(words, [0], a | b << width) == (1 if a < b else 0)
 
 
 def test_multiplier_exhaustive_small_widths():
@@ -102,25 +110,25 @@ def test_multiplier_exhaustive_small_widths():
         xb = bld.new_inputs(wb)
         prod = bld.multiply(xa, xb)
         assert len(prod) == wa + wb
-        words = _sweep(bld, wa + wb)
+        words = _sweep(bld, wa + wb, prod)
         for a, b in itertools.product(range(1 << wa), range(1 << wb)):
-            assert _lane(words, prod, a | b << wa) == a * b
+            assert _lane(words, range(wa + wb), a | b << wa) == a * b
 
 
 def test_mux_and_or_tree():
     bld = CircuitBuilder()
     sel, x, y = bld.new_inputs(3)
     m = bld.mux(sel, x, y)
-    words = _sweep(bld, 3)
+    words = _sweep(bld, 3, [m])
     for s, a, b in itertools.product((0, 1), repeat=3):
-        assert _lane(words, [m], s | a << 1 | b << 2) == (a if s else b)
+        assert _lane(words, [0], s | a << 1 | b << 2) == (a if s else b)
     for width in range(1, 5):
         bld = CircuitBuilder()
         xs = bld.new_inputs(width)
         tree = bld.or_tree(xs)
-        words = _sweep(bld, width)
+        words = _sweep(bld, width, [tree])
         for v in range(1 << width):
-            assert _lane(words, [tree], v) == (1 if v else 0)
+            assert _lane(words, [0], v) == (1 if v else 0)
 
 
 def test_builder_input_and_width_rules():
@@ -137,9 +145,17 @@ def test_builder_input_and_width_rules():
         bld.or_tree([])
 
 
+def _circuit(n_victim, n_attacker, gates, outputs):
+    """A circuit over the first n_victim and n_attacker bits of k-bit layouts."""
+    return Circuit(
+        max(n_victim, n_attacker), 0, tuple(range(n_victim)), tuple(range(n_attacker)),
+        gates, outputs,
+    )
+
+
 def _single_gate_circuit(kind):
     # Two victim input wires, one gate driving wire 2, revealed thrice.
-    return Circuit(2, 0, (Gate(kind, 0, 1),), (2, 2, 2))
+    return _circuit(2, 0, (Gate(kind, 0, 1),), (2, 2, 2))
 
 
 def test_eval_plain_single_gates():
@@ -155,7 +171,7 @@ def test_circuit_structural_validation():
     ok = _single_gate_circuit(GateKind.XOR)
     assert (ok.n_inputs, len(ok.gates)) == (2, 1)
     # the same wires split between the parties are just as valid
-    Circuit(1, 1, ok.gates, ok.outputs)
+    _circuit(1, 1, ok.gates, ok.outputs)
     bad_gates = [
         Gate(GateKind.XOR, 0, 5),  # reads a wire that does not exist
         Gate(GateKind.XOR, 0, 2),  # reads its own output
@@ -166,14 +182,19 @@ def test_circuit_structural_validation():
     ]
     for gate in bad_gates:
         with pytest.raises(ValueError):
-            Circuit(2, 0, (gate,), ok.outputs)
+            _circuit(2, 0, (gate,), ok.outputs)
     # a later gate may read an earlier gate's wire, never a later one's
-    Circuit(2, 0, (ok.gates[0], Gate(GateKind.NOT, 2, None)), (3, 3, 3))
+    _circuit(2, 0, (ok.gates[0], Gate(GateKind.NOT, 2, None)), (3, 3, 3))
     with pytest.raises(ValueError):
-        Circuit(2, 0, (Gate(GateKind.NOT, 3, None), ok.gates[0]), (3, 3, 3))
+        _circuit(2, 0, (Gate(GateKind.NOT, 3, None), ok.gates[0]), (3, 3, 3))
     # revealed outputs must be existing wires
     with pytest.raises(ValueError):
-        Circuit(2, 0, ok.gates, (2, 3, 2))
+        _circuit(2, 0, ok.gates, (2, 3, 2))
+    # input positions increase within the 2k + k_theta layout
+    Circuit(2, 1, (0, 4), (), ok.gates, ok.outputs)
+    for positions in ((1, 0), (3, 3), (0, 5), (-1, 0)):
+        with pytest.raises(ValueError, match="positions"):
+            Circuit(2, 1, positions, (), ok.gates, ok.outputs)
 
 
 @dataclass(frozen=True)
@@ -252,7 +273,7 @@ def _verdict(cls, fields):
 @settings(max_examples=300, deadline=None)
 @given(_gate_lists())
 def test_one_pass_validator_matches_the_two_pass_one(fields):
-    assert _verdict(Circuit, fields) == _verdict(_TwoPassCircuit, fields)
+    assert _verdict(_circuit, fields) == _verdict(_TwoPassCircuit, fields)
 
 
 def test_build_is_deterministic():
@@ -325,14 +346,17 @@ def _build_quiet(q, kt, k):
     return params, scaled, build_mechanism_circuit(params, scaled)
 
 
-def _unreached_ands(circuit):
-    """Wires of the AND gates that no revealed output depends on."""
+def _unreached(circuit):
+    """Input and gate wires that no revealed output depends on.
+
+    The constant zero, an XOR of a wire with itself, reads no bit.
+    """
     live = set(circuit.outputs)
     driven = list(enumerate(circuit.gates, circuit.n_inputs))  # (wire, gate)
     for w, g in reversed(driven):
-        if w in live:
-            live.update((g.in_a, g.in_b))
-    return [w for w, g in driven if g.kind is GateKind.AND and w not in live]
+        if w in live and not (g.kind is GateKind.XOR and g.in_a == g.in_b):
+            live.update(src for src in (g.in_a, g.in_b) if src is not None)
+    return [w for w in range(circuit.n_inputs + len(circuit.gates)) if w not in live]
 
 
 # Dyadic, non-dyadic, the q = 1/2 (p_bar = 1) edge, and q = 1/40, whose
@@ -370,23 +394,22 @@ def test_folded_circuit_matches_fixed_point(q, kt, k, seed):
         got = [_lane(words, [w], v) for w in (alpha, sigma)]
         r_f = _lane(words, r_f_wires, v)
         assert (r_f, *got) == (want.r_f, want.alpha, want.sigma)
-    assert _unreached_ands(circuit) == []
+    assert _unreached(circuit) == []
 
 
 def test_no_gate_reads_a_constant_wire():
     for q, kt, k in itertools.product(QS, (1, 4, 8, 16), (1, 4, 8, 32)):
         _, _, circuit = _build_quiet(q, kt, k)
         driven = list(enumerate(circuit.gates, circuit.n_inputs))  # (wire, gate)
-        zero = next(
-            w for w, g in driven if g.kind is GateKind.XOR and g.in_a == g.in_b == 0
-        )
-        ones = [w for w, g in driven if g.kind is GateKind.NOT and g.in_a == zero]
-        assert len(ones) <= 1
-        consts = {zero, *ones}
+        # a constant no output reaches is pruned with its readers
+        zeros = [w for w, g in driven if g.kind is GateKind.XOR and g.in_a == g.in_b == 0]
+        ones = [w for w, g in driven if g.kind is GateKind.NOT and g.in_a in zeros]
+        assert len(zeros) <= 1 and len(ones) <= 1
+        consts = {*zeros, *ones}
         revealed = set(circuit.outputs)
         assert not consts & revealed
         for w, g in driven:
-            assert not (g.kind is GateKind.XOR and zero in (g.in_a, g.in_b))
+            assert not (g.kind is GateKind.XOR and {g.in_a, g.in_b} & {*zeros})
             if {g.in_a, g.in_b} & consts and w not in consts:
                 # the only other readers: a revealed output that folded to
                 # a constant, copied by a garbled AND with itself
@@ -399,12 +422,73 @@ GRID_AND_COUNTS = (83, 91, 107, 147, 155, 171)
 
 
 def test_every_and_gate_reaches_an_output():
-    profiles = [(q, kt, k) for kt, k in GRID for q in BENCH_QS]
-    profiles += itertools.product(QS, (1, 4, 8, 16), (1, 4, 8, 32))
-    for q, kt, k in profiles:
-        assert _unreached_ands(_build_quiet(q, kt, k)[2]) == [], (q, kt, k)
+    # the benchmark profiles are test_pruned_circuit_reads_only_live_bits'
+    for q, kt, k in itertools.product(QS, (1, 4, 8, 16), (1, 4, 8, 32)):
+        assert _unreached(_build_quiet(q, kt, k)[2]) == [], (q, kt, k)
     counts = tuple(_build_quiet(Fraction(1, 4), kt, k)[2].and_count for kt, k in GRID)
     assert counts == GRID_AND_COUNTS
+
+
+# bench.GRID x BENCH_QS (q = 1/2 is the p_bar = 1 edge, 1/5 and 1/3 are
+# non-dyadic), then odd report widths; at k_theta = 1 a ransom bit folds
+# to a constant, so the constant zero stays and reads wire 0
+LIVENESS_PROFILES = [(q, kt, k) for kt, k in GRID for q in BENCH_QS] + [
+    (Fraction(1, 4), 5, 8), (Fraction(1, 3), 7, 16), (Fraction(1, 2), 3, 4),
+    (Fraction(1, 4), 1, 4),
+]
+
+
+def _fields(layout_bits, k):
+    """(s0, s1, report) of one party's layout, read as one integer."""
+    mask = (1 << k) - 1
+    return layout_bits & mask, layout_bits >> k & mask, layout_bits >> 2 * k
+
+
+def test_pruned_circuit_reads_only_live_bits():
+    rng = random.Random(0x4C)
+    for q, kt, k in LIVENESS_PROFILES:
+        params, scaled, circuit = _build_quiet(q, kt, k)
+        assert _unreached(circuit) == [], (q, kt, k)
+        assert circuit.victim_inputs >= 1 and circuit.attacker_inputs >= 1
+        full = (1 << (2 * k + kt)) - 1
+        live = [
+            sum(1 << p for p in positions)
+            for positions in (circuit.victim_positions, circuit.attacker_positions)
+        ]
+        for case in range(40):
+            draws = [0, 0] if case == 0 else [rng.getrandbits(2 * k + kt) for _ in live]
+            # the same live bits under fresh draws at every dropped position
+            redrawn = [(d & m) | (rng.getrandbits(2 * k + kt) & ~m & full)
+                       for d, m in zip(draws, live)]
+            outcomes = set()
+            for victim, attacker in (draws, redrawn):
+                s0_v, s1_v, theta_v = _fields(victim, k)
+                s0_a, s1_a, theta_a = _fields(attacker, k)
+                bits = encode_inputs(circuit, theta_v, theta_a, s0_v=s0_v, s1_v=s1_v,
+                                     s0_a=s0_a, s1_a=s1_a)
+                want = outcome_fixed(params, scaled, Report(theta_v, theta_a),
+                                     s0_v ^ s0_a, s1_v ^ s1_a)
+                assert decode_outcome(circuit, eval_plain(circuit, bits)) == want
+                outcomes.add(want)
+            assert len(outcomes) == 1, (q, kt, k, draws, redrawn)
+    # settle-wide's profile: 31 of each party's 80 bits are dead
+    _, _, wide = _build_quiet(Fraction(1, 4), 16, 32)
+    kinds = [g.kind for g in wide.gates]
+    assert (wide.victim_inputs, wide.attacker_inputs) == (49, 49)
+    assert wide.victim_positions == wide.attacker_positions
+    assert wide.victim_positions == (*range(1, 32), *range(62, 80))
+    assert [kinds.count(kind) for kind in GateKind] == [333, 171, 36]
+
+
+def test_digest_binds_the_input_positions():
+    circuit = build_mechanism_circuit(PARAMS, SCALED)
+    base = circuit_digest(circuit)
+    for field in ("victim_positions", "attacker_positions"):
+        positions = getattr(circuit, field)
+        dead = min(set(range(2 * PARAMS.k + PARAMS.k_theta)) - set(positions))
+        moved = tuple(sorted({*positions[1:], dead}))
+        assert len(moved) == len(positions) and moved != positions
+        assert circuit_digest(replace(circuit, **{field: moved})) != base
 
 
 def test_and_count_monotone_in_widths():

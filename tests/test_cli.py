@@ -18,6 +18,7 @@ import pytest
 import blindbargain
 from blindbargain import bargaining, cli
 from blindbargain.bargaining import MarginalLossWarning
+from blindbargain.circuit import build_mechanism_circuit
 from blindbargain.cli import main
 from blindbargain.config import load_config
 from blindbargain.losses import LossProfile, residual_value
@@ -665,9 +666,12 @@ def test_sender_point_as_last_ot_element_exits_abort_code(capsys, tmp_path):
     assert not thread.is_alive()
     assert codes["victim"] == 2
     assert attacker.stage == "peer-abort" and attacker.detail == "ot"
-    # 24 attacker input bits at (8, 8) go two to an element: element 11 is the last
+    # the circuit reads 17 of the attacker's 24 input bits at (8, 8),
+    # q = 1/4, and they go two to an element: element 8 is the last
+    pi = config.pi
+    assert build_mechanism_circuit(pi.params(), pi.scaled).attacker_inputs == 17
     err = capsys.readouterr().err
-    assert "aborted at ot: receiver message: element 11 is A or -A" in err
+    assert "aborted at ot: receiver message: element 8 is A or -A" in err
 
 
 def test_connect_without_listener_is_transport_failure(capsys, tmp_path):

@@ -63,9 +63,9 @@ SCALED = ScaledParams.from_params(PARAMS)
 # sha256 of serialize_garbled(garble(circuit, b"pin").garbled) for the
 # profiles of test_circuit.GOLDEN_DIGESTS; pins the garbled wire bytes.
 GOLDEN_GARBLED = {
-    (Fraction(1, 4), 8, 8): "9589ba66f51b1e8d0765832dd8ce0e9224bf7942fd4c09fc1c265c66038baac3",
-    (Fraction(1, 2), 8, 8): "663d3c68f57ff93dea62b61d889df95da239a9a209c92d9893084e3f21e853fa",
-    (Fraction(1, 4), 4, 4): "5975311bf2d4ee2bbd7555a31df818dd0a88a885e874dc516253160a69064105",
+    (Fraction(1, 4), 8, 8): "5740fc94e10db4bb5c561ee44698fdbe16f119fa4b990893b8b60afa1599b6ed",
+    (Fraction(1, 2), 8, 8): "ab33f51b031352b685a8c96d787f8419b5f5b08b6aa44ee7307e582ae858c483",
+    (Fraction(1, 4), 4, 4): "5359a85d49ccfd1412a04eea2e66fee98c3f766d5b309fec955ef739b0bc426f",
 }
 # The same for a non-dyadic profile, and one sha256 over the blobs of
 # every bench.GRID x BENCH_QS profile, in that order: the 36 profiles
@@ -73,32 +73,37 @@ GOLDEN_GARBLED = {
 BENCH_QS = (Fraction(1, 8), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3),
             Fraction(3, 8), Fraction(1, 2))
 GOLDEN_GARBLED_NON_DYADIC = {
-    (Fraction(1, 3), 16, 32): "9f5e350d1304a100459a07a1a2c4f43c26822d4bc6380e417d87215bc3a517b2",
+    (Fraction(1, 3), 16, 32): "a30b433c070eb69b2e76967e198e5362aff6c647abd48d30fc47c921c20fd852",
 }
-GOLDEN_GRID_GARBLED = "38cea0bc57c61de5671039c371998628d42824b00e933ac2eebed4c425f40651"
+GOLDEN_GRID_GARBLED = "188ffb0f6549d25a7393d772d94ba92d398e7cad04696044fa52961cb82e884a"
 # sha256 of the seeded OtSender.respond output in test_ot_golden_bytes.
 GOLDEN_OT = "1d8c0d6322243298d60573b559c72f8bf2766f39a9682b281bdbfbc9e8216772"
 
 
+def _circuit(n_victim, n_attacker, gates, outputs):
+    """A circuit over the first n_victim and n_attacker bits of k-bit layouts."""
+    return Circuit(
+        max(n_victim, n_attacker), 0, tuple(range(n_victim)), tuple(range(n_attacker)),
+        gates, outputs,
+    )
+
+
 def _tiny_circuit(kind):
-    return Circuit(2, 0, (Gate(kind, 0, 1),), (2, 2, 2))
+    return _circuit(2, 0, (Gate(kind, 0, 1),), (2, 2, 2))
 
 
 def _random_small_circuit(rng, n_inputs, n_gates):
-    bld = CircuitBuilder()
-    wires = list(bld.new_inputs(n_inputs))
+    # every input is kept, read or not: the sweep feeds them all
+    wires = list(range(n_inputs))
+    gates = []
     for _ in range(n_gates):
         kind = rng.choice((GateKind.XOR, GateKind.AND, GateKind.NOT))
         a = rng.choice(wires)
-        if kind is GateKind.NOT:
-            wires.append(bld.not_(a))
-        elif kind is GateKind.XOR:
-            wires.append(bld.xor(a, rng.choice(wires)))
-        else:
-            wires.append(bld.and_(a, rng.choice(wires)))
+        gates.append(Gate(kind, a, None if kind is GateKind.NOT else rng.choice(wires)))
+        wires.append(len(wires))
     per = [n_inputs // 6 + (1 if i < n_inputs % 6 else 0) for i in range(6)]
     out = wires[-1]
-    return Circuit(sum(per[:3]), sum(per[3:]), tuple(bld.gates), (out, out, out))
+    return _circuit(sum(per[:3]), sum(per[3:]), tuple(gates), (out, out, out))
 
 
 def test_single_and_gate_truth_table():
@@ -133,7 +138,8 @@ def test_identity_wiring_passes_labels_through():
     w = bld.new_inputs(2)
     zero = bld.xor(w[1], w[1])
     out = bld.xor(w[0], zero)
-    circuit = Circuit(2, 0, tuple(bld.gates), (out, out, out))
+    circuit = bld.finish(1, 0, (out, out, out))
+    assert circuit.victim_positions == (0, 1)
     material = garble(circuit, b"identity")
     for bit in (0, 1):
         labels = select_labels(material.input_labels, [bit, 0])

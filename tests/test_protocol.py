@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blindbargain.circuit import GateKind, build_mechanism_circuit
-from blindbargain.garbling import WireLabel, _seed_label, garble
+from blindbargain.garbling import LABEL_BYTES, WireLabel, _seed_label, garble
 from blindbargain.mechanism import (
     MechanismParams,
     Report,
@@ -58,8 +58,16 @@ PI = PiProfile(Fraction(1, 4), Fraction(2, 3), 8, 8, Fraction(3))
 # session (test_seeded_sessions_golden_transcripts): every message byte,
 # the OT messages included.
 GOLDEN_TRANSCRIPTS = {
-    (Fraction(1, 4), 16, 32): "5cd8fe3df1c88a0ff8dd6fd86a4ed894b5fe129ae10a499c27fef5ec486376c3",
-    (Fraction(1, 3), 16, 16): "a63c5844e38fa5d8ee1694d628929cd6869c252f19e5cdbcc88c2f7fb608482e",
+    (Fraction(1, 4), 16, 32): "32e815d678d3289c6b2985a59d74f9388568c4217e4561c4802b8b28e2930e49",
+    (Fraction(1, 3), 16, 16): "db0f7cb00db21032d2c8d37b1ece94e2557c5dfb587b6e579075e0f04ae760e9",
+}
+# What those sessions settle, (r_f, alpha, sigma), and the victim's and
+# the attacker's own words.  Both sides draw full words whichever bits
+# the circuit reads, so these do not depend on the circuit's input
+# positions, which the transcripts do.
+GOLDEN_SETTLEMENTS = {
+    (Fraction(1, 4), 16, 32): ((0, 1, 1), (1169883599, 3430105042), (649742779, 2010295737)),
+    (Fraction(1, 3), 16, 16): ((16383, 1, 0), (17851, 52339), (9914, 30674)),
 }
 
 
@@ -97,6 +105,9 @@ def test_seeded_sessions_golden_transcripts():
             pi = PiProfile(q, 1 / (2 * (1 - q)), k, kt, 0)
             theta_v, theta_a = (1 << kt) * 3 // 4, (1 << kt) // 5
             v, a = loopback_run(pi, theta_v, theta_a, b"v-pin", b"a-pin")
+        outcome = (int(v.outcome.r_f), v.outcome.alpha, v.outcome.sigma)
+        assert (outcome, v.own_words, a.own_words) == GOLDEN_SETTLEMENTS[q, kt, k]
+        assert a.outcome == v.outcome
         digests = v.transcript.payload_digests()
         assert a.transcript.payload_digests() == digests
         assert hashlib.sha256("\n".join(digests).encode()).hexdigest() == expected
@@ -452,18 +463,30 @@ def test_transcript_shape_independent_of_victim_report():
 
 
 def test_ot_message_sizes_follow_the_bit_pairs():
-    # 33 bytes per pair of attacker bits and four 32-byte ciphertexts per
-    # pair, for every report; k_theta = 5 leaves a half-full last pair
+    # one label per input bit the circuit reads of the victim's; 33 bytes
+    # per pair of the attacker's and four 32-byte ciphertexts per pair,
+    # for every report.  (16, 32) at q = 1/4 reads 49 bits of each party,
+    # which leaves a half-full last pair
     odd = PiProfile(Fraction(1, 4), Fraction(2, 3), 8, 5, 0)
-    for pi, reports in ((PI, [(200, 0), (0, 255)]), (odd, [(31, 0), (0, 31), (20, 9)])):
-        transfers = -(-(pi.k_theta + 2 * pi.k) // 2)
+    wide = PiProfile(Fraction(1, 4), Fraction(2, 3), 32, 16, 0)
+    for pi, reports in (
+        (PI, [(200, 0), (0, 255)]),
+        (odd, [(31, 0), (0, 31), (20, 9)]),
+        (wide, [(60000, 0), (0, 65535), (40000, 9000)]),
+    ):
+        circuit = build_mechanism_circuit(pi.params(), pi.scaled)
+        transfers = -(-circuit.attacker_inputs // 2)
         for theta_v, theta_a in reports:
             v, a = loopback_run(pi, theta_v, theta_a, b"v-odd", b"a-odd")
             assert v.outcome == a.outcome == oracle(pi, v, a)
             sizes = {t: n for _, t, n in v.transcript.shape()}
+            assert sizes["GARBLER_INPUT_LABELS"] == LABEL_BYTES * circuit.victim_inputs
             assert sizes["OT_MSG2"] == ELEMENT_BYTES * transfers
             assert sizes["OT_MSG3"] == BRANCHES * 32 * transfers
-    assert (odd.k_theta + 2 * odd.k) % 2 == 1
+    assert (circuit.victim_inputs, circuit.attacker_inputs) == (49, 49)
+    assert {t: sizes[t] for t in ("CIRCUIT", "GARBLER_INPUT_LABELS", "OT_MSG2", "OT_MSG3")} == {
+        "CIRCUIT": 12_204, "GARBLER_INPUT_LABELS": 784, "OT_MSG2": 825, "OT_MSG3": 3_200,
+    }
 
 
 def _send_frame(sock, msg_type, payload=b""):
