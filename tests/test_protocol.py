@@ -33,7 +33,10 @@ from blindbargain.ot import BRANCHES, ELEMENT_BYTES, OtReceiver
 from blindbargain.protocol import (
     MAX_TIMEOUT,
     MSG_ABORT,
+    MSG_CIRCUIT,
+    MSG_GARBLER_INPUT_LABELS,
     MSG_HELLO,
+    MSG_OUTPUT_LABELS,
     MSG_PI_ACK,
     MSG_RESULT_ACK,
     AttackerSession,
@@ -407,6 +410,52 @@ def test_result_ack_cross_check():
     )
     assert isinstance(attacker, NegotiationAbort)
     assert attacker.stage == "result"
+
+
+def _rewriting(session_cls, msg_type, rewrite):
+    """``session_cls`` with the payload of every ``msg_type`` it sends rewritten."""
+
+    class Rewriting(session_cls):
+        def __init__(self, config, channel, randomness):
+            super().__init__(config, channel, randomness)
+            send = channel.send
+
+            def send_rewritten(sent_type, payload=b""):
+                send(sent_type, rewrite(payload) if sent_type == msg_type else payload)
+
+            channel.send = send_rewritten
+
+    return Rewriting
+
+
+# the side whose message is malformed, what it sends instead, the stage and
+# detail its honest peer aborts with, and how the malformed side may end:
+# the victim's sends after CIRCUIT are pipelined, so they can meet the
+# reset of the closed socket before the ABORT frame is read, and
+# RESULT_ACK is the last message, so the victim has settled by then
+@pytest.mark.parametrize(
+    "side,msg_type,rewrite,stage,detail,ends",
+    [
+        ("victim", MSG_GARBLER_INPUT_LABELS, lambda p: p[:-LABEL_BYTES],
+         "victim-labels", "expected 17 labels", (NegotiationAbort,)),
+        ("victim", MSG_CIRCUIT, lambda p: b"junk", "circuit-check",
+         "garbled blob too short", (NegotiationAbort, TransportFailure)),
+        ("attacker", MSG_OUTPUT_LABELS, lambda p: p[:-LABEL_BYTES],
+         "output-verify", "expected 11 labels", (NegotiationAbort,)),
+        ("victim", MSG_RESULT_ACK, lambda p: p[:3], "result", "malformed result payload",
+         (NegotiationResult,)),
+    ],
+)
+def test_malformed_message_aborts_at_its_step(side, msg_type, rewrite, stage, detail, ends):
+    base = VictimSession if side == "victim" else AttackerSession
+    hooks = {f"{side}_session_cls": _rewriting(base, msg_type, rewrite)}
+    victim, attacker = loopback_exchange(PI, 200, 37, b"v", b"a", **hooks)
+    checker, sender = (attacker, victim) if side == "victim" else (victim, attacker)
+    assert isinstance(checker, NegotiationAbort)
+    assert checker.stage == stage and detail in checker.detail
+    assert isinstance(sender, ends)
+    if isinstance(sender, NegotiationAbort):
+        assert sender.stage == "peer-abort" and sender.detail == stage
 
 
 def test_profile_mismatch_aborts_before_any_secrets_move():
