@@ -75,7 +75,7 @@ class Gate(NamedTuple):
 
 # the members as plain names: an Enum attribute lookup costs as much as
 # the gate work it selects in the loops below
-_KINDS = _XOR, _AND, _NOT = tuple(GateKind)
+_XOR, _AND, _NOT = GateKind
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,8 @@ class Circuit:
         n_inputs = self.n_inputs
         # gate i drives wire n_inputs + i, so it reads only wires below that
         for bound, (kind, in_a, in_b) in enumerate(self.gates, n_inputs):
-            if kind not in _KINDS:
+            # a member, not an int equal to one: the evaluators dispatch on identity
+            if type(kind) is not GateKind:
                 raise ValueError(f"unknown gate kind {kind!r}")
             if (kind is not _NOT) != (in_b is not None):
                 raise ValueError("gate arity does not match its kind")

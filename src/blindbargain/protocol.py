@@ -17,8 +17,10 @@ checks the circuit, evaluates, and returns the output labels:
      against its commitments, decodes, and acks the plaintext result,
      which the attacker cross-checks against its own extraction.
 
-Every message is length-prefixed; ABORT is legal in any state and
-carries the stage tag of the failed check.  Transcripts record only
+Each step names its abort stage once, in its role's ``run``; a failed
+check inside a step, or a stall or wrong message there, aborts at that
+stage.  Every message is length-prefixed; ABORT is legal in any state
+and carries the stage tag of the failed check.  Transcripts record only
 direction, type, length, and a payload digest, never the remote party's
 plaintext report.  Check failures raise NegotiationAbort, transport
 problems raise TransportFailure; both carry the transcript so the CLI
@@ -34,6 +36,7 @@ import socket
 import struct
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,7 +49,6 @@ from .circuit import (
 )
 from .garbling import (
     LABEL_BYTES,
-    LabelDecodeError,
     WireLabel,
     decode_and_prove,
     deserialize_garbled,
@@ -57,7 +59,7 @@ from .garbling import (
 )
 from .losses import MoneyLike, as_money
 from .mechanism import MechanismOutcome, MechanismParams, ScaledParams
-from .ot import OtProtocolError, OtReceiver, OtSender
+from .ot import OtReceiver, OtSender
 
 MSG_HELLO = 1
 MSG_PI_ACK = 2
@@ -276,11 +278,31 @@ class NegotiationResult:
 
 
 class _Channel:
-    """Framed messages over one socket, recording a transcript."""
+    """Framed messages over one socket, recording a transcript.
 
-    def __init__(self, sock: socket.socket, transcript: SessionTranscript):
+    ``step`` names the protocol step under way: ``recv`` tags its aborts
+    with that stage, and a failed check inside the step aborts there.
+    """
+
+    def __init__(self, sock: socket.socket, transcript: SessionTranscript, timeout: float):
+        sock.settimeout(timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
         self.transcript = transcript
+        self.stage: str | None = None
+
+    @contextmanager
+    def step(self, stage: str):
+        """Run one protocol step; a ValueError raised in it aborts at ``stage``.
+
+        Every check failure of the lower layers (``OtProtocolError``,
+        ``LabelDecodeError``, ``DigestMismatch``) is a ValueError.
+        """
+        self.stage = stage
+        try:
+            yield
+        except ValueError as exc:
+            self.abort(stage, str(exc))
 
     def send(self, msg_type: int, payload: bytes = b"") -> None:
         frame = struct.pack("<IB", len(payload) + 1, msg_type) + payload
@@ -308,17 +330,17 @@ class _Channel:
             buf.extend(chunk)
         return bytes(buf)
 
-    def recv(self, msg_type: int, stage: str) -> bytes:
+    def recv(self, msg_type: int) -> bytes:
         """Read one frame's payload; only ``msg_type`` (and ABORT) is legal.
 
         The socket's timeout is the step's budget: the whole frame must
         arrive before one monotonic deadline, so a peer trickling bytes
         cannot hold the step open.  Missing it is a protocol-level abort
-        with a stage tag, not a transport failure: the channel is still
-        up, the peer stalled.
+        at ``timeout:<stage>``, not a transport failure: the channel is
+        still up, the peer stalled.
         """
-        step = self.sock.gettimeout()
-        deadline = time.monotonic() + step
+        budget = self.sock.gettimeout()
+        deadline = time.monotonic() + budget
         try:
             (length,) = struct.unpack("<I", self._read_exact(4, deadline))
             if not 1 <= length <= MAX_FRAME:
@@ -327,9 +349,9 @@ class _Channel:
                 )
             body = self._read_exact(length, deadline)
         except _StepTimeout:
-            self.sock.settimeout(step)
-            self.abort(f"timeout:{stage}")
-        self.sock.settimeout(step)
+            self.sock.settimeout(budget)
+            self.abort(f"timeout:{self.stage}")
+        self.sock.settimeout(budget)
         received, payload = body[0], body[1:]
         self.transcript.append("received", received, payload)
         if received == MSG_ABORT:
@@ -337,7 +359,7 @@ class _Channel:
                 "peer-abort", payload.decode("utf-8", "replace"), self.transcript
             )
         if received != msg_type:
-            self.abort(stage, f"unexpected message type {received}")
+            self.abort(self.stage, f"unexpected message type {received}")
         return payload
 
     def abort(self, stage: str, detail: str = "") -> None:
@@ -348,37 +370,21 @@ class _Channel:
         raise NegotiationAbort(stage, detail, self.transcript)
 
 
-def _draw_inputs(
-    config: NegotiationConfig,
-    randomness: SessionRandomness,
-    circuit: Circuit,
-    positions: tuple[int, ...],
-) -> tuple[int, int, list[int]]:
-    """Draw one party's two random words; returns them with the input
-    bits the circuit reads at ``positions``.
-
-    Both words are drawn in full whatever the circuit reads, so the
-    draws, and the settled outcome, do not depend on the pruning.
-    """
-    k = config.pi.k
-    s0, s1 = randomness.word(k), randomness.word(k)
-    return s0, s1, party_input_bits(circuit, positions, s0, s1, config.theta_hat)
-
-
-def _parse_labels(payload: bytes, count: int, channel: _Channel, stage: str):
+def _parse_labels(payload: bytes, count: int) -> list[WireLabel]:
     if len(payload) != count * LABEL_BYTES:
-        channel.abort(stage, f"expected {count} labels")
+        raise ValueError(f"expected {count} labels")
     return [
         WireLabel(payload[i * LABEL_BYTES : (i + 1) * LABEL_BYTES])
         for i in range(count)
     ]
 
 
-class VictimSession:
-    """Garbler side: proposes the profile, serves labels, verifies output.
+class _Session:
+    """One party's side of a session over an open channel.
 
     The step methods exist so tests can subclass a malicious variant;
-    the honest flow is ``run``.
+    the honest flow is ``run``, which wraps each step in the channel's
+    ``step`` so overrides abort at the same stage.
     """
 
     def __init__(
@@ -390,24 +396,41 @@ class VictimSession:
         self.config = config
         self.channel = channel
         self.randomness = randomness
-        self.pi = config.pi
-        self.params = self.pi.params()
-        self.scaled = self.pi.scaled
+        self.params = config.pi.params()
+        self.scaled = config.pi.scaled
+
+    def _draw_inputs(self, circuit: Circuit, positions: tuple[int, ...]):
+        """Draw this party's two random words; returns them with the input
+        bits the circuit reads at ``positions``.
+
+        Both words are drawn in full whatever the circuit reads, so the
+        draws, and the settled outcome, do not depend on the pruning.
+        """
+        k = self.config.pi.k
+        s0, s1 = self.randomness.word(k), self.randomness.word(k)
+        return s0, s1, party_input_bits(circuit, positions, s0, s1, self.config.theta_hat)
+
+
+class VictimSession(_Session):
+    """Garbler side: proposes the profile, serves labels, verifies output."""
 
     def run(self) -> NegotiationResult:
-        self._agree_profile()
+        with self.channel.step("pi-agreement"):
+            self._agree_profile()
         circuit, material = self._build_and_garble()
         self.channel.send(MSG_CIRCUIT, serialize_garbled(material.garbled))
         s0, s1 = self._send_own_labels(circuit, material)
-        self._serve_ot(circuit, material)
-        outcome = self._receive_output(circuit, material)
+        with self.channel.step("ot"):
+            self._serve_ot(circuit, material)
+        with self.channel.step("output-verify"):
+            outcome = self._receive_output(circuit, material)
         return NegotiationResult(
             outcome, self.channel.transcript, (s0, s1), self.config.theta_hat
         )
 
     def _agree_profile(self) -> None:
-        self.channel.send(MSG_HELLO, self.pi.to_bytes())
-        self.channel.recv(MSG_PI_ACK, "pi-agreement")
+        self.channel.send(MSG_HELLO, self.config.pi.to_bytes())
+        self.channel.recv(MSG_PI_ACK)
 
     def _build_and_garble(self):
         circuit = build_mechanism_circuit(self.params, self.scaled)
@@ -415,9 +438,7 @@ class VictimSession:
         return circuit, material
 
     def _send_own_labels(self, circuit: Circuit, material):
-        s0, s1, bits = _draw_inputs(
-            self.config, self.randomness, circuit, circuit.victim_positions
-        )
+        s0, s1, bits = self._draw_inputs(circuit, circuit.victim_positions)
         labels = select_labels(material.input_labels[: circuit.victim_inputs], bits)
         self.channel.send(
             MSG_GARBLER_INPUT_LABELS, b"".join(l.bits for l in labels)
@@ -429,23 +450,13 @@ class VictimSession:
             material.input_labels[circuit.victim_inputs :], self.randomness.word
         )
         self.channel.send(MSG_OT_MSG1, sender.public_message())
-        blinded = self.channel.recv(MSG_OT_MSG2, "ot")
-        try:
-            ciphertexts = sender.respond(blinded)
-        except OtProtocolError as exc:
-            self.channel.abort("ot", str(exc))
-        self.channel.send(MSG_OT_MSG3, ciphertexts)
+        blinded = self.channel.recv(MSG_OT_MSG2)
+        self.channel.send(MSG_OT_MSG3, sender.respond(blinded))
 
     def _receive_output(self, circuit: Circuit, material) -> MechanismOutcome:
-        payload = self.channel.recv(MSG_OUTPUT_LABELS, "output-verify")
-        labels = _parse_labels(
-            payload, len(material.garbled.output_decode), self.channel, "output-verify"
-        )
-        try:
-            bits = decode_and_prove(material.garbled, labels)
-        except LabelDecodeError as exc:
-            self.channel.abort("output-verify", str(exc))
-        outcome = decode_outcome(circuit, bits)
+        payload = self.channel.recv(MSG_OUTPUT_LABELS)
+        labels = _parse_labels(payload, len(material.garbled.output_decode))
+        outcome = decode_outcome(circuit, decode_and_prove(material.garbled, labels))
         self.channel.send(
             MSG_RESULT_ACK,
             _RESULT_STRUCT.pack(int(outcome.r_f), outcome.alpha, outcome.sigma),
@@ -453,28 +464,24 @@ class VictimSession:
         return outcome
 
 
-class AttackerSession:
+class AttackerSession(_Session):
     """Evaluator side: checks the circuit against the agreed profile,
     fetches its labels by OT, evaluates, and returns the output labels."""
 
-    def __init__(
-        self,
-        config: NegotiationConfig,
-        channel: _Channel,
-        randomness: SessionRandomness,
-    ):
-        self.config = config
-        self.channel = channel
-        self.randomness = randomness
-
     def run(self) -> NegotiationResult:
-        self._agree_profile()
-        gc, circuit = self._receive_and_check_circuit()
-        victim_labels = self._receive_victim_labels(circuit)
-        own_labels, s0, s1 = self._run_ot(circuit)
-        outcome, proof = self._evaluate(gc, circuit, victim_labels + own_labels)
+        with self.channel.step("pi-agreement"):
+            self._agree_profile()
+        with self.channel.step("circuit-check"):
+            gc, circuit = self._receive_and_check_circuit()
+        with self.channel.step("victim-labels"):
+            victim_labels = self._receive_victim_labels(circuit)
+        with self.channel.step("ot"):
+            own_labels, s0, s1 = self._run_ot(circuit)
+        with self.channel.step("extract"):
+            outcome, proof = self._evaluate(gc, circuit, victim_labels + own_labels)
         self.channel.send(MSG_OUTPUT_LABELS, b"".join(l.bits for l in proof))
-        self._check_result_ack(outcome)
+        with self.channel.step("result"):
+            self._check_result_ack(outcome)
         return NegotiationResult(
             outcome, self.channel.transcript, (s0, s1), self.config.theta_hat
         )
@@ -482,74 +489,45 @@ class AttackerSession:
     def _agree_profile(self) -> None:
         # equal profiles have equal canonical bytes, so the proposal is
         # compared, never parsed
-        payload = self.channel.recv(MSG_HELLO, "pi-agreement")
-        if payload != self.config.pi.to_bytes():
-            self.channel.abort("pi-agreement", "profile does not match configuration")
+        if self.channel.recv(MSG_HELLO) != self.config.pi.to_bytes():
+            raise ValueError("profile does not match configuration")
         self.channel.send(MSG_PI_ACK)
 
     def _receive_and_check_circuit(self):
-        payload = self.channel.recv(MSG_CIRCUIT, "circuit-check")
-        try:
-            gc = deserialize_garbled(payload)
-        except ValueError as exc:
-            self.channel.abort("circuit-check", str(exc))
+        gc = deserialize_garbled(self.channel.recv(MSG_CIRCUIT))
         # rebuild from the agreed profile; the digest pins the garbled
         # tables to exactly that circuit
-        pi = self.config.pi
-        circuit = build_mechanism_circuit(pi.params(), pi.scaled)
+        circuit = build_mechanism_circuit(self.params, self.scaled)
         if circuit_digest(circuit) != gc.base_circuit_digest:
-            self.channel.abort("circuit-check", "digest does not match the profile")
+            raise ValueError("digest does not match the profile")
         if len(gc.tables) != circuit.and_count:
-            self.channel.abort("circuit-check", "table count does not match")
+            raise ValueError("table count does not match")
         if len(gc.output_decode) != len(circuit.outputs):
-            self.channel.abort("circuit-check", "output commitment count mismatch")
+            raise ValueError("output commitment count mismatch")
         return gc, circuit
 
     def _receive_victim_labels(self, circuit: Circuit):
-        payload = self.channel.recv(MSG_GARBLER_INPUT_LABELS, "victim-labels")
-        return _parse_labels(
-            payload, circuit.victim_inputs, self.channel, "victim-labels"
-        )
+        payload = self.channel.recv(MSG_GARBLER_INPUT_LABELS)
+        return _parse_labels(payload, circuit.victim_inputs)
 
     def _run_ot(self, circuit: Circuit):
-        s0, s1, bits = _draw_inputs(
-            self.config, self.randomness, circuit, circuit.attacker_positions
-        )
+        s0, s1, bits = self._draw_inputs(circuit, circuit.attacker_positions)
         receiver = OtReceiver(bits, self.randomness.word)
-        sender_public = self.channel.recv(MSG_OT_MSG1, "ot")
-        try:
-            blinded = receiver.blind(sender_public)
-        except OtProtocolError as exc:
-            self.channel.abort("ot", str(exc))
+        blinded = receiver.blind(self.channel.recv(MSG_OT_MSG1))
         self.channel.send(MSG_OT_MSG2, blinded)
-        ciphertexts = self.channel.recv(MSG_OT_MSG3, "ot")
-        try:
-            labels = receiver.unwrap(ciphertexts)
-        except OtProtocolError as exc:
-            self.channel.abort("ot", str(exc))
-        return labels, s0, s1
+        return receiver.unwrap(self.channel.recv(MSG_OT_MSG3)), s0, s1
 
     def _evaluate(self, gc, circuit: Circuit, labels):
-        try:
-            output_labels = evaluate(gc, circuit, labels)
-            outcome = decode_outcome(circuit, decode_and_prove(gc, output_labels))
-        except ValueError as exc:  # LabelDecodeError included
-            self.channel.abort("extract", str(exc))
+        output_labels = evaluate(gc, circuit, labels)
+        outcome = decode_outcome(circuit, decode_and_prove(gc, output_labels))
         return outcome, output_labels
 
     def _check_result_ack(self, outcome: MechanismOutcome) -> None:
-        payload = self.channel.recv(MSG_RESULT_ACK, "result")
+        payload = self.channel.recv(MSG_RESULT_ACK)
         if len(payload) != _RESULT_STRUCT.size:
-            self.channel.abort("result", "malformed result payload")
-        r_f, alpha, sigma = _RESULT_STRUCT.unpack(payload)
-        if (r_f, alpha, sigma) != (int(outcome.r_f), outcome.alpha, outcome.sigma):
-            self.channel.abort("result", "peer decoded a different outcome")
-
-
-def _configured_socket(sock: socket.socket, timeout: float) -> socket.socket:
-    sock.settimeout(timeout)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return sock
+            raise ValueError("malformed result payload")
+        if _RESULT_STRUCT.unpack(payload) != (int(outcome.r_f), outcome.alpha, outcome.sigma):
+            raise ValueError("peer decoded a different outcome")
 
 
 def run_victim(
@@ -581,7 +559,7 @@ def run_victim(
         except OSError as exc:
             raise TransportFailure(f"accept failed: {exc}", transcript) from exc
         with conn:
-            channel = _Channel(_configured_socket(conn, config.timeout), transcript)
+            channel = _Channel(conn, transcript, config.timeout)
             session = session_cls(config, channel, SessionRandomness(seed))
             return session.run()
     finally:
@@ -601,7 +579,7 @@ def run_attacker(
     except OSError as exc:
         raise TransportFailure(f"cannot connect: {exc}", transcript) from exc
     with sock:
-        channel = _Channel(_configured_socket(sock, config.timeout), transcript)
+        channel = _Channel(sock, transcript, config.timeout)
         session = session_cls(config, channel, SessionRandomness(seed))
         return session.run()
 

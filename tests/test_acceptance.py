@@ -11,7 +11,6 @@ import random
 import struct
 import time
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -50,8 +49,6 @@ from blindbargain.protocol import (
     NegotiationAbort,
     PiProfile,
     SessionRandomness,
-    VictimSession,
-    AttackerSession,
     loopback_exchange,
     loopback_run,
 )
@@ -63,6 +60,7 @@ from blindbargain.stage_game import (
     payoffs,
     spne,
 )
+from test_protocol import ForgedOutputAttacker, TamperedTableVictim, WrongCircuitVictim
 
 
 def _random_profile(rng: random.Random, max_blocks: int = 21) -> LossProfile:
@@ -332,32 +330,6 @@ def test_criterion_08_circuit_matches_fixed_point_oracle():
     )
 
 
-class _TamperedTableVictim(VictimSession):
-    def _build_and_garble(self):
-        circuit, material = super()._build_and_garble()
-        tables = list(material.garbled.tables)
-        tables[5] = tuple(bytes([row[0] ^ 1]) + row[1:] for row in tables[5])
-        return circuit, replace(
-            material, garbled=replace(material.garbled, tables=tuple(tables))
-        )
-
-
-class _WrongCircuitVictim(VictimSession):
-    def _build_and_garble(self):
-        bad = replace(self.scaled, q_scale=self.scaled.q_scale + 1)
-        circuit = build_mechanism_circuit(self.params, bad)
-        return circuit, garble(circuit, self.randomness.seed_bytes())
-
-
-class _ForgedOutputAttacker(AttackerSession):
-    def _evaluate(self, gc, circuit, labels):
-        outcome, proof = super()._evaluate(gc, circuit, labels)
-        from blindbargain.garbling import WireLabel
-
-        forged = WireLabel(bytes([proof[0].bits[0] ^ 0x80]) + proof[0].bits[1:])
-        return outcome, [forged] + list(proof[1:])
-
-
 def test_criterion_09_protocol_end_to_end():
     """500 seeded loopback settlements match the oracle; tampering aborts."""
     pi = PiProfile(Fraction(1, 4), Fraction(2, 3), 8, 8, 0)
@@ -380,15 +352,15 @@ def test_criterion_09_protocol_end_to_end():
         assert victim.outcome == want, (run, theta_v, theta_a)
 
     _, attacker = loopback_exchange(
-        pi, 200, 37, b"v", b"a", victim_session_cls=_TamperedTableVictim
+        pi, 200, 37, b"v", b"a", victim_session_cls=TamperedTableVictim
     )
     assert isinstance(attacker, NegotiationAbort) and attacker.stage == "extract"
     _, attacker = loopback_exchange(
-        pi, 200, 37, b"v", b"a", victim_session_cls=_WrongCircuitVictim
+        pi, 200, 37, b"v", b"a", victim_session_cls=WrongCircuitVictim
     )
     assert isinstance(attacker, NegotiationAbort) and attacker.stage == "circuit-check"
     victim, _ = loopback_exchange(
-        pi, 200, 37, b"v", b"a", attacker_session_cls=_ForgedOutputAttacker
+        pi, 200, 37, b"v", b"a", attacker_session_cls=ForgedOutputAttacker
     )
     assert isinstance(victim, NegotiationAbort) and victim.stage == "output-verify"
     print(

@@ -179,6 +179,8 @@ def test_circuit_structural_validation():
         Gate(GateKind.NOT, 0, 1),  # NOT with a second input
         Gate(GateKind.XOR, 0, None),  # XOR without one
         Gate(7, 0, 1),  # unknown kind
+        Gate(0, 0, 1),  # plain ints equal to XOR and AND, which the
+        Gate(1, 0, 1),  # evaluators, dispatching on identity, do not know
     ]
     for gate in bad_gates:
         with pytest.raises(ValueError):
@@ -199,7 +201,11 @@ def test_circuit_structural_validation():
 
 @dataclass(frozen=True)
 class _TwoPassCircuit:
-    """The Circuit validator before its one-pass rewrite, verbatim: the oracle."""
+    """The Circuit validator before its one-pass rewrite: the oracle.
+
+    Verbatim but for the kind check, which, like the one-pass one,
+    refuses a plain int equal to a member.
+    """
 
     victim_inputs: int
     attacker_inputs: int
@@ -208,7 +214,7 @@ class _TwoPassCircuit:
 
     def __post_init__(self) -> None:
         for position, gate in enumerate(self.gates):
-            if gate.kind not in (GateKind.XOR, GateKind.AND, GateKind.NOT):
+            if type(gate.kind) is not GateKind:
                 raise ValueError(f"unknown gate kind {gate.kind!r}")
             needs_b = gate.kind is not GateKind.NOT
             if needs_b != (gate.in_b is not None):

@@ -1,6 +1,7 @@
 """End-user command surface: output formats and exit codes."""
 
 import argparse
+import ast
 import os
 import random
 import socket
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import blindbargain
-from blindbargain import bargaining, cli
+from blindbargain import bargaining, cli, protocol
 from blindbargain.bargaining import MarginalLossWarning
 from blindbargain.circuit import build_mechanism_circuit
 from blindbargain.cli import main
@@ -122,6 +123,29 @@ def test_readme_offers_example_prints_what_it_quotes():
     assert proc.returncode == 0
     assert proc.stdout == "".join(quoted[:split])
     assert proc.stderr == "".join(quoted[split + 1 :])
+
+
+def _step_stages(source):
+    """The stage literals a module passes to ``step(...)`` calls."""
+    return {
+        node.args[0].value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "step"
+    }
+
+
+def test_readme_abort_table_lists_exactly_the_protocol_stages():
+    # one row per stage a step of protocol.py names, plus the two the
+    # channel raises itself
+    source = Path(protocol.__file__).read_text(encoding="utf-8")
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    header = "\n| Stage | Raised by | Check that fails |\n"
+    table = readme.split(header, 1)[1].split("\n\n", 1)[0]
+    # the first line is the header's separator row
+    rows = [line.split("|")[1].strip().strip("`") for line in table.splitlines()[1:]]
+    assert sorted(rows) == sorted(_step_stages(source) | {"timeout:<stage>", "peer-abort"})
 
 
 def test_marginal_loss_warning_leaves_no_registry_entries(capsys):
@@ -631,11 +655,11 @@ class _MinusALastAttacker(AttackerSession):
 
     def _run_ot(self, circuit):
         receiver = OtReceiver([0] * circuit.attacker_inputs, self.randomness.word)
-        sender_public = self.channel.recv(MSG_OT_MSG1, "ot")
+        sender_public = self.channel.recv(MSG_OT_MSG1)
         blinded = receiver.blind(sender_public)
         minus_a = bytes((sender_public[0] ^ 1,)) + sender_public[1:]
         self.channel.send(MSG_OT_MSG2, blinded[:-ELEMENT_BYTES] + minus_a)
-        self.channel.recv(MSG_OT_MSG3, "ot")
+        self.channel.recv(MSG_OT_MSG3)
         raise AssertionError("victim answered B = -A")
 
 

@@ -341,10 +341,10 @@ class GarbageOtAttacker(AttackerSession):
     """Sends all-zero elements of the right length instead of blinded choices."""
 
     def _run_ot(self, circuit):
-        self.channel.recv(5, "ot")
+        self.channel.recv(5)
         # the right length, so the prefix check fires and not the length check
         self.channel.send(6, b"\x00" * (ELEMENT_BYTES * _transfers(circuit)))
-        self.channel.recv(7, "ot")
+        self.channel.recv(7)
         raise AssertionError("victim accepted invalid group elements")
 
 
@@ -358,12 +358,12 @@ class OffCurveOtAttacker(AttackerSession):
     def _run_ot(self, circuit):
         n_attacker = circuit.attacker_inputs
         receiver = OtReceiver([0] * n_attacker, self.randomness.word)
-        sender_public = self.channel.recv(5, "ot")
+        sender_public = self.channel.recv(5)
         blinded = receiver.blind(sender_public)
         # x = 1 has no point on P-256 (test_garbling checks why)
         off_curve = b"\x02" + (1).to_bytes(32, "big")
         self.channel.send(6, blinded[:-ELEMENT_BYTES] + off_curve)
-        self.channel.recv(7, "ot")
+        self.channel.recv(7)
         raise AssertionError("victim answered a point off the curve")
 
 
@@ -371,9 +371,9 @@ class SenderPointOtAttacker(AttackerSession):
     """Echoes the sender's A as every blinded choice, so B - A has no result."""
 
     def _run_ot(self, circuit):
-        sender_public = self.channel.recv(5, "ot")
+        sender_public = self.channel.recv(5)
         self.channel.send(6, sender_public * _transfers(circuit))
-        self.channel.recv(7, "ot")
+        self.channel.recv(7)
         raise AssertionError("victim answered B = A")
 
 
@@ -397,10 +397,10 @@ class LyingResultVictim(VictimSession):
         self.channel.send(3, serialize_garbled(material.garbled))
         s0, s1 = self._send_own_labels(circuit, material)
         self._serve_ot(circuit, material)
-        self.channel.recv(8, "output-verify")
+        self.channel.recv(8)
         self.channel.send(MSG_RESULT_ACK, struct.pack("<QBB", 9999, 1, 0))
         # the attacker answers with ABORT, which recv raises before any type check
-        self.channel.recv(MSG_RESULT_ACK, "result")
+        self.channel.recv(MSG_RESULT_ACK)
         raise AssertionError("attacker accepted a contradictory ack")
 
 
@@ -744,7 +744,7 @@ class ProposingVictim(VictimSession):
 
     def _agree_profile(self):
         self.channel.send(MSG_HELLO, self.hello)
-        self.channel.recv(MSG_PI_ACK, "pi-agreement")
+        self.channel.recv(MSG_PI_ACK)
 
 
 @settings(max_examples=60, deadline=None)
