@@ -14,32 +14,30 @@ parameters: identical params yield a byte-identical serialization, which
 is what lets the evaluating side rebuild the circuit independently and
 compare digests instead of trusting the builder.
 
-The builder folds constants as it emits: an AND with const-0 is
-const-0, an AND with const-1 or an XOR with const-0 is the other input,
-an XOR with const-1 is a NOT, and a NOT of a constant is the other
-constant.  So a multiply by the public ``q_scale`` or ``inv_q_scale``
-keeps only the partial products of its set bits, and the AND count
-depends on the constants' values as well as on (k_theta, k); the rows
-of a constant's zero bits, which would fold away gate by gate, are
-skipped before any folding, and so are the rows whose sums never carry
-into the bits the right-shift keeps.  Folding still leaves gates and
-input bits that no output reads: a comparison against a constant
-ignores every bit below the constant's lowest set bit, so at
-q = 1/4, k = 32 the low 30 bits of s1 and bit 0 of s0 are dead.
-``CircuitBuilder.finish`` walks back from the revealed outputs, drops
-every gate and input wire they do not reach, and renumbers the rest;
-the circuit records which layout positions each party still feeds, and
-only those bits are encoded, sent and transferred.  The only
-gates that read the constant wires are their own definitions and the
-copies of revealed outputs that folded to a constant (a ransom bit when
-``q_scale`` is 0, say): a garbled AND of the constant with itself, so
-every revealed wire carries fresh labels.
+Two mechanisms keep only the gates the public profile needs.  Folding:
+constants are not wires.  ``ZERO`` and ``ONE`` are values the gate
+methods fold away as they emit, so no gate reads a constant or one wire
+twice: AND(x, ZERO) is ZERO, AND(x, ONE), AND(x, x) and XOR(x, ZERO)
+are x, XOR(x, ONE) is NOT x, XOR(x, x) is ZERO, and a NOT of a constant
+is the other constant.  So a multiply by the public ``q_scale`` or
+``inv_q_scale`` keeps only the partial products of its set bits, and
+the AND count depends on the constants' values as well as on
+(k_theta, k).  Liveness: ``CircuitBuilder.finish`` walks back from the
+revealed outputs, drops every gate and input wire they do not reach,
+and renumbers the rest.  A comparison against a constant ignores every
+bit below the constant's lowest set bit, so at q = 1/4, k = 32 the low
+30 bits of s1 and bit 0 of s0 are dead, and a multiplier row whose sums
+never carry into the bits the right-shift keeps feeds nothing.  The
+circuit records which layout positions each party still feeds, and only
+those bits are encoded, sent and transferred.
 
 Right-shifts cost zero gates: they are bit reindexing.  The product
 r2 * inv_q_scale can exceed the output width, but only in branches that
 are never selected: ``in_deal`` compares theta_v against the full-width
-r3, so on the counter branch r3 <= theta_v < 2^k_theta and the bits the
-revealed ransom drops are zero.
+r3, so on the counter branch r3 <= theta_v < 2^k_theta.  The mechanism
+never settles above the victim's report, so the revealed ransom has
+k_theta bits; a further bit would be ZERO, and ``finish`` refuses a
+constant output, which has no labels to reveal.
 """
 
 from __future__ import annotations
@@ -147,6 +145,11 @@ class Circuit:
         return hashlib.sha256(serialize_circuit(self)).digest()
 
 
+# Constants are not wires: the gate methods fold them away, so no gate
+# reads one.  Neither fits a list index, so one that leaked would raise.
+ZERO, ONE = -(1 << 64), 1 - (1 << 64)
+
+
 class CircuitBuilder:
     """Gate assembler: wires are write-once, emission order is the topo order.
 
@@ -159,8 +162,6 @@ class CircuitBuilder:
         self._kinds: list[GateKind] = []
         self._in_a: list[int] = []
         self._in_b: list[int | None] = []
-        self._zero: int | None = None
-        self._one: int | None = None
 
     def new_inputs(self, length: int) -> list[int]:
         if self._kinds:
@@ -176,61 +177,43 @@ class CircuitBuilder:
         return self.n_inputs + len(self._kinds) - 1
 
     def xor(self, a: int, b: int) -> int:
-        if a == self._zero:
+        if a == b:
+            return ZERO
+        if a == ZERO:
             return b
-        if b == self._zero:
+        if b == ZERO:
             return a
-        if a == self._one:
+        if a == ONE:
             return self.not_(b)
-        if b == self._one:
+        if b == ONE:
             return self.not_(a)
         return self._emit(_XOR, a, b)
 
     def and_(self, a: int, b: int) -> int:
-        if self._zero in (a, b):
-            return self._zero
-        if a == self._one:
+        if a == b:
+            return a
+        if ZERO in (a, b):
+            return ZERO
+        if a == ONE:
             return b
-        if b == self._one:
+        if b == ONE:
             return a
         return self._emit(_AND, a, b)
 
     def not_(self, a: int) -> int:
-        if a == self._zero:
-            return self.one()
-        if a == self._one:
-            return self._zero
+        if a == ZERO:
+            return ONE
+        if a == ONE:
+            return ZERO
         return self._emit(_NOT, a, None)
-
-    def reveal(self, a: int) -> int:
-        """The wire to reveal for ``a``: ``a`` itself unless it is a constant.
-
-        A constant is copied by a garbled AND with itself, whose output
-        labels are fresh: the constants' own labels are public functions
-        of the garbling offset (0 and the offset), and no revealed output
-        may carry them.
-        """
-        if a in (self._zero, self._one):
-            return self._emit(_AND, a, a)
-        return a
 
     def or_(self, a: int, b: int) -> int:
         return self.xor(self.xor(a, b), self.and_(a, b))
 
-    def zero(self) -> int:
-        if self._zero is None:
-            self._zero = self._emit(_XOR, 0, 0)
-        return self._zero
-
-    def one(self) -> int:
-        if self._one is None:
-            self._one = self._emit(_NOT, self.zero(), None)
-        return self._one
-
     def const_bits(self, value: int, width: int) -> list[int]:
         if value < 0 or value >= 1 << width:
             raise ValueError(f"constant {value} does not fit in {width} bits")
-        return [self.one() if (value >> i) & 1 else self.zero() for i in range(width)]
+        return [ONE if (value >> i) & 1 else ZERO for i in range(width)]
 
     def xor_vec(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         self._match(a, b)
@@ -239,12 +222,12 @@ class CircuitBuilder:
     def zero_extend(self, bits: Sequence[int], width: int) -> list[int]:
         if width < len(bits):
             raise ValueError("cannot extend to a narrower width")
-        return list(bits) + [self.zero() for _ in range(width - len(bits))]
+        return list(bits) + [ZERO] * (width - len(bits))
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[list[int], int]:
         """Ripple-carry sum of equal-width vectors; returns (bits, carry out)."""
         self._match(a, b)
-        carry = self.zero()
+        carry = ZERO
         out = []
         for x, y in zip(a, b):
             half = self.xor(x, y)
@@ -260,7 +243,7 @@ class CircuitBuilder:
         when x != y and lt when x == y.
         """
         self._match(a, b)
-        lt = self.zero()
+        lt = ZERO
         for x, y in zip(a, b):
             lt = self.xor(lt, self.and_(self.xor(x, y), self.xor(y, lt)))
         return lt
@@ -276,9 +259,9 @@ class CircuitBuilder:
     def multiply(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         """Shift-and-add product, len(a) + len(b) bits."""
         m = len(a)
-        acc = [self.zero() for _ in range(m + len(b))]
+        acc = [ZERO] * (m + len(b))
         for j, bj in enumerate(b):
-            if bj == self._zero:
+            if bj == ZERO:
                 continue  # every gate of a zero row would fold away
             partial = [self.and_(ai, bj) for ai in a]
             summed, carry = self.add(acc[j : j + m], partial)
@@ -306,15 +289,17 @@ class CircuitBuilder:
 
         The first 2k + k_theta inputs are the victim's layout, the rest
         the attacker's.  A gate or input wire no output reaches is
-        dropped; the constant zero, an XOR of a wire with itself, reads
-        no bit, so it is re-pointed at wire 0 and keeps nothing alive.
+        dropped.  An output must be a wire: a constant has no labels to
+        reveal.
         """
+        if ZERO in outputs or ONE in outputs:
+            raise ValueError("a constant cannot be a revealed output")
         n_in, kinds, in_a, in_b = self.n_inputs, self._kinds, self._in_a, self._in_b
         live = bytearray(n_in + len(kinds))
         for w in outputs:
             live[w] = 1
         for wire in range(len(live) - 1, n_in - 1, -1):
-            if live[wire] and wire != self._zero:
+            if live[wire]:
                 position = wire - n_in
                 live[in_a[position]] = 1
                 if in_b[position] is not None:
@@ -330,13 +315,10 @@ class CircuitBuilder:
             if not live[wire]:
                 continue
             index[wire] = len(kept) + len(gates)
-            if wire == self._zero:
-                gates.append(Gate(_XOR, 0, 0))
-            else:
-                b = in_b[position]
-                gates.append(
-                    Gate(kind, index[in_a[position]], None if b is None else index[b])
-                )
+            b = in_b[position]
+            gates.append(
+                Gate(kind, index[in_a[position]], None if b is None else index[b])
+            )
         return Circuit(
             k,
             k_theta,
@@ -364,21 +346,6 @@ def party_input_bits(
             raise ValueError(f"value {value} does not fit in {width} bits")
         layout += [(value >> i) & 1 for i in range(width)]
     return [layout[p] for p in positions]
-
-
-def _rows_reaching(const: int, width: int, k: int) -> int:
-    """``const`` without the rows whose sums never carry into bit k.
-
-    Row j of a ``width``-bit multiply writes product bits j .. j + width;
-    rows that end below k before a gap leave (a * const) >> k unchanged.
-    """
-    top = -1  # the highest product bit the kept rows write
-    for j in range(const.bit_length()):
-        if const >> j & 1:
-            if top < min(j, k):
-                const &= -1 << j
-            top = j + width
-    return const if top >= k else 0
 
 
 def build_mechanism_circuit(params: MechanismParams, scaled: ScaledParams) -> Circuit:
@@ -414,16 +381,14 @@ def build_mechanism_circuit(params: MechanismParams, scaled: ScaledParams) -> Ci
     )
 
     # r2 = (q_scale * theta_v) >> k on the screening branch, else theta_v.
-    q_rows = _rows_reaching(scaled.q_scale, kt, k)
-    prod1 = bld.multiply(theta_v, bld.const_bits(q_rows, k))
+    prod1 = bld.multiply(theta_v, bld.const_bits(scaled.q_scale, k))
     r2 = bld.mux_vec(below_p, prod1[k:], theta_v)
 
     accept = bld.not_(bld.less_than(r2, theta_a))
 
     # r3 = max((r2 * inv_q_scale) >> k, theta_a), carried at full width.
     inv_w = scaled.inv_q_scale.bit_length()
-    inv_rows = _rows_reaching(scaled.inv_q_scale, kt, k)
-    prod2 = bld.multiply(r2, bld.const_bits(inv_rows, inv_w))
+    prod2 = bld.multiply(r2, bld.const_bits(scaled.inv_q_scale, inv_w))
     undone = prod2[k:]
     w3 = len(undone)
     theta_a_ext = bld.zero_extend(theta_a, w3)
@@ -434,15 +399,9 @@ def build_mechanism_circuit(params: MechanismParams, scaled: ScaledParams) -> Ci
     pay_counter = bld.and_(countered, below_q)
     sigma = bld.and_(countered, bld.not_(below_q))
 
-    out_w = kt + 1
-    zeros = [bld.zero() for _ in range(out_w)]
-    picked = bld.mux_vec(pay_counter, r3[:out_w], zeros)
-    r_f_bits = bld.mux_vec(accept, bld.zero_extend(r2, out_w), picked)
-
-    # A ransom bit or sigma that folded to a constant gets a wire with
-    # fresh labels; alpha ORs such wires and so never folds itself.
-    r_f_bits = [bld.reveal(b) for b in r_f_bits]
-    sigma = bld.reveal(sigma)
+    # r_f <= theta_v < 2^k_theta, so the ransom is revealed at k_theta bits
+    picked = [bld.and_(pay_counter, b) for b in r3[:kt]]
+    r_f_bits = bld.mux_vec(accept, r2, picked)
     alpha = bld.or_(bld.or_tree(r_f_bits), sigma)
 
     return bld.finish(k, kt, (*r_f_bits, alpha, sigma))
@@ -506,9 +465,10 @@ def decode_outcome(circuit: Circuit, output_bits: Sequence[int]) -> MechanismOut
 
 
 def serialize_circuit(circuit: Circuit) -> bytes:
-    """Canonical little-endian byte form; input to the digest and the wire.
+    """Canonical little-endian byte form, hashed by ``circuit_digest``.
 
-    The header carries the layout widths and the list lengths; the
+    Only the digest crosses the wire, inside the garbled blob.  The
+    header carries the layout widths and the list lengths; the
     outputs, then both parties' input positions, then the gates follow.
     """
     n_out = len(circuit.outputs)

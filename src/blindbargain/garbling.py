@@ -238,41 +238,38 @@ def select_labels(
     return [pair[bit & 1] for pair, bit in zip(pairs, bits)]
 
 
+# magic, circuit digest, table count, output count
+_HEADER = struct.Struct("<4s32sII")
+
+
 def serialize_garbled(gc: GarbledCircuit) -> bytes:
     parts = [
-        struct.pack(
-            "<4s32sII", MAGIC, gc.base_circuit_digest, len(gc.tables),
-            len(gc.output_decode),
+        _HEADER.pack(
+            MAGIC, gc.base_circuit_digest, len(gc.tables), len(gc.output_decode)
         )
     ]
     for rows in gc.tables:
         parts.extend(rows)
-    for c0, c1 in gc.output_decode:
-        parts.append(c0)
-        parts.append(c1)
+    for pair in gc.output_decode:
+        parts.extend(pair)
     return b"".join(parts)
 
 
 def deserialize_garbled(data: bytes) -> GarbledCircuit:
-    head = struct.Struct("<4s32sII")
-    if len(data) < head.size:
+    if len(data) < _HEADER.size:
         raise ValueError("garbled blob too short")
-    magic, digest, n_tables, n_out = head.unpack_from(data, 0)
+    magic, digest, n_tables, n_out = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise ValueError("bad garbled-circuit magic")
-    expected = head.size + n_tables * 4 * LABEL_BYTES + n_out * 64
+    tables_end = _HEADER.size + n_tables * 4 * LABEL_BYTES
+    expected = tables_end + n_out * 64
     if len(data) != expected:
         raise ValueError(f"garbled blob length {len(data)} != expected {expected}")
-    off = head.size
-    tables = []
-    for _ in range(n_tables):
-        rows = tuple(
-            data[off + i * LABEL_BYTES : off + (i + 1) * LABEL_BYTES] for i in range(4)
-        )
-        tables.append(rows)
-        off += 4 * LABEL_BYTES
-    decode = []
-    for _ in range(n_out):
-        decode.append((data[off : off + 32], data[off + 32 : off + 64]))
-        off += 64
-    return GarbledCircuit(digest, tuple(tables), tuple(decode))
+    cuts = range(_HEADER.size, tables_end, LABEL_BYTES)
+    rows = [data[i : i + LABEL_BYTES] for i in cuts]
+    hashes = [data[i : i + 32] for i in range(tables_end, expected, 32)]
+    return GarbledCircuit(
+        digest,
+        tuple(zip(rows[0::4], rows[1::4], rows[2::4], rows[3::4])),
+        tuple(zip(hashes[0::2], hashes[1::2])),
+    )

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from blindbargain.bench import GRID
 from blindbargain.circuit import (
+    ONE,
+    ZERO,
     Circuit,
     CircuitBuilder,
     Gate,
@@ -39,31 +41,34 @@ PARAMS = MechanismParams.from_q(Fraction(1, 4), 4, 4)
 SCALED = ScaledParams.from_params(PARAMS)
 
 GOLDEN_DIGESTS = {
-    (Fraction(1, 4), 8, 8): "bf22b72697f19fcb91e2adb0f947c03bf649844c1911b38f6e435dc45a8f462b",
-    (Fraction(1, 2), 8, 8): "1dc102ae2770410a81e207ebe1aaeb309ead84391f1ea3d333fdd03a1562f3dd",
-    (Fraction(1, 4), 4, 4): "3c21d86a6ce9bcf0c6a6817f6a0a0d31eb878dc9685085570497f71e674e638a",
+    (Fraction(1, 4), 8, 8): "ab7a83842bd329ef96dbbdde2bc7c3a16c22f11b5497a922dc7510ac5eb9de98",
+    (Fraction(1, 2), 8, 8): "f282da40071e653035e190977fe7f45a025717649e7302946c7f32a471192d25",
+    (Fraction(1, 4), 4, 4): "705600054e285e036cec87aa09f6c7ef8c00604ddb72eea7efa1881a01f00f8d",
 }
 # The six q of perfbench's workloads; with bench.GRID, the 36 profiles
 # its settle-mixed workload settles.
 BENCH_QS = (Fraction(1, 8), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3),
             Fraction(3, 8), Fraction(1, 2))
 # sha256 over circuit_digest of every GRID x BENCH_QS profile, in that order
-GOLDEN_GRID_DIGESTS = "b69577d7cadabab37c4f11b612861ebefd3929c98f558eb0656e58cecc6756c8"
+GOLDEN_GRID_DIGESTS = "c60fdac68a26b003729beef1eb6674301d6c38b0c2c3fc83ad2550e89e982039"
 
 
 def _sweep(bld, n_inputs, outputs):
     """All input assignments at once, lane v setting input i to bit i of v.
 
-    Returns the words of ``outputs``.  One party's layout holds every
-    input, and ``finish`` drops whatever ``outputs`` do not read.
+    Returns the words of ``outputs``, a constant as its all-zero or
+    all-one word.  One party's layout holds every input, and ``finish``
+    drops whatever the other outputs do not read.
     """
-    circuit = bld.finish(0, n_inputs, outputs)
     lanes = 1 << n_inputs
+    consts = {ZERO: 0, ONE: (1 << lanes) - 1}
+    circuit = bld.finish(0, n_inputs, [w for w in outputs if w not in consts])
     inputs = [
         sum(((v >> i) & 1) << v for v in range(lanes)) for i in circuit.victim_positions
     ]
     wires = eval_gates(circuit.gates, inputs, lanes)
-    return [wires[w] for w in circuit.outputs]
+    read = iter(circuit.outputs)
+    return [consts[w] if w in consts else wires[next(read)] for w in outputs]
 
 
 def _lane(words, wires, v):
@@ -129,6 +134,15 @@ def test_mux_and_or_tree():
         words = _sweep(bld, width, [tree])
         for v in range(1 << width):
             assert _lane(words, [0], v) == (1 if v else 0)
+
+
+def test_finish_refuses_a_constant_output():
+    bld = CircuitBuilder()
+    prod = bld.multiply(bld.new_inputs(1), bld.new_inputs(1))
+    assert prod[1] == ZERO  # a 1x1 product's top bit folds away
+    with pytest.raises(ValueError, match="constant"):
+        bld.finish(0, 2, prod)
+    assert bld.finish(0, 2, prod[:1]).and_count == 1
 
 
 def test_builder_input_and_width_rules():
@@ -353,14 +367,11 @@ def _build_quiet(q, kt, k):
 
 
 def _unreached(circuit):
-    """Input and gate wires that no revealed output depends on.
-
-    The constant zero, an XOR of a wire with itself, reads no bit.
-    """
+    """Input and gate wires that no revealed output depends on."""
     live = set(circuit.outputs)
     driven = list(enumerate(circuit.gates, circuit.n_inputs))  # (wire, gate)
     for w, g in reversed(driven):
-        if w in live and not (g.kind is GateKind.XOR and g.in_a == g.in_b):
+        if w in live:
             live.update(src for src in (g.in_a, g.in_b) if src is not None)
     return [w for w in range(circuit.n_inputs + len(circuit.gates)) if w not in live]
 
@@ -377,7 +388,8 @@ QS = [Fraction(n, d) for n, d in ((1, 2), (1, 4), (3, 8), (1, 5), (1, 3), (2, 7)
     k=st.integers(1, 16),
     seed=st.integers(0, 2**32 - 1),
 )
-# 2/5's constants leave multiplier rows that never carry into the kept bits
+# 2/5's constants leave multiplier rows that never carry into the kept
+# bits; liveness drops those rows
 @example(q=Fraction(2, 5), kt=2, k=7, seed=0)
 def test_folded_circuit_matches_fixed_point(q, kt, k, seed):
     params, scaled, circuit = _build_quiet(q, kt, k)
@@ -403,28 +415,15 @@ def test_folded_circuit_matches_fixed_point(q, kt, k, seed):
     assert _unreached(circuit) == []
 
 
-def test_no_gate_reads_a_constant_wire():
+def test_no_gate_reads_one_wire_twice():
+    # constants are not wires, and AND(a, a) and XOR(a, a) fold to a and ZERO
     for q, kt, k in itertools.product(QS, (1, 4, 8, 16), (1, 4, 8, 32)):
-        _, _, circuit = _build_quiet(q, kt, k)
-        driven = list(enumerate(circuit.gates, circuit.n_inputs))  # (wire, gate)
-        # a constant no output reaches is pruned with its readers
-        zeros = [w for w, g in driven if g.kind is GateKind.XOR and g.in_a == g.in_b == 0]
-        ones = [w for w, g in driven if g.kind is GateKind.NOT and g.in_a in zeros]
-        assert len(zeros) <= 1 and len(ones) <= 1
-        consts = {*zeros, *ones}
-        revealed = set(circuit.outputs)
-        assert not consts & revealed
-        for w, g in driven:
-            assert not (g.kind is GateKind.XOR and {g.in_a, g.in_b} & {*zeros})
-            if {g.in_a, g.in_b} & consts and w not in consts:
-                # the only other readers: a revealed output that folded to
-                # a constant, copied by a garbled AND with itself
-                assert g.kind is GateKind.AND and g.in_a == g.in_b
-                assert w in revealed
+        gates = _build_quiet(q, kt, k)[2].gates
+        assert all(g.in_a != g.in_b for g in gates), (q, kt, k)
 
 
 # AND counts over bench.GRID at q = 1/4, in GRID order
-GRID_AND_COUNTS = (83, 91, 107, 147, 155, 171)
+GRID_AND_COUNTS = (79, 87, 103, 143, 151, 167)
 
 
 def test_every_and_gate_reaches_an_output():
@@ -436,8 +435,7 @@ def test_every_and_gate_reaches_an_output():
 
 
 # bench.GRID x BENCH_QS (q = 1/2 is the p_bar = 1 edge, 1/5 and 1/3 are
-# non-dyadic), then odd report widths; at k_theta = 1 a ransom bit folds
-# to a constant, so the constant zero stays and reads wire 0
+# non-dyadic), then odd report widths and a one-bit report
 LIVENESS_PROFILES = [(q, kt, k) for kt, k in GRID for q in BENCH_QS] + [
     (Fraction(1, 4), 5, 8), (Fraction(1, 3), 7, 16), (Fraction(1, 2), 3, 4),
     (Fraction(1, 4), 1, 4),
@@ -483,7 +481,7 @@ def test_pruned_circuit_reads_only_live_bits():
     assert (wide.victim_inputs, wide.attacker_inputs) == (49, 49)
     assert wide.victim_positions == wide.attacker_positions
     assert wide.victim_positions == (*range(1, 32), *range(62, 80))
-    assert [kinds.count(kind) for kind in GateKind] == [333, 171, 36]
+    assert [kinds.count(kind) for kind in GateKind] == [330, 167, 36]
 
 
 def test_digest_binds_the_input_positions():

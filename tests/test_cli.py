@@ -4,6 +4,7 @@ import argparse
 import ast
 import os
 import random
+import re
 import socket
 import subprocess
 import sys
@@ -22,7 +23,9 @@ from blindbargain.bargaining import MarginalLossWarning
 from blindbargain.circuit import build_mechanism_circuit
 from blindbargain.cli import main
 from blindbargain.config import load_config
+from blindbargain.garbling import garble, serialize_garbled
 from blindbargain.losses import LossProfile, residual_value
+from blindbargain.mechanism import MechanismParams, ScaledParams
 from blindbargain.ot import ELEMENT_BYTES, OtReceiver
 from blindbargain.protocol import (
     MSG_OT_MSG1,
@@ -123,6 +126,36 @@ def test_readme_offers_example_prints_what_it_quotes():
     assert proc.returncode == 0
     assert proc.stdout == "".join(quoted[:split])
     assert proc.stderr == "".join(quoted[split + 1 :])
+
+
+def test_readme_settle_wide_figures_match_the_code():
+    # the private-settlement paragraph quotes the (16, 32), q = 1/4 circuit
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    text = " ".join(readme.split())
+    circuit_figures = re.search(
+        r"At k_theta = 16, k = 32, q = 1/4 the circuit reads (\d+) of each party's "
+        r"(\d+) input bits .*? has ([\d,]+) AND gates, for an? ([\d,]+)-byte garbled",
+        text,
+    )
+    ot_figures = re.search(
+        r"a \(16, 32\) session at q = 1/4 makes (\d+) transfers for its (\d+) live bits",
+        text,
+    )
+    assert circuit_figures and ot_figures, "the README no longer quotes the figures"
+    live, layout, ands, blob_bytes = (
+        int(figure.replace(",", "")) for figure in circuit_figures.groups()
+    )
+    transfers, transferred_bits = map(int, ot_figures.groups())
+    params = MechanismParams.from_q(Fraction(1, 4), 16, 32)
+    circuit = build_mechanism_circuit(params, ScaledParams.from_params(params))
+    blob = serialize_garbled(garble(circuit, b"readme").garbled)
+    assert (circuit.victim_inputs, circuit.attacker_inputs) == (live, live)
+    assert layout == 2 * params.k + params.k_theta
+    assert ands == circuit.and_count
+    assert blob_bytes == len(blob)
+    # one transfer carries two of the attacker's live bits
+    assert transferred_bits == circuit.attacker_inputs
+    assert transfers == -(-circuit.attacker_inputs // 2)
 
 
 def _step_stages(source):

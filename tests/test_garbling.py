@@ -18,7 +18,6 @@ from blindbargain import circuit as circuit_module
 from blindbargain.bench import GRID
 from blindbargain.circuit import (
     Circuit,
-    CircuitBuilder,
     Gate,
     GateKind,
     build_mechanism_circuit,
@@ -63,9 +62,9 @@ SCALED = ScaledParams.from_params(PARAMS)
 # sha256 of serialize_garbled(garble(circuit, b"pin").garbled) for the
 # profiles of test_circuit.GOLDEN_DIGESTS; pins the garbled wire bytes.
 GOLDEN_GARBLED = {
-    (Fraction(1, 4), 8, 8): "5740fc94e10db4bb5c561ee44698fdbe16f119fa4b990893b8b60afa1599b6ed",
-    (Fraction(1, 2), 8, 8): "ab33f51b031352b685a8c96d787f8419b5f5b08b6aa44ee7307e582ae858c483",
-    (Fraction(1, 4), 4, 4): "5359a85d49ccfd1412a04eea2e66fee98c3f766d5b309fec955ef739b0bc426f",
+    (Fraction(1, 4), 8, 8): "f1cb6197912619c2233bdba89df786404960ae18797c35c16664338df9f5fb08",
+    (Fraction(1, 2), 8, 8): "4f6d3b363fca86d9da0bd94031cfc2fae62e5d66a4fa869ee035252c1495e48b",
+    (Fraction(1, 4), 4, 4): "022e1b99385fb2338ce15f5b9461b4be0766002baa16d1bc21f4c94d5eafc71a",
 }
 # The same for a non-dyadic profile, and one sha256 over the blobs of
 # every bench.GRID x BENCH_QS profile, in that order: the 36 profiles
@@ -73,9 +72,9 @@ GOLDEN_GARBLED = {
 BENCH_QS = (Fraction(1, 8), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3),
             Fraction(3, 8), Fraction(1, 2))
 GOLDEN_GARBLED_NON_DYADIC = {
-    (Fraction(1, 3), 16, 32): "a30b433c070eb69b2e76967e198e5362aff6c647abd48d30fc47c921c20fd852",
+    (Fraction(1, 3), 16, 32): "5ea598ff7d300562b33383761a439e92fb6c964cc30e9f8607fe65b9e6649095",
 }
-GOLDEN_GRID_GARBLED = "188ffb0f6549d25a7393d772d94ba92d398e7cad04696044fa52961cb82e884a"
+GOLDEN_GRID_GARBLED = "b9799463e5905a1e72f74decbedd9489bcf0518a8a6d99ef513388364e5c8e98"
 # sha256 of the seeded OtSender.respond output in test_ot_golden_bytes.
 GOLDEN_OT = "1d8c0d6322243298d60573b559c72f8bf2766f39a9682b281bdbfbc9e8216772"
 
@@ -133,13 +132,10 @@ def test_free_xor_structure():
 
 
 def test_identity_wiring_passes_labels_through():
-    # XOR with a constant-zero wire: output label must equal the input's.
-    bld = CircuitBuilder()
-    w = bld.new_inputs(2)
-    zero = bld.xor(w[1], w[1])
-    out = bld.xor(w[0], zero)
-    circuit = bld.finish(1, 0, (out, out, out))
-    assert circuit.victim_positions == (0, 1)
+    # XOR with a zero wire, XOR(w1, w1): the output label is the input's.
+    # The builder folds both gates away, so the circuit is built by hand.
+    zero = Gate(GateKind.XOR, 1, 1)
+    circuit = _circuit(2, 0, (zero, Gate(GateKind.XOR, 0, 2)), (3, 3, 3))
     material = garble(circuit, b"identity")
     for bit in (0, 1):
         labels = select_labels(material.input_labels, [bit, 0])
@@ -183,31 +179,43 @@ def test_mechanism_circuit_garbled_matches_oracle():
             assert label == pair[bit]
 
 
-def test_constant_ransom_bits_get_fresh_output_labels():
-    # q = 1/40 floors q_scale to 0 at k = 4, so ransom bits fold to
-    # const-0; their copies must not expose the constants' labels, which
-    # are 0 and the offset
-    params = MechanismParams.from_q(Fraction(1, 40), 4, 4)
+def _build_quiet(q, kt, k):
+    params = MechanismParams.from_q(q, kt, k)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ScalingWarning)
         scaled = ScaledParams.from_params(params)
-    circuit = build_mechanism_circuit(params, scaled)
-    assert any(g.kind is GateKind.AND and g.in_a == g.in_b for g in circuit.gates)
-    material = garble(circuit, b"constant")
-    public = {bytes(16), material.delta.bits}
-    for pair in material.output_labels:
-        assert not {label.bits for label in pair} & public
+    return params, scaled, build_mechanism_circuit(params, scaled)
+
+
+# The profiles whose ransom, when it was revealed at k_theta + 1 bits,
+# had a top bit that folded to a constant: q = 1/40, whose q_scale
+# floors to 0 for k <= 5, and one-bit reports at q = 1/4 and 1/3.
+FOLDED_TOP_BIT_PROFILES = [
+    (Fraction(1, 40), kt, k) for kt in (1, 4) for k in range(1, 6)
+] + [(Fraction(1, 4), 1, k) for k in (1, 4, 8)] + [(Fraction(1, 3), 1, 1)]
+
+
+def test_no_output_label_is_a_public_constant():
+    # under free XOR a constant's labels would be 0 and the offset; every
+    # revealed output is a wire with fresh labels instead
     rng = random.Random(0x40)
-    for _ in range(100):
-        tv, ta, s0, s1 = (rng.randrange(16) for _ in range(4))
-        bits = encode_inputs(circuit, tv, ta, s0_v=s0, s1_v=s1, s0_a=0, s1_a=0)
-        labels = select_labels(material.input_labels, bits)
-        decoded = decode_and_prove(
-            material.garbled, evaluate(material.garbled, circuit, labels)
-        )
-        assert decode_outcome(circuit, decoded) == outcome_fixed(
-            params, scaled, Report(tv, ta), s0, s1
-        )
+    for q, kt, k in FOLDED_TOP_BIT_PROFILES:
+        params, scaled, circuit = _build_quiet(q, kt, k)
+        material = garble(circuit, b"constant")
+        public = {bytes(16), material.delta.bits}
+        for pair in material.output_labels:
+            assert not {label.bits for label in pair} & public, (q, kt, k)
+        for _ in range(20):
+            tv, ta = rng.randrange(1 << kt), rng.randrange(1 << kt)
+            s0, s1 = rng.randrange(1 << k), rng.randrange(1 << k)
+            bits = encode_inputs(circuit, tv, ta, s0_v=s0, s1_v=s1, s0_a=0, s1_a=0)
+            labels = select_labels(material.input_labels, bits)
+            decoded = decode_and_prove(
+                material.garbled, evaluate(material.garbled, circuit, labels)
+            )
+            assert decode_outcome(circuit, decoded) == outcome_fixed(
+                params, scaled, Report(tv, ta), s0, s1
+            ), (q, kt, k)
 
 
 def test_garbling_is_deterministic_per_seed():
@@ -227,12 +235,7 @@ def test_garbled_golden_bytes():
 
 
 def _pinned_blob(q, kt, k):
-    params = MechanismParams.from_q(q, kt, k)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ScalingWarning)
-        scaled = ScaledParams.from_params(params)
-    circuit = build_mechanism_circuit(params, scaled)
-    return serialize_garbled(garble(circuit, b"pin").garbled)
+    return serialize_garbled(garble(_build_quiet(q, kt, k)[2], b"pin").garbled)
 
 
 def test_garbled_golden_bytes_non_dyadic_and_benchmark_profiles():

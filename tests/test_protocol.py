@@ -61,8 +61,8 @@ PI = PiProfile(Fraction(1, 4), Fraction(2, 3), 8, 8, Fraction(3))
 # session (test_seeded_sessions_golden_transcripts): every message byte,
 # the OT messages included.
 GOLDEN_TRANSCRIPTS = {
-    (Fraction(1, 4), 16, 32): "32e815d678d3289c6b2985a59d74f9388568c4217e4561c4802b8b28e2930e49",
-    (Fraction(1, 3), 16, 16): "db0f7cb00db21032d2c8d37b1ece94e2557c5dfb587b6e579075e0f04ae760e9",
+    (Fraction(1, 4), 16, 32): "b88116186f17886c93c0b3de97a88f4e1ffba13f1c69be8c1f7a04d1d3a6ce93",
+    (Fraction(1, 3), 16, 16): "4539f73dbecd16b65e2d9e85e08c55a0e690d3e2043d19320812704aeb15f0ce",
 }
 # What those sessions settle, (r_f, alpha, sigma), and the victim's and
 # the attacker's own words.  Both sides draw full words whichever bits
@@ -441,7 +441,7 @@ def _rewriting(session_cls, msg_type, rewrite):
         ("victim", MSG_CIRCUIT, lambda p: b"junk", "circuit-check",
          "garbled blob too short", (NegotiationAbort, TransportFailure)),
         ("attacker", MSG_OUTPUT_LABELS, lambda p: p[:-LABEL_BYTES],
-         "output-verify", "expected 11 labels", (NegotiationAbort,)),
+         "output-verify", "expected 10 labels", (NegotiationAbort,)),
         ("victim", MSG_RESULT_ACK, lambda p: p[:3], "result", "malformed result payload",
          (NegotiationResult,)),
     ],
@@ -534,7 +534,7 @@ def test_ot_message_sizes_follow_the_bit_pairs():
             assert sizes["OT_MSG3"] == BRANCHES * 32 * transfers
     assert (circuit.victim_inputs, circuit.attacker_inputs) == (49, 49)
     assert {t: sizes[t] for t in ("CIRCUIT", "GARBLER_INPUT_LABELS", "OT_MSG2", "OT_MSG3")} == {
-        "CIRCUIT": 12_204, "GARBLER_INPUT_LABELS": 784, "OT_MSG2": 825, "OT_MSG3": 3_200,
+        "CIRCUIT": 11_884, "GARBLER_INPUT_LABELS": 784, "OT_MSG2": 825, "OT_MSG3": 3_200,
     }
 
 
