@@ -8,8 +8,9 @@ the positions of that layout that reach a revealed output.  The format
 is positional: gate i drives the wire after the inputs and the i earlier
 gates, so no gate names its output.
 The circuit XORs the word shares, compares them against
-hard-wired scaled constants, multiplies with shift-and-add, and selects
-the branch with two-input muxes.  Construction is a pure function of the
+hard-wired scaled constants, multiplies by the public constants through
+shared partial sums (``CircuitBuilder.multiply_const``), and selects the
+branch with two-input muxes.  Construction is a pure function of the
 parameters: identical params yield a byte-identical serialization, which
 is what lets the evaluating side rebuild the circuit independently and
 compare digests instead of trusting the builder.
@@ -19,17 +20,21 @@ constants are not wires.  ``ZERO`` and ``ONE`` are values the gate
 methods fold away as they emit, so no gate reads a constant or one wire
 twice: AND(x, ZERO) is ZERO, AND(x, ONE), AND(x, x) and XOR(x, ZERO)
 are x, XOR(x, ONE) is NOT x, XOR(x, x) is ZERO, and a NOT of a constant
-is the other constant.  So a multiply by the public ``q_scale`` or
-``inv_q_scale`` keeps only the partial products of its set bits, and
-the AND count depends on the constants' values as well as on
-(k_theta, k).  Liveness: ``CircuitBuilder.finish`` walks back from the
-revealed outputs, drops every gate and input wire they do not reach,
-and renumbers the rest.  A comparison against a constant ignores every
-bit below the constant's lowest set bit, so at q = 1/4, k = 32 the low
-30 bits of s1 and bit 0 of s0 are dead, and a multiplier row whose sums
-never carry into the bits the right-shift keeps feeds nothing.  The
-circuit records which layout positions each party still feeds, and only
-those bits are encoded, sent and transferred.
+is the other constant; a mux on a constant select is the input it
+picks.  A multiply by the public ``q_scale`` or ``inv_q_scale`` is a
+sum of shifted copies of its input, one per set bit of the constant,
+where a sum t = v + (v << d) built once stands in for every disjoint
+pair of copies d apart; an adder spends one AND per bit.  So a constant
+with one set bit, as at q = 2^-j, multiplies for free, and the AND count
+depends on the constants' values as well as on (k_theta, k).
+Liveness: ``CircuitBuilder.finish`` walks back from the revealed
+outputs, drops every gate and input wire they do not reach, and
+renumbers the rest.  A comparison against a constant ignores every bit
+below the constant's lowest set bit, so at q = 1/4, k = 32 the low 30
+bits of s1 and bit 0 of s0 are dead, and of a product's bits below the
+right-shift only the carries stay.  The circuit records which layout
+positions each party still feeds, and only those bits are encoded, sent
+and transferred.
 
 Right-shifts cost zero gates: they are bit reindexing.  The product
 r2 * inv_q_scale can exceed the output width, but only in branches that
@@ -150,6 +155,22 @@ class Circuit:
 ZERO, ONE = -(1 << 64), 1 - (1 << 64)
 
 
+def _disjoint_pairs(held: Sequence[int], d: int) -> list[tuple[int, int]]:
+    """Most pairs (i, i + d) of the increasing shifts ``held``, none sharing one.
+
+    Taking the lowest free i first is optimal: the shifts d apart form
+    chains, and each chain yields half its length rounded down.
+    """
+    present = set(held)
+    taken: set[int] = set()
+    pairs = []
+    for i in held:
+        if i not in taken and i + d in present and i + d not in taken:
+            taken.update((i, i + d))
+            pairs.append((i, i + d))
+    return pairs
+
+
 class CircuitBuilder:
     """Gate assembler: wires are write-once, emission order is the topo order.
 
@@ -225,15 +246,35 @@ class CircuitBuilder:
         return list(bits) + [ZERO] * (width - len(bits))
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[list[int], int]:
-        """Ripple-carry sum of equal-width vectors; returns (bits, carry out)."""
+        """Ripple-carry sum of equal-width vectors; returns (bits, carry out).
+
+        One AND per bit: the free-XOR full adder of Kolesnikov, Sadeghi
+        and Schneider carries carry ^ ((x ^ carry) & (y ^ carry)), the
+        majority of the three bits.  Where x or y is ZERO the bit is a
+        half adder, one XOR and one AND.
+        """
         self._match(a, b)
         carry = ZERO
         out = []
         for x, y in zip(a, b):
-            half = self.xor(x, y)
-            out.append(self.xor(half, carry))
-            carry = self.xor(self.and_(x, y), self.and_(carry, half))
+            if x == ZERO:
+                x, y = y, x
+            if y == ZERO:
+                out.append(self.xor(x, carry))
+                carry = self.and_(x, carry)
+                continue
+            x_carry = self.xor(x, carry)
+            out.append(self.xor(x_carry, y))
+            carry = self.xor(carry, self.and_(x_carry, self.xor(y, carry)))
         return out, carry
+
+    def _add_at(self, acc: Sequence[int], v: Sequence[int], shift: int) -> list[int]:
+        """acc + (v << shift), modulo 2^len(acc)."""
+        top = len(acc)
+        if shift >= top:
+            return list(acc)
+        summed, _ = self.add(acc[shift:], self.zero_extend(v[: top - shift], top - shift))
+        return list(acc[:shift]) + summed
 
     def less_than(self, a: Sequence[int], b: Sequence[int]) -> int:
         """Unsigned a < b, one AND per bit.
@@ -249,26 +290,56 @@ class CircuitBuilder:
         return lt
 
     def mux(self, sel: int, x: int, y: int) -> int:
-        # x if sel else y, one AND
+        # x if sel else y, one AND; a constant select picks without a gate
+        if sel == ONE:
+            return x
+        if sel == ZERO:
+            return y
         return self.xor(y, self.and_(sel, self.xor(x, y)))
 
     def mux_vec(self, sel: int, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
         self._match(xs, ys)
         return [self.mux(sel, x, y) for x, y in zip(xs, ys)]
 
-    def multiply(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        """Shift-and-add product, len(a) + len(b) bits."""
-        m = len(a)
-        acc = [ZERO] * (m + len(b))
-        for j, bj in enumerate(b):
-            if bj == ZERO:
-                continue  # every gate of a zero row would fold away
-            partial = [self.and_(ai, bj) for ai in a]
-            summed, carry = self.add(acc[j : j + m], partial)
-            acc[j : j + m] = summed
-            # bits above j+m are still untouched zeros, so the carry
-            # lands in a bare wire and cannot ripple further
-            acc[j + m] = self.xor(acc[j + m], carry)
+    def multiply_const(self, a: Sequence[int], c: int, width: int) -> list[int]:
+        """a * c modulo 2^width for a public constant c, sharing partial sums.
+
+        Each set bit i of c is a term: a at shift i.  While one vector v
+        holds at least two disjoint pairs of shifts (i, i + d), the sum
+        t = v + (v << d) is built once and stands in for each pair, at
+        shift i (Hartley's common-subexpression constant multiplication).
+        The vector and d with the most pairs go first, ties to the
+        earlier vector and then the smaller d, so the build stays a pure
+        function of (len(a), c, width).  The remaining terms are summed
+        in order of shift.  A c with one set bit emits no gate.
+        """
+        if c < 0:
+            raise ValueError(f"constant {c} is negative")
+        vectors = [list(a)]
+        # a term at shift width or above adds nothing modulo 2^width
+        shifts = [[i for i in range(min(c.bit_length(), width)) if c >> i & 1]]
+        while True:
+            best: list[tuple[int, int]] = []
+            for index, held in enumerate(shifts):
+                if len(held) < 4:
+                    continue  # two disjoint pairs need four shifts
+                for d in range(1, held[-1] - held[0]):
+                    pairs = _disjoint_pairs(held, d)
+                    if len(pairs) >= 2 and len(pairs) > len(best):
+                        best, chosen, gap = pairs, index, d
+            if not best:
+                break
+            v = vectors[chosen]
+            low = best[0][0]
+            t = self._add_at(self.zero_extend(v, len(v) + gap + 1), v, gap)
+            paired = {i for pair in best for i in pair}
+            shifts[chosen] = [i for i in shifts[chosen] if i not in paired]
+            vectors.append(t[: width - low])
+            shifts.append([i for i, _ in best])
+        terms = sorted((i, index) for index, held in enumerate(shifts) for i in held)
+        acc = [ZERO] * width
+        for i, index in terms:
+            acc = self._add_at(acc, vectors[index], i)
         return acc
 
     def or_tree(self, bits: Sequence[int]) -> int:
@@ -381,14 +452,14 @@ def build_mechanism_circuit(params: MechanismParams, scaled: ScaledParams) -> Ci
     )
 
     # r2 = (q_scale * theta_v) >> k on the screening branch, else theta_v.
-    prod1 = bld.multiply(theta_v, bld.const_bits(scaled.q_scale, k))
+    prod1 = bld.multiply_const(theta_v, scaled.q_scale, kt + k)
     r2 = bld.mux_vec(below_p, prod1[k:], theta_v)
 
     accept = bld.not_(bld.less_than(r2, theta_a))
 
     # r3 = max((r2 * inv_q_scale) >> k, theta_a), carried at full width.
     inv_w = scaled.inv_q_scale.bit_length()
-    prod2 = bld.multiply(r2, bld.const_bits(scaled.inv_q_scale, inv_w))
+    prod2 = bld.multiply_const(r2, scaled.inv_q_scale, kt + inv_w)
     undone = prod2[k:]
     w3 = len(undone)
     theta_a_ext = bld.zero_extend(theta_a, w3)

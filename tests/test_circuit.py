@@ -42,15 +42,23 @@ SCALED = ScaledParams.from_params(PARAMS)
 
 GOLDEN_DIGESTS = {
     (Fraction(1, 4), 8, 8): "ab7a83842bd329ef96dbbdde2bc7c3a16c22f11b5497a922dc7510ac5eb9de98",
-    (Fraction(1, 2), 8, 8): "f282da40071e653035e190977fe7f45a025717649e7302946c7f32a471192d25",
+    (Fraction(1, 2), 8, 8): "4a9f08a0039c32af9314d5db9c04aceb7a6bddbc1b9c7f69375cf63744ae60b7",
     (Fraction(1, 4), 4, 4): "705600054e285e036cec87aa09f6c7ef8c00604ddb72eea7efa1881a01f00f8d",
 }
 # The six q of perfbench's workloads; with bench.GRID, the 36 profiles
 # its settle-mixed workload settles.
 BENCH_QS = (Fraction(1, 8), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3),
             Fraction(3, 8), Fraction(1, 2))
-# sha256 over circuit_digest of every GRID x BENCH_QS profile, in that order
-GOLDEN_GRID_DIGESTS = "c60fdac68a26b003729beef1eb6674301d6c38b0c2c3fc83ad2550e89e982039"
+# per q of BENCH_QS, sha256 over circuit_digest of its profile at every
+# bench.GRID cell, in GRID order
+GOLDEN_GRID_DIGESTS = {
+    Fraction(1, 8): "ba80c6073951acf9add4748cd52631ccd4e6a33ac057b6de58065de27b50ce4f",
+    Fraction(1, 5): "81e6eec4f41a2ac56c9fc24669b325489ee416ccdcd60dd787b19a24ee0d6ade",
+    Fraction(1, 4): "dcb6de525c440b018e3112fca8d3c977db1a808b3b429b5cfb3dcbced638ad8c",
+    Fraction(1, 3): "ef02aa5ee6ade0f3b6e813fcc18baaa13f94d2ff6f9c3618d24255bbb56e3ba0",
+    Fraction(3, 8): "b4842561c8b50f47d7a4e283f367ea619793c248699ef30bb7b0f93ce91cf29d",
+    Fraction(1, 2): "78075c629e920e1ebb880bad4d2dca9f2d0a9d1f29f984b96b7d4efdf65b8f32",
+}
 
 
 def _sweep(bld, n_inputs, outputs):
@@ -91,6 +99,7 @@ def test_adder_exhaustive_small_widths():
         xa = bld.new_inputs(width)
         xb = bld.new_inputs(width)
         out, carry = bld.add(xa, xb)
+        assert bld._kinds.count(GateKind.AND) == width  # one AND per bit
         words = _sweep(bld, 2 * width, out + [carry])
         for a, b in itertools.product(range(1 << width), repeat=2):
             assert _lane(words, range(width + 1), a | b << width) == a + b
@@ -107,17 +116,58 @@ def test_comparator_exhaustive_small_widths():
             assert _lane(words, [0], a | b << width) == (1 if a < b else 0)
 
 
-def test_multiplier_exhaustive_small_widths():
-    shapes = [(1, 1), (2, 3), (4, 4), (5, 5), (6, 3)]
-    for wa, wb in shapes:
+def _lane_ints(words, lanes):
+    """Per lane, the integer whose bit i is that lane of words[i]."""
+    values = np.zeros(lanes, dtype=np.int64)
+    for i, word in enumerate(words):
+        bits = np.unpackbits(
+            np.frombuffer(word.to_bytes((lanes + 7) // 8, "little"), np.uint8),
+            bitorder="little",
+        )[:lanes]
+        values |= bits.astype(np.int64) << i
+    return values
+
+
+def test_multiply_const_exhaustive_small_widths():
+    # every w-bit constant times every w-bit input, at the product's
+    # full width and truncated; a constant with one set bit emits no gate
+    for w in range(1, 7):
+        a = np.arange(1 << w, dtype=np.int64)
+        for c in range(1 << w):
+            for width in (2 * w, w + 1, w):
+                bld = CircuitBuilder()
+                prod = bld.multiply_const(bld.new_inputs(w), c, width)
+                assert len(prod) == width
+                if c & (c - 1) == 0:
+                    assert bld._kinds == [], c
+                words = _sweep(bld, w, prod)
+                assert (_lane_ints(words, 1 << w) == a * c % (1 << width)).all(), (w, c)
+
+
+# 0, 1, powers of two, all-ones, the alternating and paired-bit
+# patterns, and the scaled constants of the six benchmark q at k = 32
+STRUCTURED_CONSTANTS = (
+    0, 1, *(1 << j for j in (1, 5, 17, 31, 35)),
+    *((1 << n) - 1 for n in (2, 3, 8, 16, 33)),
+    0x55, 0x5555, 0x5555_5555, 0x33, 0x3333_3333, 0x2AA, 0x2_AAAA_AAAA,
+)
+
+
+def test_multiply_const_structured_constants():
+    bench = []
+    for q in BENCH_QS:
+        scaled = _build_quiet(q, 16, 32)[1]
+        bench += [scaled.q_scale, scaled.inv_q_scale]
+    w = 8
+    a = np.arange(1 << w, dtype=np.int64)
+    for c in STRUCTURED_CONSTANTS + tuple(bench):
+        width = w + max(c.bit_length(), 1)
         bld = CircuitBuilder()
-        xa = bld.new_inputs(wa)
-        xb = bld.new_inputs(wb)
-        prod = bld.multiply(xa, xb)
-        assert len(prod) == wa + wb
-        words = _sweep(bld, wa + wb, prod)
-        for a, b in itertools.product(range(1 << wa), range(1 << wb)):
-            assert _lane(words, range(wa + wb), a | b << wa) == a * b
+        prod = bld.multiply_const(bld.new_inputs(w), c, width)
+        words = _sweep(bld, w, prod)
+        assert (_lane_ints(words, 1 << w) == a * c).all(), hex(c)
+    with pytest.raises(ValueError):
+        CircuitBuilder().multiply_const([ZERO], -1, 2)
 
 
 def test_mux_and_or_tree():
@@ -136,13 +186,22 @@ def test_mux_and_or_tree():
             assert _lane(words, [0], v) == (1 if v else 0)
 
 
+def test_mux_on_a_constant_select_emits_no_gate():
+    bld = CircuitBuilder()
+    x, y = bld.new_inputs(2)
+    assert bld.mux(ONE, x, y) == x
+    assert bld.mux(ZERO, x, y) == y
+    assert bld.mux_vec(ONE, [x, ZERO], [y, y]) == [x, ZERO]
+    assert bld._kinds == []
+
+
 def test_finish_refuses_a_constant_output():
     bld = CircuitBuilder()
-    prod = bld.multiply(bld.new_inputs(1), bld.new_inputs(1))
-    assert prod[1] == ZERO  # a 1x1 product's top bit folds away
+    prod = bld.multiply_const(bld.new_inputs(2), 3, 5)
+    assert prod[4] == ZERO  # 3 * 3 < 2^4, so the top bit folds away
     with pytest.raises(ValueError, match="constant"):
         bld.finish(0, 2, prod)
-    assert bld.finish(0, 2, prod[:1]).and_count == 1
+    assert bld.finish(0, 2, prod[:4]).and_count == 2
 
 
 def test_builder_input_and_width_rules():
@@ -317,11 +376,13 @@ def test_golden_digests_stable():
 
 
 def test_golden_digests_over_the_benchmark_profiles():
-    combined = hashlib.sha256()
-    for kt, k in GRID:
-        for q in BENCH_QS:
+    pinned = {}
+    for q in BENCH_QS:
+        combined = hashlib.sha256()
+        for kt, k in GRID:
             combined.update(circuit_digest(_build_quiet(q, kt, k)[2]))
-    assert combined.hexdigest() == GOLDEN_GRID_DIGESTS
+        pinned[q] = combined.hexdigest()
+    assert pinned == GOLDEN_GRID_DIGESTS
 
 
 def test_matches_fixed_point_on_random_inputs():
@@ -415,6 +476,61 @@ def test_folded_circuit_matches_fixed_point(q, kt, k, seed):
     assert _unreached(circuit) == []
 
 
+def _fixed_outcomes(params, scaled, tv, ta, s0, s1):
+    """``outcome_fixed`` over numpy arrays: (r_f, alpha, sigma) per entry."""
+    k = params.k
+    r2 = np.where(s0 < scaled.p_scale, (scaled.q_scale * tv) >> k, tv)
+    accept = ta <= r2
+    r3 = np.maximum((r2 * scaled.inv_q_scale) >> k, ta)
+    countered = ~accept & (r3 <= tv)
+    paid = countered & (s1 < scaled.q_scale)
+    r_f = np.where(accept, r2, np.where(paid, r3, 0))
+    sigma = countered & ~paid
+    return r_f, (r_f > 0) | sigma, sigma
+
+
+# Every q = n/d <= 1/2 with d <= ORACLE_DENOMINATOR, at every k_theta <= 3
+# and k <= 4: 162 q, 1,944 profiles and 4,626,720 cases
+ORACLE_DENOMINATOR = 32
+ORACLE_QS = sorted(
+    {Fraction(n, d) for d in range(2, ORACLE_DENOMINATOR + 1) for n in range(1, d // 2 + 1)}
+)
+
+
+def test_circuit_equals_fixed_point_exhaustively_over_q():
+    # lane v holds s0, s1, theta_v and theta_a, in that order from bit 0,
+    # so the victim's layout is v's low 2k + k_theta bits and the
+    # attacker's report bit p - 2k is bit p + k_theta of v; the attacker's
+    # word shares are zero, so each victim word is the joint word
+    for kt, k in itertools.product((1, 2, 3), (1, 2, 3, 4)):
+        n_bits = 2 * k + 2 * kt
+        lanes = 1 << n_bits
+        lane = np.arange(lanes, dtype=np.int64)
+        bit_words = _pack_lanes((lane[:, None] >> np.arange(n_bits)) & 1)
+        kmask, tmask = (1 << k) - 1, (1 << kt) - 1
+        s0, s1 = lane & kmask, (lane >> k) & kmask
+        tv, ta = (lane >> 2 * k) & tmask, lane >> (2 * k + kt)
+        sample = range(0, lanes, lanes // 8 + 1)
+        for q in ORACLE_QS:
+            params, scaled, circuit = _build_quiet(q, kt, k)
+            inputs = [bit_words[p] for p in circuit.victim_positions] + [
+                bit_words[p + kt] if p >= 2 * k else 0 for p in circuit.attacker_positions
+            ]
+            wires = eval_gates(circuit.gates, inputs, lanes)
+            *r_f_wires, alpha, sigma = circuit.outputs
+            got = [
+                _lane_ints([wires[w] for w in ws], lanes) for ws in (r_f_wires, [alpha], [sigma])
+            ]
+            want = _fixed_outcomes(params, scaled, tv, ta, s0, s1)
+            for g, w in zip(got, want):
+                assert (g == w).all(), (q, kt, k)
+            # the numpy form against outcome_fixed itself, on spread lanes
+            for v in sample:
+                out = outcome_fixed(params, scaled, Report(int(tv[v]), int(ta[v])),
+                                    int(s0[v]), int(s1[v]))
+                assert (out.r_f, out.alpha, out.sigma) == tuple(int(w[v]) for w in want)
+
+
 def test_no_gate_reads_one_wire_twice():
     # constants are not wires, and AND(a, a) and XOR(a, a) fold to a and ZERO
     for q, kt, k in itertools.product(QS, (1, 4, 8, 16), (1, 4, 8, 32)):
@@ -424,6 +540,9 @@ def test_no_gate_reads_one_wire_twice():
 
 # AND counts over bench.GRID at q = 1/4, in GRID order
 GRID_AND_COUNTS = (79, 87, 103, 143, 151, 167)
+# AND counts at (16, 32) of the non-dyadic benchmark q, whose constants
+# have many set bits: the multipliers share their partial sums
+WIDE_AND_COUNTS = {Fraction(1, 5): 277, Fraction(1, 3): 275, Fraction(3, 8): 291}
 
 
 def test_every_and_gate_reaches_an_output():
@@ -432,6 +551,8 @@ def test_every_and_gate_reaches_an_output():
         assert _unreached(_build_quiet(q, kt, k)[2]) == [], (q, kt, k)
     counts = tuple(_build_quiet(Fraction(1, 4), kt, k)[2].and_count for kt, k in GRID)
     assert counts == GRID_AND_COUNTS
+    wide = {q: _build_quiet(q, 16, 32)[2].and_count for q in WIDE_AND_COUNTS}
+    assert wide == WIDE_AND_COUNTS
 
 
 # bench.GRID x BENCH_QS (q = 1/2 is the p_bar = 1 edge, 1/5 and 1/3 are

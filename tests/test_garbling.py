@@ -63,18 +63,25 @@ SCALED = ScaledParams.from_params(PARAMS)
 # profiles of test_circuit.GOLDEN_DIGESTS; pins the garbled wire bytes.
 GOLDEN_GARBLED = {
     (Fraction(1, 4), 8, 8): "f1cb6197912619c2233bdba89df786404960ae18797c35c16664338df9f5fb08",
-    (Fraction(1, 2), 8, 8): "4f6d3b363fca86d9da0bd94031cfc2fae62e5d66a4fa869ee035252c1495e48b",
+    (Fraction(1, 2), 8, 8): "76b8dc4bd3f491c951f1121466fd9d3da739e1c8d81a1a44b68550eabc825a25",
     (Fraction(1, 4), 4, 4): "022e1b99385fb2338ce15f5b9461b4be0766002baa16d1bc21f4c94d5eafc71a",
 }
-# The same for a non-dyadic profile, and one sha256 over the blobs of
-# every bench.GRID x BENCH_QS profile, in that order: the 36 profiles
-# perfbench's settle-mixed workload settles.
+# The same for a non-dyadic profile, and per q of BENCH_QS one sha256
+# over the blobs of its profile at every bench.GRID cell, in GRID order:
+# the 36 profiles perfbench's settle-mixed workload settles.
 BENCH_QS = (Fraction(1, 8), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3),
             Fraction(3, 8), Fraction(1, 2))
 GOLDEN_GARBLED_NON_DYADIC = {
-    (Fraction(1, 3), 16, 32): "5ea598ff7d300562b33383761a439e92fb6c964cc30e9f8607fe65b9e6649095",
+    (Fraction(1, 3), 16, 32): "ab4b1b5b3cf3ccefda489d70b4864aca7f6d7a1af1a6ed4edac041733cc3a09d",
 }
-GOLDEN_GRID_GARBLED = "b9799463e5905a1e72f74decbedd9489bcf0518a8a6d99ef513388364e5c8e98"
+GOLDEN_GRID_GARBLED = {
+    Fraction(1, 8): "0db23e3826f11d43d28f60522b20e1c4d9519559c5dc8c34bef47130da308303",
+    Fraction(1, 5): "7e090b26fae69ead275d06d4eb15e79e21cb0dcbac7bead8fe8a1a398d80ae61",
+    Fraction(1, 4): "c8d2e2d933ef882e4056986f3e4342f8597a9eb88b3ecbfddd9f1cce44758b96",
+    Fraction(1, 3): "87237f26ea5cc204639cc6a930ca68d6277e7b69b1b60d7ebf5f298d1580da20",
+    Fraction(3, 8): "02b19316362b9bf935590a0baaa341b10369bfe17b2b0b98f468990bc8b85cbb",
+    Fraction(1, 2): "41ee5862644c5a08a9f99f94c4643d712314b1269bb3b50edde1a49e55eb0c09",
+}
 # sha256 of the seeded OtSender.respond output in test_ot_golden_bytes.
 GOLDEN_OT = "1d8c0d6322243298d60573b559c72f8bf2766f39a9682b281bdbfbc9e8216772"
 
@@ -241,11 +248,13 @@ def _pinned_blob(q, kt, k):
 def test_garbled_golden_bytes_non_dyadic_and_benchmark_profiles():
     for (q, kt, k), expected in GOLDEN_GARBLED_NON_DYADIC.items():
         assert hashlib.sha256(_pinned_blob(q, kt, k)).hexdigest() == expected
-    combined = hashlib.sha256()
-    for kt, k in GRID:
-        for q in BENCH_QS:
+    pinned = {}
+    for q in BENCH_QS:
+        combined = hashlib.sha256()
+        for kt, k in GRID:
             combined.update(_pinned_blob(q, kt, k))
-    assert combined.hexdigest() == GOLDEN_GRID_GARBLED
+        pinned[q] = combined.hexdigest()
+    assert pinned == GOLDEN_GRID_GARBLED
 
 
 def test_garbled_serialization_rejects_corrupt_blobs():

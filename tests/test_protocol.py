@@ -62,7 +62,7 @@ PI = PiProfile(Fraction(1, 4), Fraction(2, 3), 8, 8, Fraction(3))
 # the OT messages included.
 GOLDEN_TRANSCRIPTS = {
     (Fraction(1, 4), 16, 32): "b88116186f17886c93c0b3de97a88f4e1ffba13f1c69be8c1f7a04d1d3a6ce93",
-    (Fraction(1, 3), 16, 16): "4539f73dbecd16b65e2d9e85e08c55a0e690d3e2043d19320812704aeb15f0ce",
+    (Fraction(1, 3), 16, 16): "502eca1f93e5980b1feb7e249e652219d75b84b22f8003d94bb624bbf0a89208",
 }
 # What those sessions settle, (r_f, alpha, sigma), and the victim's and
 # the attacker's own words.  Both sides draw full words whichever bits
