@@ -45,6 +45,8 @@ def run_benchmark(
 ) -> list[BenchCell]:
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if warmup < 0:
+        raise ValueError("warmup must be >= 0")
     cells = []
     for k_theta, k in grid:
         pi = PiProfile(Q, P_BAR, k, k_theta, 0)

@@ -1,55 +1,59 @@
-"""1-out-of-4 oblivious transfer for the evaluator's input labels.
+"""1-out-of-8 oblivious transfer for the evaluator's input labels.
 
 Simplest OT (Chou-Orlandi, LATINCRYPT 2015) over the NIST P-256 curve
 (SEC 2, FIPS 186), about 128-bit security.  The evaluator's bits go in
-pairs (2i, 2i+1), one transfer per pair, and its choice
-c = bit 2i + 2 * bit 2i+1 picks one of four branches.  Branch j carries
-the label of wire 2i for bit j & 1 and the label of wire 2i+1 for bit
-j >> 1, 32 bytes together.  An odd bit count pads the last pair with
-choice bit 0 and a filler wire whose two labels are zero.
+triples (3i, 3i+1, 3i+2), one transfer per triple, and its choice
+c = sum of bit 3i+t * 2^t picks one of eight branches.  Branch j
+carries the label of wire 3i+t for bit t of j, for t = 0, 1, 2: 48
+bytes together.  A bit count that is not a multiple of three pads the
+last triple with choice bits 0 and filler wires whose two labels are
+zero.
 
-The sender publishes A = aG; the receiver answers B = bG + cA; the
-sender encrypts branch j under a pad from a(B - jA).  Only branch c's
-equals the receiver's bA, so one pad decrypts and the others stay
-opaque, while B is a uniform point whatever c is.  The receiver
-computes all four candidates bG + jA and picks one, so its Python work
-does not depend on its choices.  No UC security is claimed:
-Genc-Iovino-Rial and Hauck-Loss (2017) show where Simplest OT falls
-short of it.
+The sender publishes A = aG; the receiver answers B = bG + (c + 1)A,
+taking (c + 1)A from a per-session table of A ... 8A, so each transfer
+costs it one point addition whatever c is and its Python work does not
+depend on its choices.  The sender encrypts branch j under a pad from
+a(B - (j + 1)A).  Only branch c's equals the receiver's bA, so one pad
+decrypts and the others stay opaque, while B is a uniform point
+whatever c is.  No UC security is claimed: Genc-Iovino-Rial and
+Hauck-Loss (2017) show where Simplest OT falls short of it.
 
 Scalar multiplications run in C through ``cryptography``: fixed-base
 ``derive_private_key`` and variable-base ECDH ``exchange``, which yields
 only the x-coordinate of the product.  They are nearly all of the OT
 time.  Per transfer the sender runs two exchanges, for aB and a(B - A),
 and one point decompression; the receiver one derivation and one
-exchange.  The sender gets x(a(B - 2A)) and x(a(B - 3A)) from the
+exchange.  The sender gets x(a(B - mA)) for m = 2 ... 8 from the
 differential addition law for short Weierstrass curves (Brier-Joye,
 PKC 2002) with T = aA:
 
     x(R - T) = (2(x_R + x_T)(x_R x_T + a_4) + 4 a_6) / (x_R - x_T)^2 - x(R + T)
 
 and x(T) once per session, from a derivation of a^2 mod n.  So a
-transfer carries two bits for the sender's cost of one 1-of-2
-transfer.  The receiver's bG + A, + 2A, + 3A and the sender's B - A are
-affine additions; each step over a message shares one field inversion
-(Montgomery's trick).
+transfer carries three bits for the sender's cost of one 1-of-2
+transfer, plus seven law steps and eight hashes.  The receiver's
+bG + (c + 1)A and the sender's B - A are affine additions; each step
+over a message shares one field inversion (Montgomery's trick).  Each
+side builds its table of A ... 8A once per session.
 
 Every element is 33 bytes of SEC1 compressed point.  Anything else,
 and any point off the curve, is an ``OtProtocolError``; P-256 has
 cofactor 1, so a point on the curve is in the prime-order group.  The
-sender refuses x(B) in {x(A), x(2A), x(3A)}, that is B = +-A, +-2A or
-+-3A, and the receiver a blinding point bG at any of them (b = +-a,
-+-2a, +-3a: odds 3 * 2^-255 per transfer).  Both check every element
-before any inversion, and every denominator above is nonzero once
-those six points are out.
+sender refuses x(B) in {x(jA) : j = 1 ... 8}, that is B = +-A ... +-8A.
+The receiver refuses a blinding point bG there, and a blinded point B
+there too, so an honest receiver never sends what the sender refuses
+(odds about 32 * 2^-256 per transfer).  Both check every element before
+any inversion, and every denominator above is nonzero once those
+sixteen points are out.
 
-Each pad hashes the transfer index, the branch and the shared x.  The
-branch matters: two branches' keys share an x whenever B - jA and
-B - j'A are negatives of each other, as B = A/2 makes branches 0 and 1,
-B = 3A/2 branches 1 and 2 and also 0 and 3, and B = 5A/2 branches 2
-and 3.  Without the branch those pads would match, and the two
-ciphertexts would XOR to the XOR of their plaintexts: the free-XOR
-offset, wherever the two branches differ in one wire's bit.
+Each 48-byte pad is SHA-384 of the transfer index, the branch and the
+shared x.  The branch matters: two branches' keys share an x whenever
+B - (j + 1)A and B - (j' + 1)A are negatives of each other, that is
+B = kA/2 with k = j + j' + 2, as B = 3A/2 makes branches 0 and 1 and
+B = 9A/2 four pairs at once.  Without the branch those pads would
+match, and the two ciphertexts would XOR to the XOR of their
+plaintexts: the free-XOR offset, wherever the two branches differ in
+one wire's bit.
 
 The three byte blobs produced here travel as protocol messages; the
 pure in-process composition ``ot_transfer`` is what the tests exercise.
@@ -73,9 +77,10 @@ CURVE_A4 = -3
 CURVE_A6 = 0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B
 COORD_BYTES = 32
 ELEMENT_BYTES = 1 + COORD_BYTES
-# two evaluator bits per transfer; larger groups measured slower (ROADMAP item 7)
-BRANCHES = 4
-CIPHERTEXT_BYTES = 2 * LABEL_BYTES
+# three evaluator bits per transfer, one of eight branches chosen
+BITS_PER_TRANSFER = 3
+BRANCHES = 1 << BITS_PER_TRANSFER
+CIPHERTEXT_BYTES = BITS_PER_TRANSFER * LABEL_BYTES
 
 RandomBits = Callable[[int], int]
 Point = tuple[int, int]
@@ -116,13 +121,18 @@ def _invert_all(values: Sequence[int]) -> list[int]:
     return out
 
 
-def _add_each(points: Sequence[Point], q: Point) -> list[Point]:
-    """P + Q for every P; the caller has refused x(P) = x(Q)."""
-    qx, qy = q
-    inverses = _invert_all([x - qx for x, _ in points])
+def _add_each(points: Sequence[Point], addends: Sequence[Point]) -> list[Point]:
+    """P + Q for every pair, by the tangent where P = Q.
+
+    The caller has refused P = -Q, so every denominator is nonzero.
+    """
+    inverses = _invert_all(
+        [x - qx or 2 * y for (x, y), (qx, _) in zip(points, addends)]
+    )
     sums = []
-    for (x, y), inverse in zip(points, inverses):
-        slope = (y - qy) * inverse % FIELD_PRIME
+    for (x, y), (qx, qy), inverse in zip(points, addends, inverses):
+        rise = y - qy if x != qx else 3 * x * x + CURVE_A4
+        slope = rise * inverse % FIELD_PRIME
         x3 = (slope * slope - x - qx) % FIELD_PRIME
         sums.append((x3, (slope * (qx - x3) - qy) % FIELD_PRIME))
     return sums
@@ -143,22 +153,24 @@ def _x_step(xs: Sequence[int], x_t: int, x_others: Sequence[int]) -> list[int]:
     return [_x_law(x, x_t, o, inv) for x, o, inv in zip(xs, x_others, inverses)]
 
 
-def _multiples(x: int) -> dict[int, int]:
-    """{x(jA): j} for j = 1, 2, 3, from x(A) alone."""
-    # x(2A) from the tangent at A; A has odd order, so y^2 != 0
-    y_squared = x**3 + CURVE_A4 * x + CURVE_A6
-    x2 = ((x * x - CURVE_A4) ** 2 - 8 * CURVE_A6 * x) * pow(
-        4 * y_squared, -1, FIELD_PRIME
-    ) % FIELD_PRIME
-    # 3A = 2A + A, and 2A - A = A
-    x3 = _x_law(x2, x, x, pow(x2 - x, -1, FIELD_PRIME))
-    return {x: 1, x2: 2, x3: 3}
+def _multiples(point: Point) -> list[Point]:
+    """[A, 2A, ..., 8A] for A = point, in three batch inversions.
+
+    Each step adds the top entry to every entry; 2A, 4A and 8A come from
+    the tangent, whose y is nonzero: P-256 has no point of order 2.
+    """
+    table = [point]
+    while len(table) < BRANCHES:
+        table += _add_each([table[-1]] * len(table), table)
+    return table
 
 
-def _refuse_multiples(xs: Sequence[int], a_x: int, what: str) -> None:
-    multiples = _multiples(a_x)
+def _refuse_multiples(
+    xs: Sequence[int], multiples: Sequence[Point], what: str
+) -> None:
+    names = {x: j for j, (x, _) in enumerate(multiples, 1)}
     for i, x in enumerate(xs):
-        j = multiples.get(x)
+        j = names.get(x)
         if j is not None:
             m = "A" if j == 1 else f"{j}A"
             raise OtProtocolError(f"{what} {i} is {m} or -{m}")
@@ -188,7 +200,7 @@ def _parse_elements(
 
 def _pad(index: int, branch: int, shared_x: bytes) -> int:
     material = struct.pack("<IB", index, branch) + shared_x
-    return int.from_bytes(hashlib.sha256(b"ot-pad" + material).digest(), "big")
+    return int.from_bytes(hashlib.sha384(b"ot-pad" + material).digest(), "big")
 
 
 class OtSender:
@@ -201,19 +213,23 @@ class OtSender:
             (int.from_bytes(k0.bits, "big"), int.from_bytes(k1.bits, "big"))
             for k0, k1 in pairs
         ]
-        labels += [(0, 0)] * (len(labels) % 2)
-        # branch j of the transfer over wires w, w + 1: w's label for
-        # bit j & 1, then w + 1's for bit j >> 1
-        self._plaintexts = [
-            [
-                labels[w][j & 1] << 8 * LABEL_BYTES | labels[w + 1][j >> 1]
-                for j in range(BRANCHES)
-            ]
-            for w in range(0, len(labels), 2)
-        ]
+        labels += [(0, 0)] * (-len(labels) % BITS_PER_TRANSFER)
+        # branch j of the transfer over wires w, w + 1, w + 2: wire
+        # w + t's label for bit t of j, wire w's first
+        self._plaintexts = []
+        for w in range(0, len(labels), BITS_PER_TRANSFER):
+            triple = labels[w : w + BITS_PER_TRANSFER]
+            branches = []
+            for j in range(BRANCHES):
+                plaintext = 0
+                for t, pair in enumerate(triple):
+                    plaintext = plaintext << 8 * LABEL_BYTES | pair[j >> t & 1]
+                branches.append(plaintext)
+            self._plaintexts.append(branches)
         scalar = _rand_scalar(rand_bits)
         self._key = ec.derive_private_key(scalar, CURVE)
         self._big_a = _affine(self._key)
+        self._multiples = _multiples(self._big_a)
         self._t_x = _affine(ec.derive_private_key(scalar * scalar % ORDER, CURVE))[0]
 
     def public_message(self) -> bytes:
@@ -226,22 +242,23 @@ class OtSender:
         for key in elements:
             numbers = key.public_numbers()
             points.append((numbers.x, numbers.y))
+        xs = [x for x, _ in points]
+        _refuse_multiples(xs, self._multiples, "receiver message: element")
         ax, ay = self._big_a
-        _refuse_multiples([x for x, _ in points], ax, "receiver message: element")
+        minus_a = [(ax, -ay % FIELD_PRIME)] * len(points)
+        # key_xs[m][i] = x(a(B_i - mA)); branch j's key is m = j + 1
         key_xs: list[list[int]] = [[], []]
-        for b_key, b_minus_a in zip(
-            elements, _add_each(points, (ax, -ay % FIELD_PRIME))
-        ):
+        for b_key, b_minus_a in zip(elements, _add_each(points, minus_a)):
             peer = ec.EllipticCurvePublicNumbers(*b_minus_a, CURVE).public_key()
-            for branch, point in enumerate((b_key, peer)):
+            for m, point in enumerate((b_key, peer)):
                 shared_x = self._key.exchange(ec.ECDH(), point)
-                key_xs[branch].append(int.from_bytes(shared_x, "big"))
-        while len(key_xs) < BRANCHES:
+                key_xs[m].append(int.from_bytes(shared_x, "big"))
+        while len(key_xs) <= BRANCHES:
             key_xs.append(_x_step(key_xs[-1], self._t_x, key_xs[-2]))
         parts = []
         for i, plaintexts in enumerate(self._plaintexts):
             for branch, plaintext in enumerate(plaintexts):
-                shared_x = key_xs[branch][i].to_bytes(COORD_BYTES, "big")
+                shared_x = key_xs[branch + 1][i].to_bytes(COORD_BYTES, "big")
                 ct = _pad(i, branch, shared_x) ^ plaintext
                 parts.append(ct.to_bytes(CIPHERTEXT_BYTES, "big"))
         return b"".join(parts)
@@ -253,8 +270,11 @@ class OtReceiver:
     def __init__(self, choices: Sequence[int], rand_bits: RandomBits) -> None:
         bits = [c & 1 for c in choices]
         self._count = len(bits)
-        bits += [0] * (len(bits) % 2)
-        self._choices = [bits[i] | bits[i + 1] << 1 for i in range(0, len(bits), 2)]
+        bits += [0] * (-len(bits) % BITS_PER_TRANSFER)
+        self._choices = [
+            sum(bits[i + t] << t for t in range(BITS_PER_TRANSFER))
+            for i in range(0, len(bits), BITS_PER_TRANSFER)
+        ]
         self._rand_bits = rand_bits
         self._keys: list[ec.EllipticCurvePrivateKey] = []
         self._big_a: ec.EllipticCurvePublicKey | None = None
@@ -262,20 +282,18 @@ class OtReceiver:
     def blind(self, sender_public: bytes) -> bytes:
         (big_a,) = _parse_elements(sender_public, 1, "sender message")
         numbers = big_a.public_numbers()
-        a_point = (numbers.x, numbers.y)
+        multiples = _multiples((numbers.x, numbers.y))
         keys = [
             ec.derive_private_key(_rand_scalar(self._rand_bits), CURVE)
             for _ in self._choices
         ]
-        # candidates[j][i] = b_i G + jA
-        candidates = [[_affine(key) for key in keys]]
-        _refuse_multiples([x for x, _ in candidates[0]], a_point[0], "blinding point")
-        while len(candidates) < BRANCHES:
-            candidates.append(_add_each(candidates[-1], a_point))
+        blinding = [_affine(key) for key in keys]
+        _refuse_multiples([x for x, _ in blinding], multiples, "blinding point")
+        # B = bG + (c + 1)A: one addition per transfer, whatever c is
+        blinded = _add_each(blinding, [multiples[c] for c in self._choices])
+        _refuse_multiples([x for x, _ in blinded], multiples, "blinded point")
         self._keys, self._big_a = keys, big_a
-        return b"".join(
-            _encode(candidates[choice][i]) for i, choice in enumerate(self._choices)
-        )
+        return b"".join(_encode(point) for point in blinded)
 
     def unwrap(self, ciphertexts: bytes) -> list[WireLabel]:
         if self._big_a is None:
@@ -289,7 +307,10 @@ class OtReceiver:
             start = (BRANCHES * i + choice) * CIPHERTEXT_BYTES
             ct = int.from_bytes(ciphertexts[start : start + CIPHERTEXT_BYTES], "big")
             plain = (pad ^ ct).to_bytes(CIPHERTEXT_BYTES, "big")
-            labels += WireLabel(plain[:LABEL_BYTES]), WireLabel(plain[LABEL_BYTES:])
+            labels += (
+                WireLabel(plain[t : t + LABEL_BYTES])
+                for t in range(0, CIPHERTEXT_BYTES, LABEL_BYTES)
+            )
         return labels[: self._count]
 
 

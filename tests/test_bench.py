@@ -2,6 +2,7 @@
 
 import pytest
 
+from blindbargain import bench
 from blindbargain.bench import (
     GRID,
     BenchCell,
@@ -22,6 +23,17 @@ def test_small_benchmark_runs():
     assert all(len(c.times_ms) == 1 for c in cells)
     with pytest.raises(ValueError):
         run_benchmark(reps=0)
+
+
+def test_negative_warmup_is_refused(monkeypatch):
+    # a negative warmup used to shorten the timed reps, or leave none
+    timed = []
+    monkeypatch.setattr(bench, "time_one_session", lambda *args: timed.append(args) or 1.0)
+    for reps, warmup in ((5, -1), (3, -5)):
+        with pytest.raises(ValueError, match="warmup"):
+            run_benchmark(reps=reps, warmup=warmup, grid=[(8, 8)])
+    assert timed == []
+    assert len(run_benchmark(reps=5, warmup=0, grid=[(8, 8)])[0].times_ms) == 5
 
 
 def test_format_table_layout():

@@ -26,7 +26,7 @@ from blindbargain.config import load_config
 from blindbargain.garbling import garble, serialize_garbled
 from blindbargain.losses import LossProfile, residual_value
 from blindbargain.mechanism import MechanismParams, ScaledParams
-from blindbargain.ot import ELEMENT_BYTES, OtReceiver
+from blindbargain.ot import BITS_PER_TRANSFER, ELEMENT_BYTES, OtReceiver
 from blindbargain.protocol import (
     MSG_OT_MSG1,
     MSG_OT_MSG2,
@@ -153,9 +153,9 @@ def test_readme_settle_wide_figures_match_the_code():
     assert layout == 2 * params.k + params.k_theta
     assert ands == circuit.and_count
     assert blob_bytes == len(blob)
-    # one transfer carries two of the attacker's live bits
+    # one transfer carries three of the attacker's live bits
     assert transferred_bits == circuit.attacker_inputs
-    assert transfers == -(-circuit.attacker_inputs // 2)
+    assert transfers == -(-circuit.attacker_inputs // BITS_PER_TRANSFER)
 
 
 def _step_stages(source):
@@ -724,11 +724,11 @@ def test_sender_point_as_last_ot_element_exits_abort_code(capsys, tmp_path):
     assert codes["victim"] == 2
     assert attacker.stage == "peer-abort" and attacker.detail == "ot"
     # the circuit reads 17 of the attacker's 24 input bits at (8, 8),
-    # q = 1/4, and they go two to an element: element 8 is the last
+    # q = 1/4, and they go three to an element: element 5 is the last
     pi = config.pi
     assert build_mechanism_circuit(pi.params(), pi.scaled).attacker_inputs == 17
     err = capsys.readouterr().err
-    assert "aborted at ot: receiver message: element 8 is A or -A" in err
+    assert "aborted at ot: receiver message: element 5 is A or -A" in err
 
 
 def test_connect_without_listener_is_transport_failure(capsys, tmp_path):

@@ -11,10 +11,11 @@ from fractions import Fraction
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blindbargain import circuit as circuit_module
+from blindbargain import ot as ot_module
 from blindbargain.bench import GRID
 from blindbargain.circuit import (
     Circuit,
@@ -46,6 +47,7 @@ from blindbargain.mechanism import (
     outcome_fixed,
 )
 from blindbargain.ot import (
+    BRANCHES,
     CURVE,
     ELEMENT_BYTES,
     FIELD_PRIME,
@@ -83,7 +85,7 @@ GOLDEN_GRID_GARBLED = {
     Fraction(1, 2): "41ee5862644c5a08a9f99f94c4643d712314b1269bb3b50edde1a49e55eb0c09",
 }
 # sha256 of the seeded OtSender.respond output in test_ot_golden_bytes.
-GOLDEN_OT = "1d8c0d6322243298d60573b559c72f8bf2766f39a9682b281bdbfbc9e8216772"
+GOLDEN_OT = "86a391cbcdcfe60782784d2b53ff90e6a9f0c135717874741b4037da18c3cd7a"
 
 
 def _circuit(n_victim, n_attacker, gates, outputs):
@@ -336,9 +338,10 @@ def test_ot_all_zero_choices():
     assert got == [p[0] for p in pairs]
 
 
-@pytest.mark.parametrize("n", [1, 3, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8])
 def test_ot_odd_bit_counts(n):
-    # the last transfer carries one real wire and the zero filler
+    # unless 3 divides n, the last transfer carries one or two real wires
+    # and zero fillers
     rng = random.Random(40 + n)
     pairs = [
         (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in range(n)
@@ -361,7 +364,7 @@ def test_ot_interleaved_choices_over_eight_wires():
 
 
 def test_ot_scalar_multiplications_for_80_bits(monkeypatch):
-    # the 80 attacker bits of a (16, 32) session: 40 transfers, each two
+    # 80 evaluator bits: 27 transfers, the last a third full, each two
     # sender exchanges, one receiver derivation and exchange, one
     # decompression; plus A and a^2 G on the sender, A on the receiver
     calls = dict.fromkeys(("derive", "decode", "exchange"), 0)
@@ -398,7 +401,7 @@ def test_ot_scalar_multiplications_for_80_bits(monkeypatch):
     assert ot_transfer(pairs, choices, _seeded_bits(31)) == [
         p[c] for p, c in zip(pairs, choices)
     ]
-    assert calls == {"derive": 42, "decode": 41, "exchange": 120}
+    assert calls == {"derive": 29, "decode": 28, "exchange": 81}
 
 
 def test_ot_golden_bytes():
@@ -484,12 +487,12 @@ def _negated(element):
 
 
 # (multiple of A, how the refusal names it): each one with its negative
-_MULTIPLES = [(1, "A or -A"), (2, "2A or -2A"), (3, "3A or -3A")]
+_MULTIPLES = [(1, "A or -A")] + [(m, f"{m}A or -{m}A") for m in range(2, 9)]
 
 
 def test_ot_sender_rejects_plus_or_minus_a():
-    # B - jA for j in 0..3 must all be finite and the differential law's
-    # denominators nonzero: x(B) in {x(A), x(2A), x(3A)} is refused
+    # B - mA for m in 0..8 must all be finite and the differential law's
+    # denominators nonzero: x(B) in {x(A), ..., x(8A)} is refused
     rng = random.Random(19)
     pairs = [(WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16)))]
     a = rng.getrandbits(255) | 2
@@ -507,11 +510,11 @@ def test_ot_sender_checks_every_element_before_inverting():
     # instead of dividing by 0
     rng = random.Random(25)
     pairs = [
-        (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in range(16)
+        (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in range(24)
     ]
     a = rng.getrandbits(255) | 2
     sender = OtSender(pairs, lambda _: a)
-    honest = OtReceiver([0, 1] * 8, _seeded_bits(27)).blind(sender.public_message())
+    honest = OtReceiver([0, 1] * 12, _seeded_bits(27)).blind(sender.public_message())
     assert len(honest) == 8 * ELEMENT_BYTES
     for m, name in _MULTIPLES:
         for last in (_compressed(m * a), _negated(_compressed(m * a))):
@@ -520,20 +523,70 @@ def test_ot_sender_checks_every_element_before_inverting():
 
 
 def test_ot_receiver_refuses_a_blinding_scalar_of_plus_or_minus_a():
-    # b = +-ma puts bG at +-mA: for m = 1 the receiver's bG + A has no
-    # affine result, and for every m some candidate B is one the sender
-    # refuses; the receiver refuses all six whatever its choices
+    # b = +-ma puts bG at +-mA, and the receiver refuses all sixteen
+    # whatever its choices: at bG = -(c + 1)A its bG + (c + 1)A has no
+    # affine result, and every other one but 8A makes, for some c, a B
+    # the sender refuses
     a = random.Random(28).getrandbits(255) | 2
-    sender = OtSender([(WireLabel(bytes(16)), WireLabel(bytes([1]) * 16))] * 16, lambda _: a)
+    sender = OtSender([(WireLabel(bytes(16)), WireLabel(bytes([1]) * 16))] * 24, lambda _: a)
     draws = [random.Random(29 + i).getrandbits(255) | 2 for i in range(7)]
     for m, name in _MULTIPLES:
         for last in (m * a % ORDER, -m * a % ORDER):
             scalars = iter(draws + [last])
-            receiver = OtReceiver([0, 1] * 8, lambda _: next(scalars))
+            receiver = OtReceiver([0, 1] * 12, lambda _: next(scalars))
             with pytest.raises(OtProtocolError, match=f"blinding point 7 is {name}$"):
                 receiver.blind(sender.public_message())
             with pytest.raises(OtProtocolError, match="unwrap before blind"):
-                receiver.unwrap(bytes(8 * 4 * 32))
+                receiver.unwrap(bytes(8 * BRANCHES * 48))
+
+
+def test_ot_receiver_refuses_a_blinded_point_the_sender_refuses():
+    # bG = -(c + 1 + m)A lies off +-A ... +-8A when c + 1 + m > 8, yet
+    # makes B = bG + (c + 1)A = -mA: the receiver refuses that B itself,
+    # so an honest receiver never sends an element the sender refuses
+    a = random.Random(32).getrandbits(255) | 2
+    sender = OtSender([(WireLabel(bytes(16)), WireLabel(bytes([1]) * 16))] * 3, lambda _: a)
+    refused = 0
+    for c in range(BRANCHES):
+        for m, name in _MULTIPLES:
+            if c + 1 + m <= BRANCHES:
+                continue
+            b = -(c + 1 + m) * a % ORDER
+            receiver = OtReceiver([c & 1, c >> 1 & 1, c >> 2], lambda _: b)
+            with pytest.raises(OtProtocolError, match=f"blinded point 0 is {name}$"):
+                receiver.blind(sender.public_message())
+            refused += 1
+    assert refused == 36
+
+
+def test_ot_receiver_work_does_not_depend_on_its_choices(monkeypatch):
+    # every choice costs one point addition of bG and (c + 1)A; count the
+    # field inversions and the points of every batch
+    calls = []
+    invert_all, builtin_pow = ot_module._invert_all, pow
+
+    def counting_invert_all(values):
+        calls.append(("batch", len(values)))
+        return invert_all(values)
+
+    def counting_pow(*args):
+        calls.append(("pow",))
+        return builtin_pow(*args)
+
+    monkeypatch.setattr(ot_module, "_invert_all", counting_invert_all)
+    monkeypatch.setattr(ot_module, "pow", counting_pow, raising=False)
+    sender_public = OtSender(
+        [(WireLabel(bytes(16)), WireLabel(bytes([1]) * 16))] * 12, _seeded_bits(33)
+    ).public_message()
+    counts = set()
+    for choices in ([0] * 12, [1] * 12, [0, 1, 1, 0, 0, 0, 1, 1, 1, 1, 0, 1]):
+        calls.clear()
+        OtReceiver(choices, _seeded_bits(34)).blind(sender_public)
+        counts.add(tuple(calls))
+    # the table of A ... 8A in batches of 1, 2 and 4, then one batch of
+    # four additions, one per transfer; each batch inverts once
+    per_batch = [(("batch", n), ("pow",)) for n in (1, 2, 4, 4)]
+    assert counts == {tuple(itertools.chain(*per_batch))}
 
 
 def test_evaluate_reuses_the_digest_of_the_circuit_in_hand(monkeypatch):
@@ -552,13 +605,14 @@ def test_evaluate_reuses_the_digest_of_the_circuit_in_hand(monkeypatch):
 
 
 def test_ot_pads_differ_when_receiver_sends_half_of_a():
-    # B = kA/2 makes a(B - jA) and a(B - j'A) negatives of each other
-    # when j + j' = k, so their x agree; only the branch in the pad keeps
-    # ct_j ^ ct_j' from revealing the XOR of the two branches' labels
+    # B = kA/2 makes a(B - (j + 1)A) and a(B - (j' + 1)A) negatives of
+    # each other when j + j' + 2 = k, so their x agree; only the branch in
+    # the pad keeps ct_j ^ ct_j' from revealing the XOR of the two
+    # branches' labels
     rng = random.Random(21)
     n = 8
     pairs = [
-        (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in range(2 * n)
+        (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in range(3 * n)
     ]
     a = rng.getrandbits(255) | 2
     sender = OtSender(pairs, lambda _: a)
@@ -566,31 +620,36 @@ def test_ot_pads_differ_when_receiver_sends_half_of_a():
         CURVE, sender.public_message()
     )
     half = pow(2, -1, ORDER)
-    for k in (1, 3, 5):
+    for k in range(1, 2 * BRANCHES + 3, 2):
         shared_pairs = 0
         x_only = ec.derive_private_key(k * half % ORDER, CURVE).exchange(ec.ECDH(), big_a)
         # the x of kA/2 is all ECDH yields; either lift of it is +-kA/2
         for prefix in (b"\x02", b"\x03"):
             element = prefix + x_only
             sign = 1 if element == _compressed(k * half * a) else -1
-            # a(B - jA) = a^2 (+-k/2 - j) G
+            # a(B - (j + 1)A) = a^2 (+-k/2 - j - 1) G
             key_xs = [
-                _compressed(a * a * (sign * k * half - j))[1:] for j in range(4)
+                _compressed(a * a * (sign * k * half - j - 1))[1:]
+                for j in range(BRANCHES)
             ]
             ciphertexts = sender.respond(element * n)
-            for j, j2 in itertools.combinations(range(4), 2):
+            for j, j2 in itertools.combinations(range(BRANCHES), 2):
                 if key_xs[j] != key_xs[j2]:
                     continue
                 shared_pairs += 1
                 for i in range(n):
                     plain = [
-                        pairs[2 * i][b & 1].bits + pairs[2 * i + 1][b >> 1].bits
+                        b"".join(pairs[3 * i + t][b >> t & 1].bits for t in range(3))
                         for b in (j, j2)
                     ]
-                    cts = [ciphertexts[32 * (4 * i + b) : 32 * (4 * i + b + 1)] for b in (j, j2)]
+                    cts = [
+                        ciphertexts[48 * (BRANCHES * i + b) : 48 * (BRANCHES * i + b + 1)]
+                        for b in (j, j2)
+                    ]
                     xor_ct = bytes(x ^ y for x, y in zip(*cts))
                     assert xor_ct != bytes(x ^ y for x, y in zip(*plain))
-        assert shared_pairs == (2 if k == 3 else 1)
+        # the pairs j < j' of 0..7 with j + j' = k - 2
+        assert shared_pairs == {3: 1, 5: 2, 7: 3, 9: 4, 11: 3, 13: 2, 15: 1}.get(k, 0)
 
 
 def _point_add(p, q):
@@ -602,32 +661,34 @@ def _point_add(p, q):
 
 
 def _reference_respond(pairs, a, blinded):
-    """OtSender.respond by its definition: per transfer, B - jA by point
-    additions and four direct exchanges, no differential law."""
+    """OtSender.respond by its definition: per transfer, B - (j + 1)A by
+    point additions and eight direct exchanges, no differential law."""
     key = ec.derive_private_key(a, CURVE)
     numbers = key.public_key().public_numbers()
     minus_a = (numbers.x, -numbers.y % FIELD_PRIME)
     labels = [(k0.bits, k1.bits) for k0, k1 in pairs]
-    labels += [(bytes(16), bytes(16))] * (len(labels) % 2)
+    labels += [(bytes(16), bytes(16))] * (-len(labels) % 3)
     out = b""
-    for i in range(len(labels) // 2):
+    for i in range(len(labels) // 3):
         element = blinded[ELEMENT_BYTES * i : ELEMENT_BYTES * (i + 1)]
         b = ec.EllipticCurvePublicKey.from_encoded_point(CURVE, element).public_numbers()
-        points = [(b.x, b.y)]
-        while len(points) < 4:
-            points.append(_point_add(points[-1], minus_a))
-        for j, point in enumerate(points):
+        point = (b.x, b.y)
+        for j in range(8):
+            point = _point_add(point, minus_a)
             peer = ec.EllipticCurvePublicNumbers(*point, CURVE).public_key()
             shared_x = key.exchange(ec.ECDH(), peer)
-            pad = hashlib.sha256(b"ot-pad" + struct.pack("<IB", i, j) + shared_x).digest()
-            plain = labels[2 * i][j & 1] + labels[2 * i + 1][j >> 1]
+            pad = hashlib.sha384(b"ot-pad" + struct.pack("<IB", i, j) + shared_x).digest()
+            plain = b"".join(labels[3 * i + t][j >> t & 1] for t in range(3))
             out += bytes(x ^ y for x, y in zip(pad, plain))
     return out
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32), st.lists(st.integers(0, 1), min_size=1, max_size=9))
-def test_ot_sender_matches_the_four_exchange_reference(seed, choices):
+@given(st.integers(0, 2**32), st.lists(st.integers(0, 1), min_size=1, max_size=10))
+@example(seed=0, choices=[1])
+@example(seed=1, choices=[1, 0])
+@example(seed=2, choices=[0, 1, 1])
+def test_ot_sender_matches_the_eight_exchange_reference(seed, choices):
     rng = random.Random(seed)
     pairs = [
         (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in choices

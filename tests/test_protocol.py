@@ -29,7 +29,7 @@ from blindbargain.mechanism import (
     ScalingWarning,
     outcome_fixed,
 )
-from blindbargain.ot import BRANCHES, ELEMENT_BYTES, OtReceiver
+from blindbargain.ot import BITS_PER_TRANSFER, BRANCHES, ELEMENT_BYTES, OtReceiver
 from blindbargain.protocol import (
     MAX_TIMEOUT,
     MSG_ABORT,
@@ -61,8 +61,8 @@ PI = PiProfile(Fraction(1, 4), Fraction(2, 3), 8, 8, Fraction(3))
 # session (test_seeded_sessions_golden_transcripts): every message byte,
 # the OT messages included.
 GOLDEN_TRANSCRIPTS = {
-    (Fraction(1, 4), 16, 32): "b88116186f17886c93c0b3de97a88f4e1ffba13f1c69be8c1f7a04d1d3a6ce93",
-    (Fraction(1, 3), 16, 16): "502eca1f93e5980b1feb7e249e652219d75b84b22f8003d94bb624bbf0a89208",
+    (Fraction(1, 4), 16, 32): "eb1865c35f1d49e0e73e714572eccd2bf4633177886b253970efded1f934d2a1",
+    (Fraction(1, 3), 16, 16): "b1e79e5f0ac040d21af62bc4cac4879b4bd17f35b7e4a5f470fad1c12ef1ddf0",
 }
 # What those sessions settle, (r_f, alpha, sigma), and the victim's and
 # the attacker's own words.  Both sides draw full words whichever bits
@@ -333,8 +333,8 @@ def _assert_victim_aborts_at_ot(attacker_cls, detail):
 
 
 def _transfers(circuit):
-    """One OT element per pair of attacker input bits, the last maybe half full."""
-    return -(-circuit.attacker_inputs // 2)
+    """One OT element per triple of attacker input bits, the last maybe part full."""
+    return -(-circuit.attacker_inputs // BITS_PER_TRANSFER)
 
 
 class GarbageOtAttacker(AttackerSession):
@@ -511,30 +511,36 @@ def test_transcript_shape_independent_of_victim_report():
     assert len(shapes) == 1
 
 
-def test_ot_message_sizes_follow_the_bit_pairs():
+def test_ot_message_sizes_follow_the_bit_triples():
     # one label per input bit the circuit reads of the victim's; 33 bytes
-    # per pair of the attacker's and four 32-byte ciphertexts per pair,
-    # for every report.  (16, 32) at q = 1/4 reads 49 bits of each party,
-    # which leaves a half-full last pair
+    # per triple of the attacker's and eight 48-byte ciphertexts per
+    # triple, for every report.  (16, 32) at q = 1/4 reads 49 bits of each
+    # party, which leaves a third-full last triple; (8, 8) and (5, 8) leave
+    # two thirds, and (8, 6) fills all five triples
     odd = PiProfile(Fraction(1, 4), Fraction(2, 3), 8, 5, 0)
+    full = PiProfile(Fraction(1, 4), Fraction(2, 3), 6, 8, 0)
     wide = PiProfile(Fraction(1, 4), Fraction(2, 3), 32, 16, 0)
+    filled = set()
     for pi, reports in (
         (PI, [(200, 0), (0, 255)]),
         (odd, [(31, 0), (0, 31), (20, 9)]),
+        (full, [(63, 0), (40, 9)]),
         (wide, [(60000, 0), (0, 65535), (40000, 9000)]),
     ):
         circuit = build_mechanism_circuit(pi.params(), pi.scaled)
-        transfers = -(-circuit.attacker_inputs // 2)
+        transfers = _transfers(circuit)
+        filled.add(circuit.attacker_inputs % BITS_PER_TRANSFER)
         for theta_v, theta_a in reports:
             v, a = loopback_run(pi, theta_v, theta_a, b"v-odd", b"a-odd")
             assert v.outcome == a.outcome == oracle(pi, v, a)
             sizes = {t: n for _, t, n in v.transcript.shape()}
             assert sizes["GARBLER_INPUT_LABELS"] == LABEL_BYTES * circuit.victim_inputs
             assert sizes["OT_MSG2"] == ELEMENT_BYTES * transfers
-            assert sizes["OT_MSG3"] == BRANCHES * 32 * transfers
+            assert sizes["OT_MSG3"] == BRANCHES * 48 * transfers
+    assert filled == {0, 1, 2}
     assert (circuit.victim_inputs, circuit.attacker_inputs) == (49, 49)
     assert {t: sizes[t] for t in ("CIRCUIT", "GARBLER_INPUT_LABELS", "OT_MSG2", "OT_MSG3")} == {
-        "CIRCUIT": 11_884, "GARBLER_INPUT_LABELS": 784, "OT_MSG2": 825, "OT_MSG3": 3_200,
+        "CIRCUIT": 11_884, "GARBLER_INPUT_LABELS": 784, "OT_MSG2": 561, "OT_MSG3": 6_528,
     }
 
 
