@@ -7,6 +7,13 @@ k_theta-bit report (``party_input_bits``), and the circuit reads only
 the positions of that layout that reach a revealed output.  The format
 is positional: gate i drives the wire after the inputs and the i earlier
 gates, so no gate names its output.
+A circuit stores its gates as one packed table, the bytes that
+``serialize_circuit`` emits after its header and hashes into the digest:
+a ``<BII`` row (kind, in_a, in_b) per gate, ``NOT_SENTINEL`` as a NOT's
+second input.  The garbler and the evaluators read the rows; a built
+circuit holds no per-gate object, so a long-lived process that keeps
+many sessions does not carry their gates through its garbage collector.
+``Circuit.gates`` builds ``Gate`` tuples from the table on demand.
 The circuit XORs the word shares, compares them against
 hard-wired scaled constants, multiplies by the public constants through
 shared partial sums (``CircuitBuilder.multiply_const``), and selects the
@@ -49,17 +56,19 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .mechanism import MechanismOutcome, MechanismParams, ScaledParams
 
 MAGIC = b"BCIR"
 FORMAT_VERSION = 5
 NOT_SENTINEL = 0xFFFFFFFF
+# one gate table row: kind, first input, second input
+_ROW = struct.Struct("<BII")
 
 
 class GateKind(IntEnum):
@@ -79,11 +88,21 @@ class Gate(NamedTuple):
 # the members as plain names: an Enum attribute lookup costs as much as
 # the gate work it selects in the loops below
 _XOR, _AND, _NOT = GateKind
+_KIND_OF = {kind.value: kind for kind in GateKind}
+
+
+def _gate_rows(table: bytes) -> Iterator[tuple[GateKind | int, int, int | None]]:
+    """A table's rows in ``Gate`` form: the kind a member, None as a NOT's
+    second input.  An unknown kind stays a plain int, for the checks to refuse."""
+    return (
+        (_KIND_OF.get(kind, kind), in_a, None if in_b == NOT_SENTINEL else in_b)
+        for kind, in_a, in_b in _ROW.iter_unpack(table)
+    )
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """A positional gate list over the two parties' live input bits.
+    """A positional gate table over the two parties' live input bits.
 
     Each party lays out its inputs as ``party_input_bits`` describes,
     2k + k_theta bits; ``victim_positions`` and ``attacker_positions``
@@ -92,16 +111,21 @@ class Circuit:
     the next attacker_inputs wires the attacker's; gate i drives wire
     n_inputs + i.  ``outputs`` are the revealed wires, r_f LSB first,
     then alpha, then sigma.
+
+    ``gates`` is a ``Gate`` sequence or an already packed table, as
+    ``CircuitBuilder.finish`` passes it; either goes through the same
+    checks, and the circuit keeps only ``table``.
     """
 
     k: int
     k_theta: int
     victim_positions: tuple[int, ...]
     attacker_positions: tuple[int, ...]
-    gates: tuple[Gate, ...]
+    gates: InitVar[Sequence[Gate] | bytes]
     outputs: tuple[int, ...]
+    table: bytes = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, gates: Sequence[Gate] | bytes) -> None:
         layout = 2 * self.k + self.k_theta
         for positions in (self.victim_positions, self.attacker_positions):
             if list(positions) != sorted(set(positions)) or not all(
@@ -110,10 +134,16 @@ class Circuit:
                 raise ValueError(
                     f"input positions must increase within the {layout}-bit layout"
                 )
+        if isinstance(gates, bytes):
+            if len(gates) % _ROW.size:
+                raise ValueError("gate table is not a whole number of rows")
+            table, rows = gates, _gate_rows(gates)
+        else:
+            table, rows = None, gates
         n_inputs = self.n_inputs
         # gate i drives wire n_inputs + i, so it reads only wires below that
-        for bound, (kind, in_a, in_b) in enumerate(self.gates, n_inputs):
-            # a member, not an int equal to one: the evaluators dispatch on identity
+        for bound, (kind, in_a, in_b) in enumerate(rows, n_inputs):
+            # a member, not an int equal to one: a Gate names its kind
             if type(kind) is not GateKind:
                 raise ValueError(f"unknown gate kind {kind!r}")
             if (kind is not _NOT) != (in_b is not None):
@@ -123,7 +153,13 @@ class Circuit:
                 raise ValueError(
                     f"gate {bound - n_inputs} reads wire {src}, not an earlier one"
                 )
-        wire_count = n_inputs + len(self.gates)
+        if table is None:
+            table = b"".join(
+                _ROW.pack(kind, in_a, NOT_SENTINEL if in_b is None else in_b)
+                for kind, in_a, in_b in gates
+            )
+        object.__setattr__(self, "table", table)
+        wire_count = n_inputs + len(table) // _ROW.size
         for w in self.outputs:
             if not 0 <= w < wire_count:
                 raise ValueError(f"output wire {w} does not exist")
@@ -140,14 +176,28 @@ class Circuit:
     def n_inputs(self) -> int:
         return self.victim_inputs + self.attacker_inputs
 
+    def rows(self) -> Iterator[tuple[int, int, int]]:
+        """The table's (kind, in_a, in_b) rows as plain ints, one at a time."""
+        return _ROW.iter_unpack(self.table)
+
     @cached_property
     def and_count(self) -> int:
-        return sum(1 for g in self.gates if g.kind is _AND)
+        return self.table[:: _ROW.size].count(_AND)
 
     @cached_property
     def _digest(self) -> bytes:
         # the fields are immutable, so one hash serves every later check
         return hashlib.sha256(serialize_circuit(self)).digest()
+
+
+def _gate_view(circuit: Circuit) -> tuple[Gate, ...]:
+    """The gates as ``Gate`` tuples, built from the table on each call."""
+    return tuple(map(Gate._make, _gate_rows(circuit.table)))
+
+
+# Set after @dataclass, which would take a class attribute named like the
+# ``gates`` InitVar for that field's default.
+Circuit.gates = property(_gate_view)
 
 
 # Constants are not wires: the gate methods fold them away, so no gate
@@ -175,7 +225,7 @@ class CircuitBuilder:
     """Gate assembler: wires are write-once, emission order is the topo order.
 
     Emitted gates are kept as three plain lists (kind, first and second
-    input); ``finish`` makes a ``Gate`` only for each gate it keeps.
+    input); ``finish`` packs each gate it keeps into the circuit's table.
     """
 
     def __init__(self) -> None:
@@ -380,22 +430,22 @@ class CircuitBuilder:
         index = [0] * len(live)
         for new, w in enumerate(kept):
             index[w] = new
-        gates = []
+        rows = []
         for position, kind in enumerate(kinds):
             wire = n_in + position
             if not live[wire]:
                 continue
-            index[wire] = len(kept) + len(gates)
+            index[wire] = len(kept) + len(rows)
             b = in_b[position]
-            gates.append(
-                Gate(kind, index[in_a[position]], None if b is None else index[b])
+            rows.append(
+                _ROW.pack(kind, index[in_a[position]], NOT_SENTINEL if b is None else index[b])
             )
         return Circuit(
             k,
             k_theta,
             tuple(w for w in kept if w < layout),
             tuple(w - layout for w in kept if w >= layout),
-            tuple(gates),
+            b"".join(rows),
             tuple(index[w] for w in outputs),
         )
 
@@ -478,9 +528,13 @@ def build_mechanism_circuit(params: MechanismParams, scaled: ScaledParams) -> Ci
     return bld.finish(k, kt, (*r_f_bits, alpha, sigma))
 
 
-def eval_gates(gates: Iterable[Gate], inputs: Sequence[int], lanes: int = 1) -> list[int]:
+def eval_gates(
+    gates: Iterable[tuple[int, int, int | None]], inputs: Sequence[int], lanes: int = 1
+) -> list[int]:
     """Bit-sliced plaintext evaluation; returns every wire's word.
 
+    ``gates`` are ``Gate``s or table rows (``Circuit.rows``): the kind's
+    value selects the operation, and a NOT's second input is not read.
     ``inputs`` are the words of the input wires, and gate i appends the
     word of wire len(inputs) + i.  Bit s of each word is sample s, so
     one int operation advances ``lanes`` samples at once; a single run
@@ -488,13 +542,13 @@ def eval_gates(gates: Iterable[Gate], inputs: Sequence[int], lanes: int = 1) -> 
     """
     ones = (1 << lanes) - 1
     wires = list(inputs)
-    for gate in gates:
-        if gate.kind is _XOR:
-            wires.append(wires[gate.in_a] ^ wires[gate.in_b])
-        elif gate.kind is _AND:
-            wires.append(wires[gate.in_a] & wires[gate.in_b])
+    for kind, in_a, in_b in gates:
+        if kind == _XOR:
+            wires.append(wires[in_a] ^ wires[in_b])
+        elif kind == _AND:
+            wires.append(wires[in_a] & wires[in_b])
         else:
-            wires.append(wires[gate.in_a] ^ ones)
+            wires.append(wires[in_a] ^ ones)
     return wires
 
 
@@ -504,7 +558,7 @@ def eval_plain(circuit: Circuit, input_bits: Sequence[int]) -> tuple[int, ...]:
         raise ValueError(
             f"expected {circuit.n_inputs} input bits, got {len(input_bits)}"
         )
-    wires = eval_gates(circuit.gates, [b & 1 for b in input_bits])
+    wires = eval_gates(circuit.rows(), [b & 1 for b in input_bits])
     return tuple(wires[w] for w in circuit.outputs)
 
 
@@ -540,11 +594,12 @@ def serialize_circuit(circuit: Circuit) -> bytes:
 
     Only the digest crosses the wire, inside the garbled blob.  The
     header carries the layout widths and the list lengths; the
-    outputs, then both parties' input positions, then the gates follow.
+    outputs, then both parties' input positions, then the gate table
+    follow.
     """
     n_out = len(circuit.outputs)
     n_victim, n_attacker = circuit.victim_inputs, circuit.attacker_inputs
-    parts = [
+    return b"".join((
         struct.pack(
             "<4sHIIIIII",
             MAGIC,
@@ -553,7 +608,7 @@ def serialize_circuit(circuit: Circuit) -> bytes:
             circuit.k_theta,
             n_victim,
             n_attacker,
-            len(circuit.gates),
+            len(circuit.table) // _ROW.size,
             n_out,
         ),
         struct.pack(
@@ -562,11 +617,8 @@ def serialize_circuit(circuit: Circuit) -> bytes:
             *circuit.victim_positions,
             *circuit.attacker_positions,
         ),
-    ]
-    for gate in circuit.gates:
-        in_b = NOT_SENTINEL if gate.in_b is None else gate.in_b
-        parts.append(struct.pack("<BII", gate.kind, gate.in_a, in_b))
-    return b"".join(parts)
+        circuit.table,
+    ))
 
 
 def circuit_digest(circuit: Circuit) -> bytes:

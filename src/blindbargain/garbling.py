@@ -121,12 +121,12 @@ def garble(circuit: Circuit, seed: bytes) -> GarbledMaterial:
     delta = _seed_label(seed, b"delta", 0) | 1
     n_in = circuit.n_inputs
     zero_of = [_seed_label(seed, b"input", w) for w in range(n_in)]
-    xor, not_ = GateKind.XOR, GateKind.NOT
+    xor, not_ = int(GateKind.XOR), int(GateKind.NOT)
     ands = []  # (position, a0, b0, out0) per AND gate
-    for position, (kind, in_a, in_b) in enumerate(circuit.gates):
-        if kind is xor:
+    for position, (kind, in_a, in_b) in enumerate(circuit.rows()):
+        if kind == xor:
             zero_of.append(zero_of[in_a] ^ zero_of[in_b])
-        elif kind is not_:
+        elif kind == not_:
             # pass-through label flips meaning, no table row needed
             zero_of.append(zero_of[in_a] ^ delta)
         else:
@@ -189,12 +189,12 @@ def evaluate(
         raise ValueError("garbled table count does not match the circuit")
     labels = [int.from_bytes(label.bits, "big") for label in input_labels]
     enc = _new_encryptor()
-    xor, not_ = GateKind.XOR, GateKind.NOT
+    xor, not_ = int(GateKind.XOR), int(GateKind.NOT)
     and_index = 0
-    for position, (kind, in_a, in_b) in enumerate(circuit.gates):
-        if kind is xor:
+    for position, (kind, in_a, in_b) in enumerate(circuit.rows()):
+        if kind == xor:
             labels.append(labels[in_a] ^ labels[in_b])
-        elif kind is not_:
+        elif kind == not_:
             labels.append(labels[in_a])
         else:
             a, b = labels[in_a], labels[in_b]

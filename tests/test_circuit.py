@@ -1,9 +1,11 @@
 """Gate-level tests: sub-circuits against integer arithmetic, the full
 circuit against the fixed-point oracle, and the canonical byte format."""
 
+import gc
 import hashlib
 import itertools
 import random
+import struct
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from blindbargain.bench import GRID
 from blindbargain.circuit import (
+    NOT_SENTINEL,
     ONE,
     ZERO,
     Circuit,
@@ -252,8 +255,8 @@ def test_circuit_structural_validation():
         Gate(GateKind.NOT, 0, 1),  # NOT with a second input
         Gate(GateKind.XOR, 0, None),  # XOR without one
         Gate(7, 0, 1),  # unknown kind
-        Gate(0, 0, 1),  # plain ints equal to XOR and AND, which the
-        Gate(1, 0, 1),  # evaluators, dispatching on identity, do not know
+        Gate(0, 0, 1),  # plain ints equal to XOR and AND: a Gate
+        Gate(1, 0, 1),  # names its kind by member
     ]
     for gate in bad_gates:
         with pytest.raises(ValueError):
@@ -353,6 +356,85 @@ def _verdict(cls, fields):
 @given(_gate_lists())
 def test_one_pass_validator_matches_the_two_pass_one(fields):
     assert _verdict(_circuit, fields) == _verdict(_TwoPassCircuit, fields)
+
+
+def _per_gate_serialization(circuit, gates):
+    """serialize_circuit as it was before the packed table, over the Gates
+    the circuit was made from: the oracle of the table's byte layout."""
+    n_out = len(circuit.outputs)
+    n_victim, n_attacker = circuit.victim_inputs, circuit.attacker_inputs
+    parts = [
+        struct.pack(
+            "<4sHIIIIII",
+            b"BCIR",
+            5,
+            circuit.k,
+            circuit.k_theta,
+            n_victim,
+            n_attacker,
+            len(gates),
+            n_out,
+        ),
+        struct.pack(
+            f"<{n_out + n_victim + n_attacker}I",
+            *circuit.outputs,
+            *circuit.victim_positions,
+            *circuit.attacker_positions,
+        ),
+    ]
+    for gate in gates:
+        in_b = NOT_SENTINEL if gate.in_b is None else gate.in_b
+        parts.append(struct.pack("<BII", gate.kind, gate.in_a, in_b))
+    return b"".join(parts)
+
+
+@st.composite
+def _well_formed_circuits(draw):
+    """(n_victim, n_attacker, gates, outputs, input words) of a valid circuit."""
+    n_victim, n_attacker = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    n_inputs = n_victim + n_attacker
+    gates = []
+    for position in range(draw(st.integers(0, 12)) if n_inputs else 0):
+        earlier = st.integers(0, n_inputs + position - 1)
+        kind = draw(st.sampled_from(list(GateKind)))
+        in_b = None if kind is GateKind.NOT else draw(earlier)
+        gates.append(Gate(kind, draw(earlier), in_b))
+    wires = n_inputs + len(gates)
+    outputs = draw(st.lists(st.integers(0, wires - 1), max_size=4)) if wires else []
+    words = draw(st.lists(st.integers(0, 255), min_size=n_inputs, max_size=n_inputs))
+    return n_victim, n_attacker, tuple(gates), tuple(outputs), words
+
+
+@settings(max_examples=300, deadline=None)
+@given(_well_formed_circuits())
+def test_gate_table_round_trips_against_the_per_gate_serializer(drawn):
+    n_victim, n_attacker, gates, outputs, words = drawn
+    circuit = _circuit(n_victim, n_attacker, gates, outputs)
+    assert circuit.gates == gates
+    assert all(type(gate.kind) is GateKind for gate in circuit.gates)
+    assert serialize_circuit(circuit) == _per_gate_serialization(circuit, gates)
+    assert eval_gates(circuit.rows(), words, 8) == eval_gates(gates, words, 8)
+    # the table alone makes the same circuit
+    again = Circuit(circuit.k, 0, circuit.victim_positions, circuit.attacker_positions,
+                    circuit.table, outputs)
+    assert again == circuit and again.gates == gates
+
+
+def test_a_built_circuit_holds_no_per_gate_objects():
+    params = MechanismParams.from_q(Fraction(1, 4), 16, 32)
+    scaled = ScaledParams.from_params(params)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        circuit = build_mechanism_circuit(params, scaled)
+        held = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert held < 20  # a Gate per gate would add 533
+    kinds = [gate.kind for gate in circuit.gates]
+    assert len(kinds) == 533
+    assert [kinds.count(kind) for kind in GateKind] == [330, 167, 36]
 
 
 def test_build_is_deterministic():
@@ -613,7 +695,8 @@ def test_digest_binds_the_input_positions():
         dead = min(set(range(2 * PARAMS.k + PARAMS.k_theta)) - set(positions))
         moved = tuple(sorted({*positions[1:], dead}))
         assert len(moved) == len(positions) and moved != positions
-        assert circuit_digest(replace(circuit, **{field: moved})) != base
+        moved_circuit = replace(circuit, gates=circuit.table, **{field: moved})
+        assert circuit_digest(moved_circuit) != base
 
 
 def test_and_count_monotone_in_widths():

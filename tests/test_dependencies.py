@@ -78,6 +78,8 @@ KEPT_FOR_TESTS = {
     "ot_transfer": "runs the three OT flows in one process, so OT is tested without sockets",
     "load_transcript": "reads back what persist_transcript writes",
     "SessionTranscript.payload_digests": "the per-message digests the golden transcripts pin",
+    "Gate.in_a": "a field of the Circuit.gates view that tests walk; settlement reads table rows",
+    "Gate.in_b": "a field of the Circuit.gates view that tests walk; settlement reads table rows",
     "BenchCell.times_ms": "the samples behind median_ms, which show warmup reps are left out",
     "OfferSchedule.offer": "the offer of round n, numbered from 1 as the paper numbers rounds",
     "GarbledMaterial.output_labels": "the garbler's output pairs, checked against the commitments",

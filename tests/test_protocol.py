@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blindbargain.circuit import GateKind, build_mechanism_circuit
+from blindbargain.circuit import Circuit, GateKind, build_mechanism_circuit
 from blindbargain.garbling import LABEL_BYTES, WireLabel, _seed_label, garble
 from blindbargain.mechanism import (
     MechanismParams,
@@ -93,6 +93,17 @@ def test_honest_run_matches_fixed_point_oracle():
         assert v.outcome == oracle(PI, v, a)
 
 
+def test_settlement_never_builds_the_gate_view(monkeypatch):
+    # both sides build, garble, evaluate and check digests off the packed table
+    def refuse(circuit):
+        raise AssertionError("a settlement read Circuit.gates")
+
+    monkeypatch.setattr(Circuit, "gates", property(refuse))
+    v, a = loopback_run(PI, 200, 37, b"v", b"a")
+    assert isinstance(v, NegotiationResult) and isinstance(a, NegotiationResult)
+    assert v.outcome == a.outcome == oracle(PI, v, a)
+
+
 def test_deterministic_replay_produces_identical_transcripts():
     v1, a1 = loopback_run(PI, 200, 37, b"v-seed", b"a-seed")
     v2, a2 = loopback_run(PI, 200, 37, b"v-seed", b"a-seed")
@@ -163,9 +174,10 @@ def _retabled_gates(circuit):
     AND(lt, theta_a ^ undone), or the AND alone where undone is 0.
     """
     n = circuit.n_inputs
+    gates = circuit.gates
 
     def gate(wire):
-        return circuit.gates[wire - n]
+        return gates[wire - n]
 
     *r_f, _alpha, sigma = circuit.outputs
     targets = {sigma - n: False}
@@ -174,7 +186,7 @@ def _retabled_gates(circuit):
         r3 = gate(picked).in_b
         r3_and = r3 if gate(r3).kind is GateKind.AND else gate(r3).in_b
         targets.update({r_f_and - n: False, picked - n: True, r3_and - n: True})
-    assert all(circuit.gates[position].kind is GateKind.AND for position in targets)
+    assert all(gates[position].kind is GateKind.AND for position in targets)
     return targets
 
 
