@@ -188,9 +188,13 @@ def rubinstein_split(v: MoneyLike, r_max: MoneyLike, r_min: MoneyLike) -> Money:
 
     With no deadline and no discounting the split lands halfway between
     what the victim would pay at most and what the attacker accepts at
-    least.  Raises NoDeal when those do not overlap.
+    least.  Raises ValueError for a negative argument and NoDeal when
+    the reservations do not overlap.
     """
     value, cap, floor_ = as_money(v), as_money(r_max), as_money(r_min)
+    for name, amount in (("v", value), ("r_max", cap), ("r_min", floor_)):
+        if amount < 0:
+            raise ValueError(f"{name} must be >= 0")
     ceiling = min(value, cap)
     if floor_ > ceiling:
         raise NoDeal(f"r_min={floor_} exceeds min(v, r_max)={ceiling}")

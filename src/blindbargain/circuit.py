@@ -7,13 +7,14 @@ k_theta-bit report (``party_input_bits``), and the circuit reads only
 the positions of that layout that reach a revealed output.  The format
 is positional: gate i drives the wire after the inputs and the i earlier
 gates, so no gate names its output.
-A circuit stores its gates as one packed table, the bytes that
-``serialize_circuit`` emits after its header and hashes into the digest:
-a ``<BII`` row (kind, in_a, in_b) per gate, ``NOT_SENTINEL`` as a NOT's
-second input.  The garbler and the evaluators read the rows; a built
-circuit holds no per-gate object, so a long-lived process that keeps
-many sessions does not carry their gates through its garbage collector.
-``Circuit.gates`` builds ``Gate`` tuples from the table on demand.
+A circuit is one packed gate table, the bytes that ``serialize_circuit``
+emits after its header and hashes into the digest: a ``<BII`` row
+(kind, in_a, in_b) per gate, ``NOT_SENTINEL`` as a NOT's second input,
+checked once as plain ints when the circuit is made.  The garbler and
+the evaluators read the rows; a built circuit holds no per-gate object,
+so a long-lived process that keeps many sessions does not carry their
+gates through its garbage collector.  ``Circuit.gates``, a view for
+tests and tracing, builds ``Gate`` tuples from the table on demand.
 The circuit XORs the word shares, compares them against
 hard-wired scaled constants, multiplies by the public constants through
 shared partial sums (``CircuitBuilder.multiply_const``), and selects the
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property
@@ -88,16 +89,6 @@ class Gate(NamedTuple):
 # the members as plain names: an Enum attribute lookup costs as much as
 # the gate work it selects in the loops below
 _XOR, _AND, _NOT = GateKind
-_KIND_OF = {kind.value: kind for kind in GateKind}
-
-
-def _gate_rows(table: bytes) -> Iterator[tuple[GateKind | int, int, int | None]]:
-    """A table's rows in ``Gate`` form: the kind a member, None as a NOT's
-    second input.  An unknown kind stays a plain int, for the checks to refuse."""
-    return (
-        (_KIND_OF.get(kind, kind), in_a, None if in_b == NOT_SENTINEL else in_b)
-        for kind, in_a, in_b in _ROW.iter_unpack(table)
-    )
 
 
 @dataclass(frozen=True)
@@ -109,23 +100,19 @@ class Circuit:
     are the increasing positions of that layout the circuit reads.  Wires
     0 .. victim_inputs - 1 carry the victim's bits at those positions and
     the next attacker_inputs wires the attacker's; gate i drives wire
-    n_inputs + i.  ``outputs`` are the revealed wires, r_f LSB first,
-    then alpha, then sigma.
-
-    ``gates`` is a ``Gate`` sequence or an already packed table, as
-    ``CircuitBuilder.finish`` passes it; either goes through the same
-    checks, and the circuit keeps only ``table``.
+    n_inputs + i.  ``table`` holds one ``<BII`` row per gate, as
+    ``CircuitBuilder.finish`` packs it.  ``outputs`` are the revealed
+    wires, r_f LSB first, then alpha, then sigma.
     """
 
     k: int
     k_theta: int
     victim_positions: tuple[int, ...]
     attacker_positions: tuple[int, ...]
-    gates: InitVar[Sequence[Gate] | bytes]
+    table: bytes = field(repr=False)
     outputs: tuple[int, ...]
-    table: bytes = field(init=False, repr=False)
 
-    def __post_init__(self, gates: Sequence[Gate] | bytes) -> None:
+    def __post_init__(self) -> None:
         layout = 2 * self.k + self.k_theta
         for positions in (self.victim_positions, self.attacker_positions):
             if list(positions) != sorted(set(positions)) or not all(
@@ -134,32 +121,21 @@ class Circuit:
                 raise ValueError(
                     f"input positions must increase within the {layout}-bit layout"
                 )
-        if isinstance(gates, bytes):
-            if len(gates) % _ROW.size:
-                raise ValueError("gate table is not a whole number of rows")
-            table, rows = gates, _gate_rows(gates)
-        else:
-            table, rows = None, gates
-        n_inputs = self.n_inputs
+        if len(self.table) % _ROW.size:
+            raise ValueError("gate table is not a whole number of rows")
+        n_inputs, not_ = self.n_inputs, int(_NOT)
         # gate i drives wire n_inputs + i, so it reads only wires below that
-        for bound, (kind, in_a, in_b) in enumerate(rows, n_inputs):
-            # a member, not an int equal to one: a Gate names its kind
-            if type(kind) is not GateKind:
-                raise ValueError(f"unknown gate kind {kind!r}")
-            if (kind is not _NOT) != (in_b is not None):
+        for bound, (kind, in_a, in_b) in enumerate(self.rows(), n_inputs):
+            if kind > not_:
+                raise ValueError(f"unknown gate kind {kind}")
+            if (kind == not_) != (in_b == NOT_SENTINEL):
                 raise ValueError("gate arity does not match its kind")
-            if not 0 <= in_a < bound or not (in_b is None or 0 <= in_b < bound):
-                src = in_b if 0 <= in_a < bound else in_a
+            if in_a >= bound or (kind != not_ and in_b >= bound):
+                src = in_a if in_a >= bound else in_b
                 raise ValueError(
                     f"gate {bound - n_inputs} reads wire {src}, not an earlier one"
                 )
-        if table is None:
-            table = b"".join(
-                _ROW.pack(kind, in_a, NOT_SENTINEL if in_b is None else in_b)
-                for kind, in_a, in_b in gates
-            )
-        object.__setattr__(self, "table", table)
-        wire_count = n_inputs + len(table) // _ROW.size
+        wire_count = n_inputs + len(self.table) // _ROW.size
         for w in self.outputs:
             if not 0 <= w < wire_count:
                 raise ValueError(f"output wire {w} does not exist")
@@ -180,6 +156,14 @@ class Circuit:
         """The table's (kind, in_a, in_b) rows as plain ints, one at a time."""
         return _ROW.iter_unpack(self.table)
 
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """The rows as ``Gate`` tuples, built on each call, for tests and tracing."""
+        kinds = tuple(GateKind)
+        return tuple(
+            Gate(kinds[k], a, None if b == NOT_SENTINEL else b) for k, a, b in self.rows()
+        )
+
     @cached_property
     def and_count(self) -> int:
         return self.table[:: _ROW.size].count(_AND)
@@ -188,16 +172,6 @@ class Circuit:
     def _digest(self) -> bytes:
         # the fields are immutable, so one hash serves every later check
         return hashlib.sha256(serialize_circuit(self)).digest()
-
-
-def _gate_view(circuit: Circuit) -> tuple[Gate, ...]:
-    """The gates as ``Gate`` tuples, built from the table on each call."""
-    return tuple(map(Gate._make, _gate_rows(circuit.table)))
-
-
-# Set after @dataclass, which would take a class attribute named like the
-# ``gates`` InitVar for that field's default.
-Circuit.gates = property(_gate_view)
 
 
 # Constants are not wires: the gate methods fold them away, so no gate
@@ -533,7 +507,7 @@ def eval_gates(
 ) -> list[int]:
     """Bit-sliced plaintext evaluation; returns every wire's word.
 
-    ``gates`` are ``Gate``s or table rows (``Circuit.rows``): the kind's
+    ``gates`` are table rows (``Circuit.rows``) or ``Gate``s: the kind's
     value selects the operation, and a NOT's second input is not read.
     ``inputs`` are the words of the input wires, and gate i appends the
     word of wire len(inputs) + i.  Bit s of each word is sample s, so

@@ -169,8 +169,9 @@ def spne(
     ransom = as_money(r_f)
     value = as_money(v)
     cap = as_money(r_max)
-    if ransom < 0:
-        raise ValueError("r_f must be >= 0")
+    for name, amount in (("r_f", ransom), ("v", value), ("r_max", cap)):
+        if amount < 0:
+            raise ValueError(f"{name} must be >= 0")
     if regime(rep) is None:
         warnings.warn(
             "reputation parameters fit neither analyzed regime; "

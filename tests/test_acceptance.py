@@ -237,7 +237,7 @@ def _batch_outcomes(circuit, fields: np.ndarray):
                     packed = np.packbits(lane_bits, bitorder="little").tobytes()
                     party[encoded.index(1)] = int.from_bytes(packed, "little")
         words += party
-    wires = eval_gates(circuit.gates, words, n)
+    wires = eval_gates(circuit.rows(), words, n)
 
     def lanes(wire):
         packed = np.frombuffer(wires[wire].to_bytes(-(-n // 8), "little"), np.uint8)

@@ -166,6 +166,10 @@ def test_rubinstein_split():
     assert rubinstein_split(6, 10, 6) == 6
     with pytest.raises(NoDeal):
         rubinstein_split(4, 4, 5)
+    # a negative amount is refused, not split
+    for args, name in (((-1, 8, 2), "v"), ((10, -8, -9), "r_max"), ((1, 2, -5), "r_min")):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+            rubinstein_split(*args)
 
 
 def test_instance_needs_overlapping_reservations():

@@ -77,7 +77,7 @@ def _sweep(bld, n_inputs, outputs):
     inputs = [
         sum(((v >> i) & 1) << v for v in range(lanes)) for i in circuit.victim_positions
     ]
-    wires = eval_gates(circuit.gates, inputs, lanes)
+    wires = eval_gates(circuit.rows(), inputs, lanes)
     read = iter(circuit.outputs)
     return [consts[w] if w in consts else wires[next(read)] for w in outputs]
 
@@ -221,11 +221,21 @@ def test_builder_input_and_width_rules():
         bld.or_tree([])
 
 
+def _table(gates):
+    """The packed rows of ``Gate``s or (kind, in_a, in_b) rows, a NOT's
+    missing second input as the sentinel."""
+    return b"".join(
+        struct.pack("<BII", kind, in_a, NOT_SENTINEL if in_b is None else in_b)
+        for kind, in_a, in_b in gates
+    )
+
+
 def _circuit(n_victim, n_attacker, gates, outputs):
-    """A circuit over the first n_victim and n_attacker bits of k-bit layouts."""
+    """A circuit over the first n_victim and n_attacker bits of k-bit
+    layouts, from its gates."""
     return Circuit(
         max(n_victim, n_attacker), 0, tuple(range(n_victim)), tuple(range(n_attacker)),
-        gates, outputs,
+        _table(gates), outputs,
     )
 
 
@@ -249,53 +259,54 @@ def test_circuit_structural_validation():
     # the same wires split between the parties are just as valid
     _circuit(1, 1, ok.gates, ok.outputs)
     bad_gates = [
-        Gate(GateKind.XOR, 0, 5),  # reads a wire that does not exist
-        Gate(GateKind.XOR, 0, 2),  # reads its own output
-        Gate(GateKind.AND, -1, 1),  # reads a negative wire
-        Gate(GateKind.NOT, 0, 1),  # NOT with a second input
-        Gate(GateKind.XOR, 0, None),  # XOR without one
-        Gate(7, 0, 1),  # unknown kind
-        Gate(0, 0, 1),  # plain ints equal to XOR and AND: a Gate
-        Gate(1, 0, 1),  # names its kind by member
+        (Gate(GateKind.XOR, 0, 5), "gate 0 reads wire 5, not an earlier one"),
+        (Gate(GateKind.XOR, 0, 2), "gate 0 reads wire 2, not an earlier one"),
+        (Gate(GateKind.AND, 3, 1), "gate 0 reads wire 3, not an earlier one"),
+        (Gate(GateKind.NOT, 0, 1), "gate arity does not match its kind"),
+        (Gate(GateKind.XOR, 0, None), "gate arity does not match its kind"),
+        (Gate(7, 0, 1), "unknown gate kind 7"),
     ]
-    for gate in bad_gates:
-        with pytest.raises(ValueError):
+    for gate, message in bad_gates:
+        with pytest.raises(ValueError, match=f"^{message}$"):
             _circuit(2, 0, (gate,), ok.outputs)
+    # a table holds whole 9-byte rows
+    with pytest.raises(ValueError, match="whole number of rows"):
+        Circuit(2, 0, (0, 1), (), ok.table + b"\0", ok.outputs)
     # a later gate may read an earlier gate's wire, never a later one's
     _circuit(2, 0, (ok.gates[0], Gate(GateKind.NOT, 2, None)), (3, 3, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="reads wire 3"):
         _circuit(2, 0, (Gate(GateKind.NOT, 3, None), ok.gates[0]), (3, 3, 3))
     # revealed outputs must be existing wires
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="output wire 3"):
         _circuit(2, 0, ok.gates, (2, 3, 2))
     # input positions increase within the 2k + k_theta layout
-    Circuit(2, 1, (0, 4), (), ok.gates, ok.outputs)
+    Circuit(2, 1, (0, 4), (), ok.table, ok.outputs)
     for positions in ((1, 0), (3, 3), (0, 5), (-1, 0)):
         with pytest.raises(ValueError, match="positions"):
-            Circuit(2, 1, positions, (), ok.gates, ok.outputs)
+            Circuit(2, 1, positions, (), ok.table, ok.outputs)
 
 
 @dataclass(frozen=True)
 class _TwoPassCircuit:
     """The Circuit validator before its one-pass rewrite: the oracle.
 
-    Verbatim but for the kind check, which, like the one-pass one,
-    refuses a plain int equal to a member.
+    Verbatim but for reading (kind, in_a, in_b) table rows, kind a plain
+    int and ``NOT_SENTINEL`` as a NOT's second input, where it read Gates.
     """
 
     victim_inputs: int
     attacker_inputs: int
-    gates: tuple
+    rows: tuple
     outputs: tuple
 
     def __post_init__(self) -> None:
-        for position, gate in enumerate(self.gates):
-            if type(gate.kind) is not GateKind:
-                raise ValueError(f"unknown gate kind {gate.kind!r}")
-            needs_b = gate.kind is not GateKind.NOT
-            if needs_b != (gate.in_b is not None):
+        for position, (kind, in_a, in_b) in enumerate(self.rows):
+            if kind not in tuple(GateKind):
+                raise ValueError(f"unknown gate kind {kind}")
+            needs_b = kind != GateKind.NOT
+            if needs_b != (in_b != NOT_SENTINEL):
                 raise ValueError("gate arity does not match its kind")
-            srcs = (gate.in_a,) if gate.in_b is None else (gate.in_a, gate.in_b)
+            srcs = (in_a,) if in_b == NOT_SENTINEL else (in_a, in_b)
             for src in srcs:
                 if not 0 <= src < self.n_inputs + position:
                     raise ValueError(
@@ -311,37 +322,38 @@ class _TwoPassCircuit:
 
     @property
     def wire_count(self) -> int:
-        return self.n_inputs + len(self.gates)
+        return self.n_inputs + len(self.rows)
 
 
-# members, plain ints equal to them, and unknown kinds
-_KINDS = st.sampled_from(list(GateKind)) | st.integers(-1, 4)
-# wires around every boundary: negative, own output, later ones
-_WIRES = st.integers(-2, 14)
+# the three kinds and two unknown ones
+_KINDS = st.integers(0, 4)
+# wires around every boundary: first, own output, later ones
+_WIRES = st.integers(0, 14)
 
 
 @st.composite
 def _gate_lists(draw):
+    """(n_victim, n_attacker, table rows, outputs), mostly well formed."""
     n_victim, n_attacker = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    gates = []
+    rows = []
     for position in range(draw(st.integers(0, 8))):
         bound = n_victim + n_attacker + position
         earlier = st.integers(0, bound - 1) if bound else _WIRES
         if draw(st.integers(0, 7)):  # well formed, unless there is no earlier wire
             kind = draw(st.sampled_from(list(GateKind)))
             in_a = draw(earlier)
-            in_b = None if kind is GateKind.NOT else draw(earlier)
+            in_b = NOT_SENTINEL if kind is GateKind.NOT else draw(earlier)
         else:
             kind = draw(_KINDS)
             in_a = draw(earlier | _WIRES)
-            in_b = draw(st.none() | earlier | _WIRES)
-        gates.append(Gate(kind, in_a, in_b))
-    wire_count = n_victim + n_attacker + len(gates)
+            in_b = draw(st.just(NOT_SENTINEL) | earlier | _WIRES)
+        rows.append((int(kind), in_a, in_b))
+    wire_count = n_victim + n_attacker + len(rows)
     wires = st.integers(0, max(wire_count - 1, 0))
     if not draw(st.integers(0, 3)):
-        wires |= _WIRES  # missing outputs
+        wires |= st.integers(-2, 14)  # missing outputs
     outputs = draw(st.lists(wires, max_size=4))
-    return n_victim, n_attacker, tuple(gates), tuple(outputs)
+    return n_victim, n_attacker, tuple(rows), tuple(outputs)
 
 
 def _verdict(cls, fields):
@@ -360,7 +372,7 @@ def test_one_pass_validator_matches_the_two_pass_one(fields):
 
 def _per_gate_serialization(circuit, gates):
     """serialize_circuit as it was before the packed table, over the Gates
-    the circuit was made from: the oracle of the table's byte layout."""
+    the circuit was made from: the oracle of the header's byte layout."""
     n_out = len(circuit.outputs)
     n_victim, n_attacker = circuit.victim_inputs, circuit.attacker_inputs
     parts = [
@@ -382,10 +394,7 @@ def _per_gate_serialization(circuit, gates):
             *circuit.attacker_positions,
         ),
     ]
-    for gate in gates:
-        in_b = NOT_SENTINEL if gate.in_b is None else gate.in_b
-        parts.append(struct.pack("<BII", gate.kind, gate.in_a, in_b))
-    return b"".join(parts)
+    return b"".join(parts) + _table(gates)
 
 
 @st.composite
@@ -492,7 +501,7 @@ def test_matches_fixed_point_wide_widths_batch():
         s0, s1 = rng.randrange(1 << 32), rng.randrange(1 << 32)
         cases.append((tv, ta, s0, s1))
         rows.append(encode_inputs(circuit, tv, ta, s0_v=s0, s1_v=s1, s0_a=0, s1_a=0))
-    words = eval_gates(circuit.gates, _pack_lanes(rows), len(cases))
+    words = eval_gates(circuit.rows(), _pack_lanes(rows), len(cases))
     *r_f_wires, alpha, sigma = circuit.outputs
     for v, (tv, ta, s0, s1) in enumerate(cases):
         want = outcome_fixed(params, scaled, Report(tv, ta), s0, s1)
@@ -548,7 +557,7 @@ def test_folded_circuit_matches_fixed_point(q, kt, k, seed):
         encode_inputs(circuit, tv, ta, s0_v=s0, s1_v=s1, s0_a=0, s1_a=0)
         for tv, ta, s0, s1 in cases
     ]
-    words = eval_gates(circuit.gates, _pack_lanes(rows), len(rows))
+    words = eval_gates(circuit.rows(), _pack_lanes(rows), len(rows))
     *r_f_wires, alpha, sigma = circuit.outputs
     for v, (tv, ta, s0, s1) in enumerate(cases):
         want = outcome_fixed(params, scaled, Report(tv, ta), s0, s1)
@@ -598,7 +607,7 @@ def test_circuit_equals_fixed_point_exhaustively_over_q():
             inputs = [bit_words[p] for p in circuit.victim_positions] + [
                 bit_words[p + kt] if p >= 2 * k else 0 for p in circuit.attacker_positions
             ]
-            wires = eval_gates(circuit.gates, inputs, lanes)
+            wires = eval_gates(circuit.rows(), inputs, lanes)
             *r_f_wires, alpha, sigma = circuit.outputs
             got = [
                 _lane_ints([wires[w] for w in ws], lanes) for ws in (r_f_wires, [alpha], [sigma])
@@ -695,7 +704,7 @@ def test_digest_binds_the_input_positions():
         dead = min(set(range(2 * PARAMS.k + PARAMS.k_theta)) - set(positions))
         moved = tuple(sorted({*positions[1:], dead}))
         assert len(moved) == len(positions) and moved != positions
-        moved_circuit = replace(circuit, gates=circuit.table, **{field: moved})
+        moved_circuit = replace(circuit, **{field: moved})
         assert circuit_digest(moved_circuit) != base
 
 

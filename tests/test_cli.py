@@ -378,7 +378,10 @@ def test_config_keys_no_flag_names_are_kept(capsys, tmp_path):
     [
         ["offers", "--blocks", "1,1/0", "--r-min", "1"],
         ["rubinstein", "1/0", "1", "1"],
+        ["rubinstein", "1", "2", "-5"],
         ["stage-game", "--r-f", "1/0", "--v", "1", "--r-max", "2"],
+        ["stage-game", "--r-f", "1", "--v", "-2", "--r-max", "5"],
+        ["stage-game", "--r-f", "1", "--v", "2", "--r-max", "-5"],
         ["mechanism", "eval", "1", "1", "1/0", "2/3", "8", "8", "0", "0"],
         ["mechanism", "verify-bic", "--q", "1/0"],
         ["offers", "--horizon", "x"],

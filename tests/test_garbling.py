@@ -18,7 +18,6 @@ from blindbargain import circuit as circuit_module
 from blindbargain import ot as ot_module
 from blindbargain.bench import GRID
 from blindbargain.circuit import (
-    Circuit,
     Gate,
     GateKind,
     build_mechanism_circuit,
@@ -57,6 +56,7 @@ from blindbargain.ot import (
     OtSender,
     ot_transfer,
 )
+from test_circuit import _circuit
 
 PARAMS = MechanismParams.from_q(Fraction(1, 4), 8, 8)
 SCALED = ScaledParams.from_params(PARAMS)
@@ -86,14 +86,6 @@ GOLDEN_GRID_GARBLED = {
 }
 # sha256 of the seeded OtSender.respond output in test_ot_golden_bytes.
 GOLDEN_OT = "86a391cbcdcfe60782784d2b53ff90e6a9f0c135717874741b4037da18c3cd7a"
-
-
-def _circuit(n_victim, n_attacker, gates, outputs):
-    """A circuit over the first n_victim and n_attacker bits of k-bit layouts."""
-    return Circuit(
-        max(n_victim, n_attacker), 0, tuple(range(n_victim)), tuple(range(n_attacker)),
-        gates, outputs,
-    )
 
 
 def _tiny_circuit(kind):

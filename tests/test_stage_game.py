@@ -66,6 +66,9 @@ def test_params_validation():
         ReputationParams(c_r=1, c_d=2)
     with pytest.raises(ValueError):
         ReputationParams(tau_g=-1, c_r=1, c_d=0)
+    for args, name in (((-1, 10, 10), "r_f"), ((1, -2, 5), "v"), ((1, 10, -1), "r_max")):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+            spne(REPUTABLE, *args)
 
 
 def test_anonymous_attacker_destroys_and_victim_refuses():
