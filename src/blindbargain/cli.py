@@ -280,6 +280,9 @@ def _cmd_victim(args) -> int:
     pi, report, seed = _session_pieces(args, "victim")
     address = _parse_address(args.listen)
     cfg = NegotiationConfig(pi, report, address, args.timeout)
+    if args.transcript:
+        # an unwritable path fails here, not after the session's own exit
+        open(args.transcript, "w", encoding="utf-8").close()
     try:
         result = run_victim(cfg, seed)
     except (NegotiationAbort, TransportFailure) as exc:

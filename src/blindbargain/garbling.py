@@ -15,6 +15,10 @@ leaves the garbler.  Since AND output labels come from the seed too,
 the garbler knows every row's cipher input before it builds a table and
 keys all rows with one AES call; the evaluator goes gate by gate.
 
+Outside ``garble`` and ``evaluate`` an input label is its 16 wire bytes,
+big-endian.  ``garble`` writes each at 16 bytes; the protocol's label
+parser and the OT receiver check the length of what arrives.
+
 The decode table publishes a hash commitment per output label.  Either
 side can map a revealed label to its bit and reject a label that was
 never issued, which is the output-validity check the settlement
@@ -48,11 +52,8 @@ class LabelDecodeError(ValueError):
 
 @dataclass(frozen=True)
 class WireLabel:
-    """A 128-bit label where it crosses an API or the wire.
-
-    Inside ``garble``/``evaluate`` labels are plain ints; the
-    point-and-permute color is the low bit of the big-endian value.
-    """
+    """A revealed output label, as ``evaluate`` returns it and
+    ``decode_and_prove`` checks it; input labels are plain bytes."""
 
     bits: bytes
 
@@ -72,12 +73,13 @@ class GarbledCircuit:
 
 @dataclass(frozen=True)
 class GarbledMaterial:
-    """Everything the garbler holds; only ``garbled`` may be shared."""
+    """Everything the garbler holds; only ``garbled`` may be shared.
+
+    Label pairs are (0-label, 1-label), 16 bytes each."""
 
     garbled: GarbledCircuit
-    input_labels: tuple[tuple[WireLabel, WireLabel], ...]
-    output_labels: tuple[tuple[WireLabel, WireLabel], ...]
-    delta: WireLabel
+    input_labels: tuple[tuple[bytes, bytes], ...]
+    output_labels: tuple[tuple[bytes, bytes], ...]
 
 
 def _new_encryptor():
@@ -104,8 +106,8 @@ def _seed_label(seed: bytes, tag: bytes, index: int) -> int:
     return int.from_bytes(digest[:LABEL_BYTES], "big")
 
 
-def _label(value: int) -> WireLabel:
-    return WireLabel(value.to_bytes(LABEL_BYTES, "big"))
+def _label(value: int) -> bytes:
+    return value.to_bytes(LABEL_BYTES, "big")
 
 
 def _commit(label: bytes) -> bytes:
@@ -166,13 +168,13 @@ def garble(circuit: Circuit, seed: bytes) -> GarbledMaterial:
     output_pairs = tuple(
         (_label(zero_of[w]), _label(zero_of[w] ^ delta)) for w in circuit.outputs
     )
-    decode = tuple((_commit(p[0].bits), _commit(p[1].bits)) for p in output_pairs)
+    decode = tuple((_commit(k0), _commit(k1)) for k0, k1 in output_pairs)
     gc = GarbledCircuit(circuit_digest(circuit), tuple(tables), decode)
-    return GarbledMaterial(gc, input_pairs, output_pairs, _label(delta))
+    return GarbledMaterial(gc, input_pairs, output_pairs)
 
 
 def evaluate(
-    gc: GarbledCircuit, circuit: Circuit, input_labels: Sequence[WireLabel]
+    gc: GarbledCircuit, circuit: Circuit, input_labels: Sequence[bytes]
 ) -> tuple[WireLabel, ...]:
     """Walk the gates under encryption; returns the output-wire labels.
 
@@ -187,7 +189,7 @@ def evaluate(
         raise ValueError(f"expected {n_in} input labels, got {len(input_labels)}")
     if len(gc.tables) != circuit.and_count:
         raise ValueError("garbled table count does not match the circuit")
-    labels = [int.from_bytes(label.bits, "big") for label in input_labels]
+    labels = [int.from_bytes(label, "big") for label in input_labels]
     enc = _new_encryptor()
     xor, not_ = int(GateKind.XOR), int(GateKind.NOT)
     and_index = 0
@@ -201,7 +203,7 @@ def evaluate(
             row = gc.tables[and_index][((a & 1) << 1) | (b & 1)]
             and_index += 1
             labels.append(_row_key(enc, a, b, position) ^ int.from_bytes(row, "big"))
-    return tuple(_label(labels[w]) for w in circuit.outputs)
+    return tuple(WireLabel(_label(labels[w])) for w in circuit.outputs)
 
 
 def decode_and_prove(
@@ -230,8 +232,8 @@ def decode_and_prove(
 
 
 def select_labels(
-    pairs: Sequence[tuple[WireLabel, WireLabel]], bits: Sequence[int]
-) -> list[WireLabel]:
+    pairs: Sequence[tuple[bytes, bytes]], bits: Sequence[int]
+) -> list[bytes]:
     """Pick one label per pair by bit; the garbler's own-input encoding."""
     if len(pairs) != len(bits):
         raise ValueError("one choice bit per label pair")

@@ -78,6 +78,8 @@ class MechanismParams:
     def from_q(cls, q: MoneyLike, k_theta: int, k: int) -> "MechanismParams":
         """Build params from q alone, setting p_bar = 1 / (2(1-q))."""
         q = as_money(q)
+        if not 0 <= q <= Fraction(1, 2):  # before 1 - q = 0 divides
+            raise ValueError("q must lie in [0, 1/2]")
         return cls(q, 1 / (2 * (1 - q)), k_theta, k)
 
 

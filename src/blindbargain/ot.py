@@ -5,9 +5,9 @@ Simplest OT (Chou-Orlandi, LATINCRYPT 2015) over the NIST P-256 curve
 triples (3i, 3i+1, 3i+2), one transfer per triple, and its choice
 c = sum of bit 3i+t * 2^t picks one of eight branches.  Branch j
 carries the label of wire 3i+t for bit t of j, for t = 0, 1, 2: 48
-bytes together.  A bit count that is not a multiple of three pads the
-last triple with choice bits 0 and filler wires whose two labels are
-zero.
+bytes together.  Labels are 16-byte strings.  A bit count that is not
+a multiple of three pads the last triple with choice bits 0 and filler
+wires whose two labels are 16 zero bytes.
 
 The sender publishes A = aG; the receiver answers B = bG + (c + 1)A,
 taking (c + 1)A from a per-session table of A ... 8A, so each transfer
@@ -56,7 +56,8 @@ plaintexts: the free-XOR offset, wherever the two branches differ in
 one wire's bit.
 
 The three byte blobs produced here travel as protocol messages; the
-pure in-process composition ``ot_transfer`` is what the tests exercise.
+pure in-process composition ``ot_transfer``, which returns the chosen
+labels as bytes, is what the tests exercise.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from typing import Callable, Sequence
 
 from cryptography.hazmat.primitives.asymmetric import ec
 
-from .garbling import LABEL_BYTES, WireLabel
+from .garbling import LABEL_BYTES
 
 CURVE = ec.SECP256R1()
 # P-256 field prime, group order and y^2 = x^3 + a_4 x + a_6 (SEC 2, 2.4.2)
@@ -207,11 +208,10 @@ class OtSender:
     """Holds the label pairs; answers the receiver's blinded choices."""
 
     def __init__(
-        self, pairs: Sequence[tuple[WireLabel, WireLabel]], rand_bits: RandomBits
+        self, pairs: Sequence[tuple[bytes, bytes]], rand_bits: RandomBits
     ) -> None:
         labels = [
-            (int.from_bytes(k0.bits, "big"), int.from_bytes(k1.bits, "big"))
-            for k0, k1 in pairs
+            (int.from_bytes(k0, "big"), int.from_bytes(k1, "big")) for k0, k1 in pairs
         ]
         labels += [(0, 0)] * (-len(labels) % BITS_PER_TRANSFER)
         # branch j of the transfer over wires w, w + 1, w + 2: wire
@@ -295,7 +295,7 @@ class OtReceiver:
         self._keys, self._big_a = keys, big_a
         return b"".join(_encode(point) for point in blinded)
 
-    def unwrap(self, ciphertexts: bytes) -> list[WireLabel]:
+    def unwrap(self, ciphertexts: bytes) -> list[bytes]:
         if self._big_a is None:
             raise OtProtocolError("unwrap before blind")
         n = len(self._choices)
@@ -308,17 +308,15 @@ class OtReceiver:
             ct = int.from_bytes(ciphertexts[start : start + CIPHERTEXT_BYTES], "big")
             plain = (pad ^ ct).to_bytes(CIPHERTEXT_BYTES, "big")
             labels += (
-                WireLabel(plain[t : t + LABEL_BYTES])
+                plain[t : t + LABEL_BYTES]
                 for t in range(0, CIPHERTEXT_BYTES, LABEL_BYTES)
             )
         return labels[: self._count]
 
 
 def ot_transfer(
-    pairs: Sequence[tuple[WireLabel, WireLabel]],
-    choices: Sequence[int],
-    rand_bits: RandomBits,
-) -> list[WireLabel]:
+    pairs: Sequence[tuple[bytes, bytes]], choices: Sequence[int], rand_bits: RandomBits
+) -> list[bytes]:
     """All three flows composed in-process; returns the chosen labels."""
     if len(pairs) != len(choices):
         raise ValueError("one choice bit per label pair")

@@ -370,13 +370,10 @@ class _Channel:
         raise NegotiationAbort(stage, detail, self.transcript)
 
 
-def _parse_labels(payload: bytes, count: int) -> list[WireLabel]:
+def _parse_labels(payload: bytes, count: int) -> list[bytes]:
     if len(payload) != count * LABEL_BYTES:
         raise ValueError(f"expected {count} labels")
-    return [
-        WireLabel(payload[i * LABEL_BYTES : (i + 1) * LABEL_BYTES])
-        for i in range(count)
-    ]
+    return [payload[i : i + LABEL_BYTES] for i in range(0, len(payload), LABEL_BYTES)]
 
 
 class _Session:
@@ -440,9 +437,7 @@ class VictimSession(_Session):
     def _send_own_labels(self, circuit: Circuit, material):
         s0, s1, bits = self._draw_inputs(circuit, circuit.victim_positions)
         labels = select_labels(material.input_labels[: circuit.victim_inputs], bits)
-        self.channel.send(
-            MSG_GARBLER_INPUT_LABELS, b"".join(l.bits for l in labels)
-        )
+        self.channel.send(MSG_GARBLER_INPUT_LABELS, b"".join(labels))
         return s0, s1
 
     def _serve_ot(self, circuit: Circuit, material) -> None:
@@ -456,7 +451,8 @@ class VictimSession(_Session):
     def _receive_output(self, circuit: Circuit, material) -> MechanismOutcome:
         payload = self.channel.recv(MSG_OUTPUT_LABELS)
         labels = _parse_labels(payload, len(material.garbled.output_decode))
-        outcome = decode_outcome(circuit, decode_and_prove(material.garbled, labels))
+        proof = [WireLabel(label) for label in labels]
+        outcome = decode_outcome(circuit, decode_and_prove(material.garbled, proof))
         self.channel.send(
             MSG_RESULT_ACK,
             _RESULT_STRUCT.pack(int(outcome.r_f), outcome.alpha, outcome.sigma),

@@ -384,6 +384,7 @@ def test_config_keys_no_flag_names_are_kept(capsys, tmp_path):
         ["stage-game", "--r-f", "1", "--v", "2", "--r-max", "-5"],
         ["mechanism", "eval", "1", "1", "1/0", "2/3", "8", "8", "0", "0"],
         ["mechanism", "verify-bic", "--q", "1/0"],
+        ["mechanism", "verify-bic", "--q", "1"],
         ["offers", "--horizon", "x"],
         ["mechanism", "eval", "1", "1", "1/4", "2/3", "60", "8", "0", "0"],
         ["mechanism", "verify-bic", "--attacker-grid", "1"],
@@ -664,6 +665,37 @@ def test_out_of_range_port_or_timeout_exits_one_before_any_socket(
     )
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
+def test_unwritable_victim_transcript_exits_one_before_any_socket(
+    capsys, tmp_path, monkeypatch
+):
+    # a session that ran would exit 2 or 3; a late write error would hide that
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    cfg = tmp_path / "victim.cfg"
+    cfg.write_text(VICTIM_CFG)
+    missing = tmp_path / "missing" / "t.tsv"
+    code, out, err = run(
+        capsys, "victim", "--config", str(cfg), "--listen", "127.0.0.1:0",
+        "--timeout", "0.5", "--transcript", str(missing),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno 2]") and "Traceback" not in err
+
+
+def test_victim_transcript_is_written_when_no_peer_connects(capsys, tmp_path):
+    cfg = tmp_path / "victim.cfg"
+    cfg.write_text(VICTIM_CFG)
+    transcript = tmp_path / "t.tsv"
+    code, _, err = run(
+        capsys, "victim", "--config", str(cfg), "--listen", "127.0.0.1:0",
+        "--timeout", "0.2", "--transcript", str(transcript),
+    )
+    assert code == 3 and "transport failure: no peer connected" in err
+    assert transcript.read_text(encoding="utf-8") == ""
 
 
 def test_profile_mismatch_exits_abort_code(capsys, tmp_path):

@@ -83,7 +83,6 @@ KEPT_FOR_TESTS = {
     "BenchCell.times_ms": "the samples behind median_ms, which show warmup reps are left out",
     "OfferSchedule.offer": "the offer of round n, numbered from 1 as the paper numbers rounds",
     "GarbledMaterial.output_labels": "the garbler's output pairs, checked against the commitments",
-    "GarbledMaterial.delta": "the free-XOR offset, checked to separate every label pair",
 }
 
 

@@ -118,14 +118,20 @@ def test_single_and_gate_truth_table():
 
 
 def _int(label):
-    return int.from_bytes(label.bits, "big")
+    return int.from_bytes(label, "big")
+
+
+def _offset(material):
+    """The free-XOR offset, as the XOR of one input pair."""
+    k0, k1 = material.input_labels[0]
+    return bytes(x ^ y for x, y in zip(k0, k1))
 
 
 def test_free_xor_structure():
     circuit = build_mechanism_circuit(PARAMS, SCALED)
     material = garble(circuit, b"free-xor")
     assert len(material.garbled.tables) == circuit.and_count
-    delta = _int(material.delta)
+    delta = _int(_offset(material))
     for k0, k1 in material.input_labels + material.output_labels:
         assert _int(k1) == _int(k0) ^ delta
         assert _int(k0) & 1 != _int(k1) & 1
@@ -141,7 +147,7 @@ def test_identity_wiring_passes_labels_through():
     for bit in (0, 1):
         labels = select_labels(material.input_labels, [bit, 0])
         outs = evaluate(material.garbled, circuit, labels)
-        assert outs[0] == labels[0]
+        assert outs[0].bits == labels[0]
 
 
 def test_small_circuits_match_plaintext_exhaustively():
@@ -177,7 +183,7 @@ def test_mechanism_circuit_garbled_matches_oracle():
         assert got == want
         # the proof labels are exactly the issued ones
         for bit, label, pair in zip(decoded, proof, material.output_labels):
-            assert label == pair[bit]
+            assert label.bits == pair[bit]
 
 
 def _build_quiet(q, kt, k):
@@ -203,9 +209,9 @@ def test_no_output_label_is_a_public_constant():
     for q, kt, k in FOLDED_TOP_BIT_PROFILES:
         params, scaled, circuit = _build_quiet(q, kt, k)
         material = garble(circuit, b"constant")
-        public = {bytes(16), material.delta.bits}
+        public = {bytes(16), _offset(material)}
         for pair in material.output_labels:
-            assert not {label.bits for label in pair} & public, (q, kt, k)
+            assert not set(pair) & public, (q, kt, k)
         for _ in range(20):
             tv, ta = rng.randrange(1 << kt), rng.randrange(1 << kt)
             s0, s1 = rng.randrange(1 << k), rng.randrange(1 << k)
@@ -323,7 +329,7 @@ def _seeded_bits(seed):
 def test_ot_all_zero_choices():
     rng = random.Random(1)
     pairs = [
-        (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16)))
+        (rng.randbytes(16), rng.randbytes(16))
         for _ in range(10)
     ]
     got = ot_transfer(pairs, [0] * 10, _seeded_bits(2))
@@ -336,7 +342,7 @@ def test_ot_odd_bit_counts(n):
     # and zero fillers
     rng = random.Random(40 + n)
     pairs = [
-        (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in range(n)
+        (rng.randbytes(16), rng.randbytes(16)) for _ in range(n)
     ]
     choices = [rng.randrange(2) for _ in range(n)]
     got = ot_transfer(pairs, choices, _seeded_bits(41 + n))
@@ -346,7 +352,7 @@ def test_ot_odd_bit_counts(n):
 def test_ot_interleaved_choices_over_eight_wires():
     rng = random.Random(3)
     pairs = [
-        (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in range(8)
+        (rng.randbytes(16), rng.randbytes(16)) for _ in range(8)
     ]
     choices = [0, 1, 0, 1, 0, 1, 0, 1]
     sender = OtSender(pairs, _seeded_bits(4))
@@ -387,7 +393,7 @@ def test_ot_scalar_multiplications_for_80_bits(monkeypatch):
     )
     rng = random.Random(30)
     pairs = [
-        (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in range(80)
+        (rng.randbytes(16), rng.randbytes(16)) for _ in range(80)
     ]
     choices = [rng.randrange(2) for _ in range(80)]
     assert ot_transfer(pairs, choices, _seeded_bits(31)) == [
@@ -399,7 +405,7 @@ def test_ot_scalar_multiplications_for_80_bits(monkeypatch):
 def test_ot_golden_bytes():
     rng = random.Random(11)
     pairs = [
-        (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in range(8)
+        (rng.randbytes(16), rng.randbytes(16)) for _ in range(8)
     ]
     choices = [0, 1, 1, 0, 1, 0, 0, 1]
     sender = OtSender(pairs, _seeded_bits(12))
@@ -431,7 +437,7 @@ def test_ot_feeds_garbled_evaluation():
 
 def test_ot_rejects_malformed_material():
     rng = random.Random(8)
-    pairs = [(WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16)))]
+    pairs = [(rng.randbytes(16), rng.randbytes(16))]
     with pytest.raises(OtProtocolError):
         OtReceiver([0], _seeded_bits(9)).blind(b"\x00" * ELEMENT_BYTES)
     with pytest.raises(OtProtocolError):
@@ -452,7 +458,7 @@ def test_ot_rejects_points_off_the_curve():
     off_curve = b"\x02" + (1).to_bytes(32, "big")
     too_big_x = b"\x03" + FIELD_PRIME.to_bytes(32, "big")
     rng = random.Random(14)
-    pairs = [(WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16)))]
+    pairs = [(rng.randbytes(16), rng.randbytes(16))]
     for element in (off_curve, too_big_x):
         with pytest.raises(OtProtocolError, match="curve"):
             OtSender(pairs, _seeded_bits(15)).respond(element)
@@ -486,7 +492,7 @@ def test_ot_sender_rejects_plus_or_minus_a():
     # B - mA for m in 0..8 must all be finite and the differential law's
     # denominators nonzero: x(B) in {x(A), ..., x(8A)} is refused
     rng = random.Random(19)
-    pairs = [(WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16)))]
+    pairs = [(rng.randbytes(16), rng.randbytes(16))]
     a = rng.getrandbits(255) | 2
     sender = OtSender(pairs, lambda _: a)
     assert sender.public_message() == _compressed(a)
@@ -502,7 +508,7 @@ def test_ot_sender_checks_every_element_before_inverting():
     # instead of dividing by 0
     rng = random.Random(25)
     pairs = [
-        (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in range(24)
+        (rng.randbytes(16), rng.randbytes(16)) for _ in range(24)
     ]
     a = rng.getrandbits(255) | 2
     sender = OtSender(pairs, lambda _: a)
@@ -520,7 +526,7 @@ def test_ot_receiver_refuses_a_blinding_scalar_of_plus_or_minus_a():
     # affine result, and every other one but 8A makes, for some c, a B
     # the sender refuses
     a = random.Random(28).getrandbits(255) | 2
-    sender = OtSender([(WireLabel(bytes(16)), WireLabel(bytes([1]) * 16))] * 24, lambda _: a)
+    sender = OtSender([(bytes(16), bytes([1]) * 16)] * 24, lambda _: a)
     draws = [random.Random(29 + i).getrandbits(255) | 2 for i in range(7)]
     for m, name in _MULTIPLES:
         for last in (m * a % ORDER, -m * a % ORDER):
@@ -537,7 +543,7 @@ def test_ot_receiver_refuses_a_blinded_point_the_sender_refuses():
     # makes B = bG + (c + 1)A = -mA: the receiver refuses that B itself,
     # so an honest receiver never sends an element the sender refuses
     a = random.Random(32).getrandbits(255) | 2
-    sender = OtSender([(WireLabel(bytes(16)), WireLabel(bytes([1]) * 16))] * 3, lambda _: a)
+    sender = OtSender([(bytes(16), bytes([1]) * 16)] * 3, lambda _: a)
     refused = 0
     for c in range(BRANCHES):
         for m, name in _MULTIPLES:
@@ -568,7 +574,7 @@ def test_ot_receiver_work_does_not_depend_on_its_choices(monkeypatch):
     monkeypatch.setattr(ot_module, "_invert_all", counting_invert_all)
     monkeypatch.setattr(ot_module, "pow", counting_pow, raising=False)
     sender_public = OtSender(
-        [(WireLabel(bytes(16)), WireLabel(bytes([1]) * 16))] * 12, _seeded_bits(33)
+        [(bytes(16), bytes([1]) * 16)] * 12, _seeded_bits(33)
     ).public_message()
     counts = set()
     for choices in ([0] * 12, [1] * 12, [0, 1, 1, 0, 0, 0, 1, 1, 1, 1, 0, 1]):
@@ -604,7 +610,7 @@ def test_ot_pads_differ_when_receiver_sends_half_of_a():
     rng = random.Random(21)
     n = 8
     pairs = [
-        (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in range(3 * n)
+        (rng.randbytes(16), rng.randbytes(16)) for _ in range(3 * n)
     ]
     a = rng.getrandbits(255) | 2
     sender = OtSender(pairs, lambda _: a)
@@ -631,7 +637,7 @@ def test_ot_pads_differ_when_receiver_sends_half_of_a():
                 shared_pairs += 1
                 for i in range(n):
                     plain = [
-                        b"".join(pairs[3 * i + t][b >> t & 1].bits for t in range(3))
+                        b"".join(pairs[3 * i + t][b >> t & 1] for t in range(3))
                         for b in (j, j2)
                     ]
                     cts = [
@@ -658,8 +664,7 @@ def _reference_respond(pairs, a, blinded):
     key = ec.derive_private_key(a, CURVE)
     numbers = key.public_key().public_numbers()
     minus_a = (numbers.x, -numbers.y % FIELD_PRIME)
-    labels = [(k0.bits, k1.bits) for k0, k1 in pairs]
-    labels += [(bytes(16), bytes(16))] * (-len(labels) % 3)
+    labels = list(pairs) + [(bytes(16), bytes(16))] * (-len(pairs) % 3)
     out = b""
     for i in range(len(labels) // 3):
         element = blinded[ELEMENT_BYTES * i : ELEMENT_BYTES * (i + 1)]
@@ -683,7 +688,7 @@ def _reference_respond(pairs, a, blinded):
 def test_ot_sender_matches_the_eight_exchange_reference(seed, choices):
     rng = random.Random(seed)
     pairs = [
-        (WireLabel(rng.randbytes(16)), WireLabel(rng.randbytes(16))) for _ in choices
+        (rng.randbytes(16), rng.randbytes(16)) for _ in choices
     ]
     a = rng.getrandbits(255) | 2
     sender = OtSender(pairs, lambda _: a)
@@ -696,7 +701,7 @@ def test_ot_sender_matches_the_eight_exchange_reference(seed, choices):
 
 # one transfer, so the sender and the receiver both expect one element;
 # about half of all x have a point, so the last branch hits both outcomes
-_OT_PAIRS = [(WireLabel(bytes(16)), WireLabel(bytes([1]) * 16))]
+_OT_PAIRS = [(bytes(16), bytes([1]) * 16)]
 _FUZZED_ELEMENTS = st.one_of(
     st.binary(max_size=3 * ELEMENT_BYTES),
     st.binary(min_size=ELEMENT_BYTES, max_size=ELEMENT_BYTES),

@@ -44,6 +44,9 @@ def test_params_constraint_is_exact():
     assert p.p_bar == Fraction(2, 3)
     assert params_for(0).p_bar == Fraction(1, 2)
     assert params_for("1/2").p_bar == 1
+    # the range is checked before p_bar = 1 / (2(1 - q)) divides by 0
+    with pytest.raises(ValueError, match=r"q must lie in \[0, 1/2\]"):
+        MechanismParams.from_q(1, 8, 8)
 
 
 def test_scaled_constants_match_worked_values():

@@ -104,6 +104,24 @@ def test_settlement_never_builds_the_gate_view(monkeypatch):
     assert v.outcome == a.outcome == oracle(PI, v, a)
 
 
+def test_settlement_wraps_only_the_revealed_output_labels(monkeypatch):
+    # input labels stay bytes end to end; the attacker's evaluate and the
+    # victim's OUTPUT_LABELS parse each build one WireLabel per output
+    built = []
+    check = WireLabel.__post_init__
+
+    def counting_check(label):
+        built.append(label)
+        check(label)
+
+    monkeypatch.setattr(WireLabel, "__post_init__", counting_check)
+    pi = PiProfile(Fraction(1, 4), Fraction(2, 3), 32, 16, 0)
+    v, a = loopback_run(pi, 200, 37, b"v", b"a")
+    assert v.outcome == a.outcome == oracle(pi, v, a)
+    circuit = build_mechanism_circuit(pi.params(), pi.scaled)
+    assert len(built) == 2 * len(circuit.outputs) == 36
+
+
 def test_deterministic_replay_produces_identical_transcripts():
     v1, a1 = loopback_run(PI, 200, 37, b"v-seed", b"a-seed")
     v2, a2 = loopback_run(PI, 200, 37, b"v-seed", b"a-seed")
@@ -201,9 +219,10 @@ class RetablingVictim(VictimSession):
         circuit = build_mechanism_circuit(self.params, self.scaled)
         seed = self.randomness.seed_bytes()
         material = garble(circuit, seed)
-        delta = material.delta.bits
+        # the free-XOR offset, as the XOR of one input pair
+        delta = bytes(x ^ y for x, y in zip(*material.input_labels[0]))
         # every wire's 0-label, derived as garble derives it
-        zero = [int.from_bytes(pair[0].bits, "big") for pair in material.input_labels]
+        zero = [int.from_bytes(pair[0], "big") for pair in material.input_labels]
         ands = []
         for position, (kind, in_a, in_b) in enumerate(circuit.gates):
             if kind is GateKind.XOR:
