@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .mechanism import p_bar_for
 from .protocol import PiProfile, loopback_run
 
 GRID = tuple((k_theta, k) for k_theta in (8, 16) for k in (8, 16, 32))
 
 Q = Fraction(1, 4)
-P_BAR = Fraction(2, 3)
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def run_benchmark(
         raise ValueError("warmup must be >= 0")
     cells = []
     for k_theta, k in grid:
-        pi = PiProfile(Q, P_BAR, k, k_theta, 0)
+        pi = PiProfile(Q, p_bar_for(Q), k, k_theta, 0)
         # mid-range reports; timing is input-independent by construction
         theta_v = (1 << k_theta) * 3 // 4
         theta_a = (1 << k_theta) // 5

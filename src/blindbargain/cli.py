@@ -140,17 +140,19 @@ def _cmd_offers(args) -> int:
     for n, offer in enumerate(schedule.offers, start=1):
         rows.append((n, offer, remaining))
         remaining -= block_mass(profile, n)
-    print(f"N = {horizon}")
-    print("round  offer  remaining_value")
-    for n, offer, remaining in rows:
-        print(f"{n:<6d} {offer!s:<6} {remaining}")
-    print("offers: [" + ", ".join(map(str, schedule.offers)) + "]")
+    # the file comes first, so an unwritable path fails before any output
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["round", "offer", "remaining_value"])
             for n, offer, remaining in rows:
                 writer.writerow([n, offer, remaining])
+    print(f"N = {horizon}")
+    print("round  offer  remaining_value")
+    for n, offer, remaining in rows:
+        print(f"{n:<6d} {offer!s:<6} {remaining}")
+    print("offers: [" + ", ".join(map(str, schedule.offers)) + "]")
+    if args.csv:
         print(f"schedule written to {args.csv}")
     return EXIT_OK
 
@@ -195,7 +197,7 @@ def _cmd_stage_game(args) -> int:
 
 
 def _cmd_mechanism_eval(args) -> int:
-    params = MechanismParams(args.q, args.p_bar, args.k_theta, args.k)
+    params = MechanismParams(args.q, args.k_theta, args.k)
     scaled = ScaledParams.from_params(params)  # refuses a huge k before 2^k is formed
     outcome = outcome_fixed(
         params, scaled, Report(args.theta_v, args.theta_a), args.s0, args.s1
@@ -220,7 +222,7 @@ def _cmd_mechanism_verify_bic(args) -> int:
     if not 0 <= args.victim_step_bits <= MAX_VICTIM_STEP_BITS:
         raise ValueError(f"--victim-step-bits must lie in [0, {MAX_VICTIM_STEP_BITS}]")
     # the suites read only q and p_bar; the widths are placeholders
-    params = MechanismParams.from_q(as_money(args.q), 8, 8)
+    params = MechanismParams(args.q, 8, 8)
     ok = True
 
     worst = min(
@@ -354,8 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = mech.add_parser("eval", help="evaluate one outcome in fixed point")
     q.add_argument("theta_v", type=int, help="victim report")
     q.add_argument("theta_a", type=int, help="attacker report")
-    q.add_argument("q", type=as_money, help="counteroffer acceptance odds")
-    q.add_argument("p_bar", type=as_money, help="low-offer odds")
+    q.add_argument("q", type=as_money, help="counteroffer acceptance odds; fixes p_bar")
     q.add_argument("k", type=int, help="randomness word width")
     q.add_argument("k_theta", type=int, help="report width")
     q.add_argument("s0", type=int, help="first combined random word")

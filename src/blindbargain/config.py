@@ -6,7 +6,7 @@ report.  Format is ``key = value`` with ``#`` comments; all numbers are
 exact (decimal or ``a/b`` strings), never floats.
 
 Recognized keys: l0, blocks (comma-separated), tail, r_max, r_min, q,
-p_bar, k, k_theta, theta_hex, t_e.
+k, k_theta, theta_hex, t_e.  The profile's p_bar is derived from q.
 
 The victim's report defaults to the residual value of the data at the
 agreed exchange round, ``floor(psi(t_e))``; an explicit ``theta_hex``
@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .losses import LossProfile, Money, as_money, residual_value
+from .mechanism import p_bar_for
 from .protocol import PiProfile
 
 
@@ -34,7 +35,7 @@ class ConfigWarning(UserWarning):
     """A legal but suspicious configuration, e.g. a contradicted default."""
 
 
-_SCALAR_KEYS = ("l0", "tail", "r_max", "r_min", "q", "p_bar", "t_e")
+_SCALAR_KEYS = ("l0", "tail", "r_max", "r_min", "q", "t_e")
 _INT_KEYS = ("k", "k_theta")
 _ALL_KEYS = _SCALAR_KEYS + _INT_KEYS + ("blocks", "theta_hex")
 
@@ -47,7 +48,6 @@ class SessionConfig:
     r_max: Optional[Money]
     r_min: Optional[Money]
     q: Optional[Fraction]
-    p_bar: Optional[Fraction]
     k: Optional[int]
     k_theta: Optional[int]
     theta_hex: Optional[int]
@@ -57,12 +57,12 @@ class SessionConfig:
         """The profile this party proposes or expects."""
         missing = [
             name
-            for name in ("q", "p_bar", "k", "k_theta")
+            for name in ("q", "k", "k_theta")
             if getattr(self, name) is None
         ]
         if missing:
             raise ConfigError(f"missing required keys: {', '.join(missing)}")
-        return PiProfile(self.q, self.p_bar, self.k, self.k_theta, self.t_e)
+        return PiProfile(self.q, p_bar_for(self.q), self.k, self.k_theta, self.t_e)
 
     def resolve_report(self, role: str) -> int:
         """The report this party feeds into the mechanism.
@@ -169,7 +169,6 @@ def config_from_values(values: dict[str, str]) -> SessionConfig:
         r_max=scalar("r_max"),
         r_min=scalar("r_min"),
         q=scalar("q"),
-        p_bar=scalar("p_bar"),
         k=integer("k"),
         k_theta=integer("k_theta"),
         theta_hex=theta_hex,

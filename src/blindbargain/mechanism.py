@@ -44,15 +44,24 @@ class ScalingWarning(UserWarning):
     """Scaled constants cannot represent the parameters exactly."""
 
 
+def p_bar_for(q: MoneyLike) -> Fraction:
+    """The screening bias p_bar = 1 / (2(1-q)) that q pins; q in [0, 1/2]."""
+    q = as_money(q)
+    if not 0 <= q <= Fraction(1, 2):  # before 1 - q = 0 divides
+        raise ValueError("q must lie in [0, 1/2]")
+    return 1 / (2 * (1 - q))
+
+
 @dataclass(frozen=True)
 class MechanismParams:
     """Public mechanism parameters agreed by both parties.
 
-    q is the screening discount and the counteroffer-acceptance bias,
-    p_bar the bias toward the screening offer.  The exact constraint
-    p_bar*(1-q) = 1/2 is what makes the expected payment come out to
-    half the victim's report.  k_theta and k are the bitwidths of
-    reports and of the random words in fixed-point semantics.
+    q is the screening discount and the counteroffer-acceptance bias.
+    p_bar, the bias toward the screening offer, is derived from q by
+    ``p_bar_for``: the constraint p_bar*(1-q) = 1/2 is what makes the
+    expected payment come out to half the victim's report.  k_theta and
+    k are the bitwidths of reports and of the random words in
+    fixed-point semantics.
     """
 
     q: Fraction
@@ -60,27 +69,13 @@ class MechanismParams:
     k_theta: int
     k: int
 
-    def __init__(self, q: MoneyLike, p_bar: MoneyLike, k_theta: int, k: int) -> None:
+    def __init__(self, q: MoneyLike, k_theta: int, k: int) -> None:
         object.__setattr__(self, "q", as_money(q))
-        object.__setattr__(self, "p_bar", as_money(p_bar))
+        object.__setattr__(self, "p_bar", p_bar_for(self.q))
         object.__setattr__(self, "k_theta", int(k_theta))
         object.__setattr__(self, "k", int(k))
-        if not 0 <= self.q <= Fraction(1, 2):
-            raise ValueError("q must lie in [0, 1/2]")
-        if not Fraction(1, 2) <= self.p_bar <= 1:
-            raise ValueError("p_bar must lie in [1/2, 1]")
-        if self.p_bar * (1 - self.q) != Fraction(1, 2):
-            raise ValueError("p_bar * (1 - q) must equal 1/2 exactly")
         if self.k_theta < 1 or self.k < 1:
             raise ValueError("bitwidths must be >= 1")
-
-    @classmethod
-    def from_q(cls, q: MoneyLike, k_theta: int, k: int) -> "MechanismParams":
-        """Build params from q alone, setting p_bar = 1 / (2(1-q))."""
-        q = as_money(q)
-        if not 0 <= q <= Fraction(1, 2):  # before 1 - q = 0 divides
-            raise ValueError("q must lie in [0, 1/2]")
-        return cls(q, 1 / (2 * (1 - q)), k_theta, k)
 
 
 @dataclass(frozen=True)

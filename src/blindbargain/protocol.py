@@ -140,7 +140,9 @@ class PiProfile:
         object.__setattr__(self, "k", int(k))
         object.__setattr__(self, "k_theta", int(k_theta))
         object.__setattr__(self, "t_e", as_money(t_e))
-        params = MechanismParams(self.q, self.p_bar, self.k_theta, self.k)
+        params = MechanismParams(self.q, self.k_theta, self.k)
+        if self.p_bar != params.p_bar:
+            raise ValueError("p_bar * (1 - q) must equal 1/2 exactly")
         if self.t_e < 0:
             raise ValueError("t_e must be >= 0")
         try:

@@ -148,12 +148,12 @@ def test_criterion_05_attacker_dominance_grid():
     """
     worst = Fraction(0)
     for q in (Fraction(1, 4), Fraction(1, 8)):
-        params = MechanismParams.from_q(q, 8, 8)
+        params = MechanismParams(q, 8, 8)
         for endpoint in (0, 1):
             margin = attacker_truthfulness_margin(params, endpoint, grid=64)
             assert margin >= 0, f"violation at q={q}, report {endpoint}"
             worst = min(worst, margin)
-    params = MechanismParams.from_q(Fraction(1, 4), 8, 8)
+    params = MechanismParams(Fraction(1, 4), 8, 8)
     assert attacker_truthfulness_margin(params, Fraction(1, 2), grid=17) == Fraction(
         -1, 4
     )
@@ -165,7 +165,7 @@ def test_criterion_05_attacker_dominance_grid():
 
 def test_criterion_06_victim_optimality_grid():
     """Truthful report within one 2^-10 step of the grid maximum."""
-    params = MechanismParams.from_q(Fraction(1, 4), 8, 8)
+    params = MechanismParams(Fraction(1, 4), 8, 8)
     step = Fraction(1, 1024)
     reports = [i * step for i in range(1025)]
     worst = Fraction(0)
@@ -188,7 +188,7 @@ def test_criterion_07_expected_payment_half_value():
         q = Fraction(rng.randint(1, 1 << (j - 1)), 1 << j)
         m = rng.randint(1, 8)
         theta_v = Fraction(rng.randint(1, 1 << m), 1 << m)
-        params = MechanismParams.from_q(q, 8, 8)
+        params = MechanismParams(q, 8, 8)
         theta_a = theta_v * q * Fraction(rng.randint(0, 8), 8)
         rep = Report(theta_v, theta_a)
         p_bar = params.p_bar
@@ -200,7 +200,7 @@ def test_criterion_07_expected_payment_half_value():
         assert expectation == theta_v / 2
     gen = np.random.default_rng(708)
     for q, theta_v in ((Fraction(1, 4), Fraction(5, 8)), (Fraction(1, 2), Fraction(1))):
-        params = MechanismParams.from_q(q, 8, 8)
+        params = MechanismParams(q, 8, 8)
         u0 = gen.random(1_000_000)
         draws = np.where(u0 < float(params.p_bar), float(q * theta_v), float(theta_v))
         sigma = draws.std() / np.sqrt(draws.size)
@@ -254,7 +254,7 @@ def test_criterion_08_circuit_matches_fixed_point_oracle():
     The exhaustive sweep covers a dyadic q, a non-dyadic q (1/5, whose
     scaled constants round down), and the q = 1/2, p_bar = 1 edge.
     """
-    params = MechanismParams.from_q(Fraction(1, 4), 4, 4)
+    params = MechanismParams(Fraction(1, 4), 4, 4)
     scaled = ScaledParams.from_params(params)
     circuit = build_mechanism_circuit(params, scaled)
     grids = np.meshgrid(*(np.arange(16),) * 4, indexing="ij")
@@ -265,7 +265,7 @@ def test_criterion_08_circuit_matches_fixed_point_oracle():
     fields[:, 0] = cases[:, 2]
     fields[:, 1] = cases[:, 3]
     for q in (Fraction(1, 4), Fraction(1, 5), Fraction(1, 2)):
-        params_q = MechanismParams.from_q(q, 4, 4)
+        params_q = MechanismParams(q, 4, 4)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ScalingWarning)
             scaled_q = ScaledParams.from_params(params_q)
@@ -279,7 +279,7 @@ def test_criterion_08_circuit_matches_fixed_point_oracle():
                 q, theta_v, theta_a, s0, s1,
             )
 
-    params16 = MechanismParams.from_q(Fraction(1, 4), 16, 32)
+    params16 = MechanismParams(Fraction(1, 4), 16, 32)
     scaled16 = ScaledParams.from_params(params16)
     circuit16 = build_mechanism_circuit(params16, scaled16)
     rng = random.Random(808)

@@ -40,7 +40,7 @@ from blindbargain.mechanism import (
     outcome_fixed,
 )
 
-PARAMS = MechanismParams.from_q(Fraction(1, 4), 4, 4)
+PARAMS = MechanismParams(Fraction(1, 4), 4, 4)
 SCALED = ScaledParams.from_params(PARAMS)
 
 GOLDEN_DIGESTS = {
@@ -430,7 +430,7 @@ def test_gate_table_round_trips_against_the_per_gate_serializer(drawn):
 
 
 def test_a_built_circuit_holds_no_per_gate_objects():
-    params = MechanismParams.from_q(Fraction(1, 4), 16, 32)
+    params = MechanismParams(Fraction(1, 4), 16, 32)
     scaled = ScaledParams.from_params(params)
     gc.collect()
     gc.disable()
@@ -461,7 +461,7 @@ def test_digest_tracks_scaled_constants():
 
 def test_golden_digests_stable():
     for (q, kt, k), expected in GOLDEN_DIGESTS.items():
-        params = MechanismParams.from_q(q, kt, k)
+        params = MechanismParams(q, kt, k)
         circuit = build_mechanism_circuit(params, ScaledParams.from_params(params))
         assert circuit_digest(circuit).hex() == expected
 
@@ -490,7 +490,7 @@ def test_matches_fixed_point_on_random_inputs():
 
 
 def test_matches_fixed_point_wide_widths_batch():
-    params = MechanismParams.from_q(Fraction(1, 4), 16, 32)
+    params = MechanismParams(Fraction(1, 4), 16, 32)
     scaled = ScaledParams.from_params(params)
     circuit = build_mechanism_circuit(params, scaled)
     rng = random.Random(0x22)
@@ -511,7 +511,7 @@ def test_matches_fixed_point_wide_widths_batch():
 
 
 def _build_quiet(q, kt, k):
-    params = MechanismParams.from_q(q, kt, k)
+    params = MechanismParams(q, kt, k)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ScalingWarning)
         scaled = ScaledParams.from_params(params)
@@ -622,6 +622,68 @@ def test_circuit_equals_fixed_point_exhaustively_over_q():
                 assert (out.r_f, out.alpha, out.sigma) == tuple(int(w[v]) for w in want)
 
 
+# Six widths near the 64-bit product cap, each of 13 q once: 1/2 puts
+# p_scale at 2^k and 499/1000 and 31/64 near it, 1/1000 and 1/64 make
+# q_scale small, the non-dyadic q round their constants down.  The subset runs in
+# about 1 s.  REFUSED_WIDTHS are refused at every q <= 1/2, because
+# r2 * inv_q_scale needs at least k_theta + k + 2 bits.
+THRESHOLD_PROFILES = [
+    (Fraction(7, 16), 16, 16), (Fraction(1, 1000), 16, 16),
+    (Fraction(1, 4), 16, 32), (Fraction(1, 40), 16, 32),
+    (Fraction(1, 5), 8, 32), (Fraction(1, 64), 8, 32),
+    (Fraction(1, 8), 24, 32), (Fraction(31, 64), 24, 32),
+    (Fraction(1, 2), 31, 31), (Fraction(1, 3), 31, 31), (Fraction(499, 1000), 31, 31),
+    (Fraction(3, 8), 20, 40), (Fraction(2, 7), 20, 40),
+]
+REFUSED_WIDTHS = ((32, 32), (30, 33), (16, 48), (8, 56), (1, 62), (62, 1))
+
+
+def _around(*centres, below):
+    return sorted({v for c in centres for v in (c - 1, c, c + 1) if 0 <= v < below})
+
+
+def _threshold_cases(params, scaled, rng):
+    """(theta_v, theta_a, s0, s1) at every comparison's threshold and next
+    to it: s0 around p_scale, s1 around q_scale, theta_a around r2, around
+    the counteroffer (r2 * inv_q_scale) >> k and around theta_v; the ends
+    of each range and random draws besides."""
+    unit, top = 1 << params.k, 1 << params.k_theta
+    s0s = _around(0, scaled.p_scale, unit - 1, below=unit)
+    s1s = _around(0, scaled.q_scale, unit - 1, below=unit)
+    cases = set()
+    for tv in _around(0, top - 1, below=top) + [rng.randrange(top) for _ in range(3)]:
+        for s0 in s0s:
+            r2 = (scaled.q_scale * tv) >> params.k if s0 < scaled.p_scale else tv
+            r3 = (r2 * scaled.inv_q_scale) >> params.k
+            for ta in _around(r2, r3, tv, below=top):
+                cases.update((tv, ta, s0, s1) for s1 in s1s)
+    for _ in range(200):
+        cases.add((rng.randrange(top), rng.randrange(top), rng.randrange(unit),
+                   rng.randrange(unit)))
+    return sorted(cases)
+
+
+def test_circuit_equals_fixed_point_at_the_thresholds():
+    # random wide reports almost never tie a threshold; the oracle is
+    # outcome_fixed on Python ints, since its products near 64 bits would
+    # overflow the int64 arrays of _fixed_outcomes
+    for (q, _, _), (kt, k) in itertools.product(THRESHOLD_PROFILES, REFUSED_WIDTHS):
+        with pytest.raises(ValueError, match="64 bits"):
+            _build_quiet(q, kt, k)
+    rng = random.Random(0x7E)
+    for q, kt, k in THRESHOLD_PROFILES:
+        params, scaled, circuit = _build_quiet(q, kt, k)
+        cases = _threshold_cases(params, scaled, rng)
+        rows = [encode_inputs(circuit, tv, ta, s0_v=s0, s1_v=s1, s0_a=0, s1_a=0)
+                for tv, ta, s0, s1 in cases]
+        words = eval_gates(circuit.rows(), _pack_lanes(rows), len(cases))
+        *r_f_wires, alpha, sigma = circuit.outputs
+        for v, (tv, ta, s0, s1) in enumerate(cases):
+            want = outcome_fixed(params, scaled, Report(tv, ta), s0, s1)
+            got = tuple(_lane(words, ws, v) for ws in (r_f_wires, [alpha], [sigma]))
+            assert got == (want.r_f, want.alpha, want.sigma), (q, kt, k, tv, ta, s0, s1)
+
+
 def test_no_gate_reads_one_wire_twice():
     # constants are not wires, and AND(a, a) and XOR(a, a) fold to a and ZERO
     for q, kt, k in itertools.product(QS, (1, 4, 8, 16), (1, 4, 8, 32)):
@@ -713,7 +775,7 @@ def test_and_count_monotone_in_widths():
     grid = {}
     for kt in (4, 6, 8, 16):
         for k in (4, 8, 16, 32):
-            params = MechanismParams.from_q(q, kt, k)
+            params = MechanismParams(q, kt, k)
             circuit = build_mechanism_circuit(params, ScaledParams.from_params(params))
             grid[kt, k] = circuit.and_count
     kts = (4, 6, 8, 16)
@@ -728,11 +790,11 @@ def test_and_count_monotone_in_widths():
 
 def test_width_overflow_guard():
     # the constants the builder reads are scaled only for products within 64 bits
-    params = MechanismParams.from_q(Fraction(1, 4), 8, 60)  # k + k_theta = 68 bits
+    params = MechanismParams(Fraction(1, 4), 8, 60)  # k + k_theta = 68 bits
     with pytest.raises(ValueError, match="64 bits"):
         ScaledParams.from_params(params)
     # k + k_theta = 64 fits, but r2 * inv_q_scale needs 16 + 51 bits
-    params = MechanismParams.from_q(Fraction(1, 4), 16, 48)
+    params = MechanismParams(Fraction(1, 4), 16, 48)
     with pytest.raises(ValueError, match="64 bits"):
         ScaledParams.from_params(params)
 

@@ -44,7 +44,6 @@ l0 = 25
 tail = 60
 r_max = 220
 q = 1/4
-p_bar = 2/3
 k = 8
 k_theta = 8
 t_e = 1
@@ -52,7 +51,6 @@ t_e = 1
 
 ATTACKER_CFG = """\
 q = 1/4
-p_bar = 2/3
 k = 8
 k_theta = 8
 t_e = 1
@@ -146,7 +144,7 @@ def test_readme_settle_wide_figures_match_the_code():
         int(figure.replace(",", "")) for figure in circuit_figures.groups()
     )
     transfers, transferred_bits = map(int, ot_figures.groups())
-    params = MechanismParams.from_q(Fraction(1, 4), 16, 32)
+    params = MechanismParams(Fraction(1, 4), 16, 32)
     circuit = build_mechanism_circuit(params, ScaledParams.from_params(params))
     blob = serialize_garbled(garble(circuit, b"readme").garbled)
     assert (circuit.victim_inputs, circuit.attacker_inputs) == (live, live)
@@ -382,11 +380,11 @@ def test_config_keys_no_flag_names_are_kept(capsys, tmp_path):
         ["stage-game", "--r-f", "1/0", "--v", "1", "--r-max", "2"],
         ["stage-game", "--r-f", "1", "--v", "-2", "--r-max", "5"],
         ["stage-game", "--r-f", "1", "--v", "2", "--r-max", "-5"],
-        ["mechanism", "eval", "1", "1", "1/0", "2/3", "8", "8", "0", "0"],
+        ["mechanism", "eval", "1", "1", "1/0", "8", "8", "0", "0"],
         ["mechanism", "verify-bic", "--q", "1/0"],
         ["mechanism", "verify-bic", "--q", "1"],
         ["offers", "--horizon", "x"],
-        ["mechanism", "eval", "1", "1", "1/4", "2/3", "60", "8", "0", "0"],
+        ["mechanism", "eval", "1", "1", "1/4", "60", "8", "0", "0"],
         ["mechanism", "verify-bic", "--attacker-grid", "1"],
         ["mechanism", "verify-bic", "--attacker-grid", "0"],
         ["mechanism", "verify-bic", "--k", "8"],
@@ -453,14 +451,14 @@ def test_stage_game_both_regimes(capsys):
 
 
 def test_mechanism_eval_fixed_point(capsys):
-    base = ["mechanism", "eval", "200", "60", "1/4", "2/3", "8", "8", "17"]
+    base = ["mechanism", "eval", "200", "60", "1/4", "8", "8", "17"]
     code, out, _ = run(capsys, *base, "20")
     assert code == 0
     assert "alpha = 1" in out and "r_f = 200" in out and "sigma = 0" in out
     code, out, _ = run(capsys, *base, "200")
     assert code == 0
     assert "alpha = 1" in out and "r_f = 0" in out and "sigma = 1" in out
-    code, _, err = run(capsys, "mechanism", "eval", "300", "60", "1/4", "2/3", "8", "8", "0", "0")
+    code, _, err = run(capsys, "mechanism", "eval", "300", "60", "1/4", "8", "8", "0", "0")
     assert code == 1 and "does not fit" in err
 
 
@@ -468,7 +466,7 @@ def test_mechanism_eval_refuses_huge_k_before_scaling(capsys):
     # 2^k at k = 10^8 alone would take 12.5 MB
     tracemalloc.start()
     try:
-        huge_k = ("1", "1", "1/4", "2/3", "100000000", "8", "0", "0")
+        huge_k = ("1", "1", "1/4", "100000000", "8", "0", "0")
         code, _, err = run(capsys, "mechanism", "eval", *huge_k)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -478,7 +476,7 @@ def test_mechanism_eval_refuses_huge_k_before_scaling(capsys):
     # a non-dyadic q still warns about rounding exactly once
     with warnings.catch_warnings():
         warnings.simplefilter("always")
-        non_dyadic = ("200", "60", "1/3", "3/4", "8", "8", "17", "20")
+        non_dyadic = ("200", "60", "1/3", "8", "8", "17", "20")
         code, out, err = run(capsys, "mechanism", "eval", *non_dyadic)
     assert code == 0 and "r_f = 66" in out
     assert err == SCALING_WARNING
@@ -621,7 +619,7 @@ def test_non_dyadic_settlement_warns_once_per_role(capsys, tmp_path):
     # the victim runs through main() here, the attacker in its own process
     victim_cfg, attacker_cfg = tmp_path / "victim.cfg", tmp_path / "attacker.cfg"
     for path, text in ((victim_cfg, VICTIM_CFG), (attacker_cfg, ATTACKER_CFG)):
-        path.write_text(text.replace("q = 1/4\np_bar = 2/3", "q = 1/3\np_bar = 3/4"))
+        path.write_text(text.replace("q = 1/4", "q = 1/3"))
     address = f"127.0.0.1:{_free_port()}"
     victim_argv = ["victim", "--config", str(victim_cfg), "--listen", address, "--seed", "76"]
     attacker_argv = ["attacker", "--config", str(attacker_cfg), "--connect", address, "--seed", "61"]
@@ -684,6 +682,17 @@ def test_unwritable_victim_transcript_exits_one_before_any_socket(
     )
     assert (code, out) == (1, "")
     assert err.startswith("error: [Errno 2]") and "Traceback" not in err
+
+
+def test_unwritable_offers_csv_exits_one_before_any_output(capsys, tmp_path):
+    missing = tmp_path / "missing" / "s.csv"
+    code, out, err = run(
+        capsys, "offers", "--blocks", "4,3,2,1", "--tail", "1", "--r-min", "5",
+        "--csv", str(missing),
+    )
+    assert (code, out) == (1, "")
+    # the marginal-loss warning comes first, on stderr, as at any path
+    assert err.splitlines()[-1].startswith("error: [Errno 2]") and "Traceback" not in err
 
 
 def test_victim_transcript_is_written_when_no_peer_connects(capsys, tmp_path):
@@ -780,13 +789,13 @@ def test_connect_without_listener_is_transport_failure(capsys, tmp_path):
 
 def test_config_errors_exit_one(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("q = 1/4\np_bar = 2/3\nk = 8\n")  # k_theta missing
+    bad.write_text("q = 1/4\nk = 8\n")  # k_theta missing
     code, _, err = run(
         capsys, "victim", "--config", str(bad), "--listen", "127.0.0.1:1"
     )
     assert code == 1 and "error:" in err
     no_theta = tmp_path / "no_theta.cfg"
-    no_theta.write_text("q = 1/4\np_bar = 2/3\nk = 8\nk_theta = 8\n")
+    no_theta.write_text("q = 1/4\nk = 8\nk_theta = 8\n")
     code, _, err = run(
         capsys, "attacker", "--config", str(no_theta), "--connect", "127.0.0.1:1"
     )
@@ -819,7 +828,7 @@ def test_unbuildable_profile_exits_one_before_listening(capsys, tmp_path):
     # after a peer had agreed to it
     for old, new, message in (
         ("k = 8\nk_theta = 8", "k = 64\nk_theta = 16", "64 bits"),
-        ("q = 1/4\np_bar = 2/3", "q = 0\np_bar = 1/2", "q > 0"),
+        ("q = 1/4", "q = 0", "q > 0"),
     ):
         cfg = tmp_path / "victim.cfg"
         cfg.write_text(ATTACKER_CFG.replace(old, new))

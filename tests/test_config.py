@@ -23,7 +23,6 @@ l0 = 25
 tail = 60
 r_max = 220
 q = 1/4
-p_bar = 2/3
 k = 8
 k_theta = 8
 t_e = 1
@@ -49,6 +48,10 @@ def test_parse_rejects_malformed_lines():
         parse_config_text("qq = 1/4\n")
     with pytest.raises(ConfigError, match="unknown key 'round_length'"):
         parse_config_text("blocks = 1, 1, 1\nround_length = 2\n")
+    # p_bar is derived from q, so a file that still sets it, even to the
+    # value q pins, is refused
+    with pytest.raises(ConfigError, match="unknown key 'p_bar'"):
+        parse_config_text("q = 1/4\np_bar = 2/3\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("q = 1/4\nq = 1/2\n")
     with pytest.raises(ConfigError, match="empty value"):
@@ -57,7 +60,7 @@ def test_parse_rejects_malformed_lines():
 
 
 def test_decimal_strings_stay_exact():
-    config = config_from_values({"q": "0.25", "p_bar": "2/3", "t_e": "1.5"})
+    config = config_from_values({"q": "0.25", "t_e": "1.5"})
     assert config.q == Fraction(1, 4)
     assert config.t_e == Fraction(3, 2)
 
@@ -101,7 +104,7 @@ def test_theta_hex_overrides_with_warning():
 
 
 def test_attacker_needs_an_explicit_report():
-    config = config_from_values({"q": "1/4", "p_bar": "2/3", "k": "8", "k_theta": "8"})
+    config = config_from_values({"q": "1/4", "k": "8", "k_theta": "8"})
     with pytest.raises(ConfigError, match="set theta_hex"):
         config.resolve_report("attacker")
     assert (
@@ -124,7 +127,7 @@ def test_report_must_fit_the_width():
 
 
 def test_pi_requires_the_protocol_keys():
-    config = config_from_values({"q": "1/4", "p_bar": "2/3", "k": "8"})
+    config = config_from_values({"q": "1/4", "k": "8"})
     with pytest.raises(ConfigError, match="k_theta"):
         config.pi()
     full = config_from_values(parse_config_text(VICTIM_TEXT))
@@ -138,6 +141,7 @@ def test_pi_requires_the_protocol_keys():
     )
 
 
+# the config keys, plus "p_bar" and "bogus", which are not
 _KEYS = (
     "l0", "blocks", "tail", "r_max", "r_min",
     "q", "p_bar", "k", "k_theta", "theta_hex", "t_e", "bogus",

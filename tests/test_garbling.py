@@ -58,7 +58,7 @@ from blindbargain.ot import (
 )
 from test_circuit import _circuit
 
-PARAMS = MechanismParams.from_q(Fraction(1, 4), 8, 8)
+PARAMS = MechanismParams(Fraction(1, 4), 8, 8)
 SCALED = ScaledParams.from_params(PARAMS)
 
 # sha256 of serialize_garbled(garble(circuit, b"pin").garbled) for the
@@ -187,7 +187,7 @@ def test_mechanism_circuit_garbled_matches_oracle():
 
 
 def _build_quiet(q, kt, k):
-    params = MechanismParams.from_q(q, kt, k)
+    params = MechanismParams(q, kt, k)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ScalingWarning)
         scaled = ScaledParams.from_params(params)
@@ -235,7 +235,7 @@ def test_garbling_is_deterministic_per_seed():
 
 def test_garbled_golden_bytes():
     for (q, kt, k), expected in GOLDEN_GARBLED.items():
-        params = MechanismParams.from_q(q, kt, k)
+        params = MechanismParams(q, kt, k)
         circuit = build_mechanism_circuit(params, ScaledParams.from_params(params))
         blob = serialize_garbled(garble(circuit, b"pin").garbled)
         assert hashlib.sha256(blob).hexdigest() == expected

@@ -20,33 +20,34 @@ from blindbargain.mechanism import (
     expected_victim_utility,
     outcome_fixed,
     outcome_real,
+    p_bar_for,
 )
 
-PARAMS = MechanismParams(q="1/4", p_bar="2/3", k_theta=8, k=8)
+PARAMS = MechanismParams(q="1/4", k_theta=8, k=8)
 SCALED = ScaledParams.from_params(PARAMS)
 
 
 def params_for(q, k_theta=8, k=8) -> MechanismParams:
-    return MechanismParams.from_q(q, k_theta, k)
+    return MechanismParams(q, k_theta, k)
 
 
 # --- parameters and scaling ----------------------------------------------
 
 
 def test_params_constraint_is_exact():
-    with pytest.raises(ValueError):
-        MechanismParams(q="1/4", p_bar="0.67", k_theta=8, k=8)
-    with pytest.raises(ValueError):
-        MechanismParams(q="3/5", p_bar="5/4", k_theta=8, k=8)
-    with pytest.raises(ValueError):
-        MechanismParams(q="1/4", p_bar="2/3", k_theta=0, k=8)
-    p = params_for("1/4")
-    assert p.p_bar == Fraction(2, 3)
+    with pytest.raises(ValueError, match=r"q must lie in \[0, 1/2\]"):
+        MechanismParams(q="3/5", k_theta=8, k=8)
+    with pytest.raises(ValueError, match="bitwidths"):
+        MechanismParams(q="1/4", k_theta=0, k=8)
+    assert params_for("1/4").p_bar == Fraction(2, 3)
+    assert MechanismParams("1/3", 8, 8).p_bar == Fraction(3, 4)
     assert params_for(0).p_bar == Fraction(1, 2)
     assert params_for("1/2").p_bar == 1
+    for q in (Fraction(1, 40), Fraction(2, 7), Fraction(1, 2)):
+        assert p_bar_for(q) * (1 - q) == Fraction(1, 2)
     # the range is checked before p_bar = 1 / (2(1 - q)) divides by 0
     with pytest.raises(ValueError, match=r"q must lie in \[0, 1/2\]"):
-        MechanismParams.from_q(1, 8, 8)
+        MechanismParams(1, 8, 8)
 
 
 def test_scaled_constants_match_worked_values():
@@ -113,13 +114,13 @@ def test_outcome_fixed_validates_inputs():
         outcome_fixed(PARAMS, SCALED, Report("1/2", 0), 0, 0)
     with pytest.raises(ValueError):
         outcome_fixed(PARAMS, SCALED, Report(1, 1), 256, 0)
-    wide = MechanismParams.from_q(Fraction(1, 4), 8, 60)  # k + k_theta = 68 bits
+    wide = MechanismParams(Fraction(1, 4), 8, 60)  # k + k_theta = 68 bits
     with pytest.raises(ValueError):
         outcome_fixed(wide, ScaledParams.from_params(wide), Report(1, 1), 0, 0)
 
 
 def test_outcome_invariants_exhaustive_small_widths():
-    params = MechanismParams(q="1/4", p_bar="2/3", k_theta=4, k=4)
+    params = MechanismParams(q="1/4", k_theta=4, k=4)
     scaled = ScaledParams.from_params(params)
     reports = [Report(tv, ta) for tv in range(16) for ta in range(16)]
     for rep in reports:

@@ -733,6 +733,16 @@ def test_config_bounds_the_port_and_the_timeout():
             NegotiationConfig(PI, 200, timeout=timeout)
 
 
+def test_profile_refuses_a_p_bar_that_q_does_not_pin():
+    # the HELLO bytes carry p_bar, so the profile is the one place that
+    # still takes it; it must be exactly 1 / (2(1 - q))
+    with pytest.raises(ValueError, match=r"must equal 1/2 exactly"):
+        PiProfile("1/4", "0.67", 8, 8, 0)
+    with pytest.raises(ValueError, match=r"q must lie in \[0, 1/2\]"):
+        PiProfile("3/5", "5/4", 8, 8, 0)
+    assert PiProfile("3/8", "4/5", 8, 8, 0).params().p_bar == Fraction(4, 5)
+
+
 def test_profile_rejects_what_its_wire_form_cannot_carry():
     q, p_bar = Fraction(1, 4), Fraction(2, 3)
     for t_e in (-1, Fraction(-1, 2), Fraction(1, 2**64 + 1), Fraction(2**64)):
