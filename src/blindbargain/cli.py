@@ -262,12 +262,12 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _session_pieces(args, role: str):
+def _session_config(args, role: str, address: str):
+    """The role's session config, the one check of its report's width, and its seed."""
     config = load_config(args.config)
-    pi = config.pi()
-    report = config.resolve_report(role)
+    pi, report = config.pi(), config.resolve_report(role)
     seed = bytes.fromhex(args.seed) if args.seed else None
-    return pi, report, seed
+    return NegotiationConfig(pi, report, _parse_address(address), args.timeout), seed
 
 
 def _print_outcome(result) -> None:
@@ -279,9 +279,7 @@ def _print_outcome(result) -> None:
 
 
 def _cmd_victim(args) -> int:
-    pi, report, seed = _session_pieces(args, "victim")
-    address = _parse_address(args.listen)
-    cfg = NegotiationConfig(pi, report, address, args.timeout)
+    cfg, seed = _session_config(args, "victim", args.listen)
     if args.transcript:
         # an unwritable path fails here, not after the session's own exit
         open(args.transcript, "w", encoding="utf-8").close()
@@ -299,9 +297,7 @@ def _cmd_victim(args) -> int:
 
 
 def _cmd_attacker(args) -> int:
-    pi, report, seed = _session_pieces(args, "attacker")
-    address = _parse_address(args.connect)
-    cfg = NegotiationConfig(pi, report, address, args.timeout)
+    cfg, seed = _session_config(args, "attacker", args.connect)
     result = run_attacker(cfg, seed)
     _print_outcome(result)
     return EXIT_OK

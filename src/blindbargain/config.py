@@ -11,7 +11,9 @@ k, k_theta, theta_hex, t_e.  The profile's p_bar is derived from q.
 The victim's report defaults to the residual value of the data at the
 agreed exchange round, ``floor(psi(t_e))``; an explicit ``theta_hex``
 overrides that (with a warning when both are given and disagree), and
-is the only way to give the attacker a report.
+is the only way to give the attacker a report.  Whether the report fits
+in ``k_theta`` bits is checked when the session is configured
+(``protocol.NegotiationConfig``).
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ class SessionConfig:
         The victim values the data at what it is still worth at the
         exchange round (losses step at round boundaries, so fractional
         ``t_e`` floors to the last completed round).  The attacker has
-        no loss model; it must state ``theta_hex``.
+        no loss model; it must state ``theta_hex``.  The width is not
+        checked here but by the session's ``NegotiationConfig``.
         """
         derived = None
         if role == "victim" and self.profile is not None:
@@ -89,12 +92,6 @@ class SessionConfig:
             raise ConfigError(
                 f"no report for the {role}: set theta_hex"
                 + (" or a loss model" if role == "victim" else "")
-            )
-        if self.k_theta is None:
-            raise ConfigError("missing required keys: k_theta")
-        if not 0 <= report < (1 << self.k_theta):
-            raise ConfigError(
-                f"report {report} does not fit in k_theta={self.k_theta} bits"
             )
         return report
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import secrets
 import socket
 import struct
 import threading
@@ -112,10 +111,6 @@ class TransportFailure(Exception):
         self.transcript = transcript
 
 
-class _StepTimeout(Exception):
-    """Internal: a step's deadline passed; becomes a staged abort."""
-
-
 @dataclass(frozen=True)
 class PiProfile:
     """The public strategy profile both parties must agree on.
@@ -185,7 +180,7 @@ class NegotiationConfig:
 
     def __post_init__(self):
         if not 0 <= self.theta_hat < (1 << self.pi.k_theta):
-            raise ValueError(f"report does not fit in {self.pi.k_theta} bits")
+            raise ValueError(f"report does not fit in k_theta={self.pi.k_theta} bits")
         if not 0 <= self.address[1] <= 0xFFFF:
             raise ValueError(f"port must lie in 0..65535, got {self.address[1]}")
         if not 0 < self.timeout <= MAX_TIMEOUT:  # nan fails too
@@ -251,22 +246,19 @@ def load_transcript(path) -> SessionTranscript:
 class SessionRandomness:
     """A party's private randomness; seed it only in tests.
 
-    Seeded mode derives every draw from one PRNG so runs replay
-    exactly; unseeded mode uses the system entropy source.
+    One generator serves every draw: ``random.Random(seed)`` when
+    seeded, so runs replay exactly, else ``random.SystemRandom()``,
+    which reads ``os.urandom``.
     """
 
     def __init__(self, seed: bytes | None = None):
-        self._rng = random.Random(seed) if seed is not None else None
+        self._rng = random.SystemRandom() if seed is None else random.Random(seed)
 
     def word(self, bits: int) -> int:
-        if self._rng is not None:
-            return self._rng.getrandbits(bits)
-        return secrets.randbits(bits)
+        return self._rng.getrandbits(bits)
 
     def seed_bytes(self) -> bytes:
-        if self._rng is not None:
-            return self._rng.randbytes(SEED_BYTES)
-        return secrets.token_bytes(SEED_BYTES)
+        return self._rng.randbytes(SEED_BYTES)
 
 
 @dataclass(frozen=True)
@@ -282,15 +274,18 @@ class NegotiationResult:
 class _Channel:
     """Framed messages over one socket, recording a transcript.
 
-    ``step`` names the protocol step under way: ``recv`` tags its aborts
-    with that stage, and a failed check inside the step aborts there.
+    ``budget`` is the channel's time for reading one frame, and the
+    socket's timeout between reads.  ``step`` names the protocol step
+    under way: ``recv`` tags its aborts with that stage, and a failed
+    check inside the step aborts there.
     """
 
-    def __init__(self, sock: socket.socket, transcript: SessionTranscript, timeout: float):
-        sock.settimeout(timeout)
+    def __init__(self, sock: socket.socket, transcript: SessionTranscript, budget: float):
+        sock.settimeout(budget)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
         self.transcript = transcript
+        self.budget = budget
         self.stage: str | None = None
 
     @contextmanager
@@ -318,13 +313,15 @@ class _Channel:
         buf = bytearray()
         while len(buf) < n:
             remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise _StepTimeout()
-            self.sock.settimeout(remaining)
             try:
+                if remaining <= 0:  # passed between reads: same exit
+                    raise socket.timeout
+                self.sock.settimeout(remaining)
                 chunk = self.sock.recv(n - len(buf))
-            except socket.timeout as exc:
-                raise _StepTimeout() from exc
+            except socket.timeout:
+                # the ABORT frame goes out under the full budget
+                self.sock.settimeout(self.budget)
+                self.abort(f"timeout:{self.stage}")
             except OSError as exc:
                 raise TransportFailure(f"recv failed: {exc}", self.transcript) from exc
             if not chunk:
@@ -335,25 +332,19 @@ class _Channel:
     def recv(self, msg_type: int) -> bytes:
         """Read one frame's payload; only ``msg_type`` (and ABORT) is legal.
 
-        The socket's timeout is the step's budget: the whole frame must
-        arrive before one monotonic deadline, so a peer trickling bytes
-        cannot hold the step open.  Missing it is a protocol-level abort
-        at ``timeout:<stage>``, not a transport failure: the channel is
-        still up, the peer stalled.
+        The whole frame must arrive within the channel's budget, before
+        one monotonic deadline, so a peer trickling bytes cannot hold the
+        step open.  Missing it is a protocol-level abort at
+        ``timeout:<stage>``, not a transport failure: the channel is
+        still up, the peer stalled.  After a frame or a timeout, the
+        socket's timeout is the budget again.
         """
-        budget = self.sock.gettimeout()
-        deadline = time.monotonic() + budget
-        try:
-            (length,) = struct.unpack("<I", self._read_exact(4, deadline))
-            if not 1 <= length <= MAX_FRAME:
-                raise TransportFailure(
-                    f"invalid frame length {length}", self.transcript
-                )
-            body = self._read_exact(length, deadline)
-        except _StepTimeout:
-            self.sock.settimeout(budget)
-            self.abort(f"timeout:{self.stage}")
-        self.sock.settimeout(budget)
+        deadline = time.monotonic() + self.budget
+        (length,) = struct.unpack("<I", self._read_exact(4, deadline))
+        if not 1 <= length <= MAX_FRAME:
+            raise TransportFailure(f"invalid frame length {length}", self.transcript)
+        body = self._read_exact(length, deadline)
+        self.sock.settimeout(self.budget)
         received, payload = body[0], body[1:]
         self.transcript.append("received", received, payload)
         if received == MSG_ABORT:

@@ -492,6 +492,33 @@ def test_mechanism_verify_bic(capsys):
     assert out.count("PASS") == 2 and "FAIL" not in out
 
 
+def test_verify_bic_fails_when_the_attacker_gains_by_lying(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "attacker_truthfulness_margin", lambda *a, **kw: Fraction(-1, 3))
+    code, out, _ = run(
+        capsys, "mechanism", "verify-bic", "--attacker-grid", "9", "--victim-step-bits", "2"
+    )
+    assert code == 1
+    assert out == (
+        "attacker dominance at support endpoints (9x9 grid): FAIL (worst margin -1/3)\n"
+        "victim optimality (grid step 2^-2): PASS (worst shortfall 0, step 1/4)\n"
+    )
+
+
+def test_verify_bic_fails_when_the_victim_gains_by_lying(capsys, monkeypatch):
+    # every untruthful report pays 1 more than the truth
+    monkeypatch.setattr(
+        cli, "expected_victim_utility", lambda params, theta, r: Fraction(r != theta)
+    )
+    code, out, _ = run(
+        capsys, "mechanism", "verify-bic", "--attacker-grid", "9", "--victim-step-bits", "2"
+    )
+    assert code == 1
+    assert out == (
+        "attacker dominance at support endpoints (9x9 grid): PASS (worst margin 0)\n"
+        "victim optimality (grid step 2^-2): FAIL (worst shortfall 1, step 1/4)\n"
+    )
+
+
 _DEFAULT_GRID_LINES = (
     "attacker dominance at support endpoints (64x64 grid): PASS (worst margin 0)\n"
     "victim optimality (grid step 2^-6): PASS (worst shortfall 0, step 1/64)\n"

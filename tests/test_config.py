@@ -1,5 +1,6 @@
 """Key-value config parsing and report resolution."""
 
+import socket
 import warnings
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blindbargain.cli import main
 from blindbargain.config import (
     ConfigError,
     ConfigWarning,
@@ -115,15 +117,24 @@ def test_attacker_needs_an_explicit_report():
     )
 
 
-def test_report_must_fit_the_width():
-    config = config_from_values({"k_theta": "4", "theta_hex": "ff"})
-    with pytest.raises(ConfigError, match="does not fit"):
-        config.resolve_report("attacker")
-    wide = config_from_values(
-        parse_config_text(VICTIM_TEXT.replace("k_theta = 8", "k_theta = 4"))
-    )
-    with pytest.raises(ConfigError, match="does not fit"):
-        wide.resolve_report("victim")
+def test_report_must_fit_the_width(capsys, tmp_path, monkeypatch):
+    # the session config checks the width, before any socket opens
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    monkeypatch.setattr(socket, "create_connection", no_socket)
+    for role, flag, text in (
+        ("attacker", "--connect", "q = 1/4\nk = 8\nk_theta = 4\ntheta_hex = ff\n"),
+        # the loss model's report, 140, needs 8 bits
+        ("victim", "--listen", VICTIM_TEXT.replace("k_theta = 8", "k_theta = 4")),
+    ):
+        path = tmp_path / f"{role}.cfg"
+        path.write_text(text)
+        code = main([role, "--config", str(path), flag, "127.0.0.1:7301"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert "does not fit" in captured.err and "Traceback" not in captured.err
 
 
 def test_pi_requires_the_protocol_keys():

@@ -48,6 +48,7 @@ from blindbargain.protocol import (
     SessionTranscript,
     TransportFailure,
     VictimSession,
+    _Channel,
     load_transcript,
     loopback_exchange,
     loopback_run,
@@ -684,6 +685,24 @@ def test_trickling_peer_cannot_outlast_the_step_deadline():
     assert time.monotonic() - start < 2
     assert isinstance(box["result"], NegotiationAbort)
     assert box["result"].stage == "timeout:pi-agreement"
+
+
+def test_channel_timeout_is_its_budget_again_after_each_frame():
+    # the reads shorten the socket's timeout toward the frame's deadline;
+    # sends after them must not inherit what was left of it
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        peer = socket.create_connection(listener.getsockname(), timeout=2)
+        conn, _ = listener.accept()
+    with peer, conn:
+        channel = _Channel(conn, SessionTranscript(), 0.5)
+        channel.stage = "pi-agreement"
+        _send_frame(peer, MSG_HELLO, b"profile")
+        assert channel.recv(MSG_HELLO) == b"profile"
+        assert channel.sock.gettimeout() == channel.budget == 0.5
+        with pytest.raises(NegotiationAbort, match="timeout:pi-agreement"):
+            channel.recv(MSG_PI_ACK)
+        assert channel.sock.gettimeout() == channel.budget
+        assert _read_frame(peer) == (MSG_ABORT, b"timeout:pi-agreement")
 
 
 def test_connection_drop_mid_session_is_a_transport_failure():
