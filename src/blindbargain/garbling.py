@@ -122,7 +122,13 @@ def garble(circuit: Circuit, seed: bytes) -> GarbledMaterial:
     """
     delta = _seed_label(seed, b"delta", 0) | 1
     n_in = circuit.n_inputs
-    zero_of = [_seed_label(seed, b"input", w) for w in range(n_in)]
+    # _seed_label's hash inputs, each tag's prefix built once
+    sha256 = hashlib.sha256
+    input_prefix, gate_prefix = seed + b"input", seed + b"gate"
+    zero_of = []
+    for w in range(n_in):
+        digest = sha256(input_prefix + w.to_bytes(8, "little")).digest()
+        zero_of.append(int.from_bytes(digest[:LABEL_BYTES], "big"))
     xor, not_ = int(GateKind.XOR), int(GateKind.NOT)
     ands = []  # (position, a0, b0, out0) per AND gate
     for position, (kind, in_a, in_b) in enumerate(circuit.rows()):
@@ -132,7 +138,8 @@ def garble(circuit: Circuit, seed: bytes) -> GarbledMaterial:
             # pass-through label flips meaning, no table row needed
             zero_of.append(zero_of[in_a] ^ delta)
         else:
-            out0 = _seed_label(seed, b"gate", position)
+            digest = sha256(gate_prefix + position.to_bytes(8, "little")).digest()
+            out0 = int.from_bytes(digest[:LABEL_BYTES], "big")
             zero_of.append(out0)
             ands.append((position, zero_of[in_a], zero_of[in_b], out0))
     # Output labels come from the seed, so every row's cipher input is
@@ -149,19 +156,17 @@ def garble(circuit: Circuit, seed: bytes) -> GarbledMaterial:
             wa = da ^ d_delta if va else da
             for vb in (b0 & 1, (b0 & 1) ^ 1):
                 w = wa ^ (ddb ^ dd_delta if vb else ddb) ^ position
-                out = out0 ^ delta if va & vb else out0
-                cipher_in.append(w.to_bytes(LABEL_BYTES, "big"))
-                masks.append((w ^ out).to_bytes(LABEL_BYTES, "big"))
+                cipher_in.append(w)
+                masks.append(w ^ out0 ^ delta if va & vb else w ^ out0)
     # each row is E(w) ^ w (the Davies-Meyer key) ^ its output label
-    keyed = _new_encryptor().update(b"".join(cipher_in))
+    cipher_bytes = b"".join([w.to_bytes(LABEL_BYTES, "big") for w in cipher_in])
+    mask_bytes = b"".join([m.to_bytes(LABEL_BYTES, "big") for m in masks])
+    keyed = _new_encryptor().update(cipher_bytes)
     rows = (
-        int.from_bytes(keyed, "big") ^ int.from_bytes(b"".join(masks), "big")
+        int.from_bytes(keyed, "big") ^ int.from_bytes(mask_bytes, "big")
     ).to_bytes(len(keyed), "big")
-    cuts = range(0, len(rows), LABEL_BYTES)
-    tables = [
-        tuple(rows[i : i + LABEL_BYTES] for i in cuts[start : start + 4])
-        for start in range(0, len(cuts), 4)
-    ]
+    cut = iter([rows[i : i + LABEL_BYTES] for i in range(0, len(rows), LABEL_BYTES)])
+    tables = tuple(zip(cut, cut, cut, cut))
     input_pairs = tuple(
         (_label(zero_of[w]), _label(zero_of[w] ^ delta)) for w in range(n_in)
     )
@@ -169,7 +174,7 @@ def garble(circuit: Circuit, seed: bytes) -> GarbledMaterial:
         (_label(zero_of[w]), _label(zero_of[w] ^ delta)) for w in circuit.outputs
     )
     decode = tuple((_commit(k0), _commit(k1)) for k0, k1 in output_pairs)
-    gc = GarbledCircuit(circuit_digest(circuit), tuple(tables), decode)
+    gc = GarbledCircuit(circuit_digest(circuit), tables, decode)
     return GarbledMaterial(gc, input_pairs, output_pairs)
 
 

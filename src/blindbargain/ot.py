@@ -21,30 +21,32 @@ Hauck-Loss (2017) show where Simplest OT falls short of it.
 Scalar multiplications run in C through ``cryptography``: fixed-base
 ``derive_private_key`` and variable-base ECDH ``exchange``, which yields
 only the x-coordinate of the product.  They are nearly all of the OT
-time.  Per transfer the sender runs two exchanges, for aB and a(B - A),
-and one point decompression; the receiver one derivation and one
-exchange.  The sender gets x(a(B - mA)) for m = 2 ... 8 from the
-differential addition law for short Weierstrass curves (Brier-Joye,
-PKC 2002) with T = aA:
+time.  Per transfer the sender runs two exchanges, for aB and (a - 1)B
+(a second key; the draw keeps a > 1), and one point decompression; the
+receiver one derivation and one exchange.  The sender recovers y(aB)
+by the y-recovery for short Weierstrass curves (Okeya-Sakurai, CHES
+2001) with P = B and Q = aB:
 
-    x(R - T) = (2(x_R + x_T)(x_R x_T + a_4) + 4 a_6) / (x_R - x_T)^2 - x(R + T)
+    y_Q = (2 a_6 + (a_4 + x_P x_Q)(x_P + x_Q) - x(Q - P)(x_P - x_Q)^2) / (-2 y_P)
 
-and x(T) once per session, from a derivation of a^2 mod n.  So a
-transfer carries three bits for the sender's cost of one 1-of-2
-transfer, plus seven law steps and eight hashes.  The receiver's
-bG + (c + 1)A and the sender's B - A are affine additions; each step
-over a message shares one field inversion (Montgomery's trick).  Each
-side builds its table of A ... 8A once per session.
+and then x(a(B - mA)) = x(aB - mT) for m = 1 ... 8 by affine additions
+against a table of T ... 8T, T = aA, built once per session from a
+derivation of a^2 mod n.  So a transfer carries three bits for the
+sender's cost of one 1-of-2 transfer, plus eight additions and eight
+hashes.  The receiver's bG + (c + 1)A is an affine addition too, from
+its own table of A ... 8A; the divisions over one message share one
+field inversion (Montgomery's trick).
 
 Every element is 33 bytes of SEC1 compressed point.  Anything else,
 and any point off the curve, is an ``OtProtocolError``; P-256 has
 cofactor 1, so a point on the curve is in the prime-order group.  The
-sender refuses x(B) in {x(jA) : j = 1 ... 8}, that is B = +-A ... +-8A.
+sender refuses x(aB) in {x(jT) : j = 1 ... 8}, that is B = +-A ... +-8A.
 The receiver refuses a blinding point bG there, and a blinded point B
 there too, so an honest receiver never sends what the sender refuses
 (odds about 32 * 2^-256 per transfer).  Both check every element before
 any inversion, and every denominator above is nonzero once those
-sixteen points are out.
+sixteen points are out; y(B) is never 0, as P-256 has no point of
+order 2.
 
 Each 48-byte pad is SHA-384 of the transfer index, the branch and the
 shared x.  The branch matters: two branches' keys share an x whenever
@@ -139,21 +141,6 @@ def _add_each(points: Sequence[Point], addends: Sequence[Point]) -> list[Point]:
     return sums
 
 
-def _x_law(x_r: int, x_t: int, x_other: int, inverse: int) -> int:
-    """x(R - T) from x(R), x(T), x(R + T) and 1 / (x(R) - x(T)).
-
-    The law is symmetric in +-T: given x(R - T) it yields x(R + T).
-    """
-    numerator = 2 * (x_r + x_t) * (x_r * x_t + CURVE_A4) + 4 * CURVE_A6
-    return (numerator * inverse * inverse - x_other) % FIELD_PRIME
-
-
-def _x_step(xs: Sequence[int], x_t: int, x_others: Sequence[int]) -> list[int]:
-    """x(R - T) for every R, given x(R + T): one batch inversion."""
-    inverses = _invert_all([x - x_t for x in xs])
-    return [_x_law(x, x_t, o, inv) for x, o, inv in zip(xs, x_others, inverses)]
-
-
 def _multiples(point: Point) -> list[Point]:
     """[A, 2A, ..., 8A] for A = point, in three batch inversions.
 
@@ -228,9 +215,12 @@ class OtSender:
             self._plaintexts.append(branches)
         scalar = _rand_scalar(rand_bits)
         self._key = ec.derive_private_key(scalar, CURVE)
+        # a > 1, so a - 1 is a scalar too
+        self._key_less = ec.derive_private_key(scalar - 1, CURVE)
         self._big_a = _affine(self._key)
-        self._multiples = _multiples(self._big_a)
-        self._t_x = _affine(ec.derive_private_key(scalar * scalar % ORDER, CURVE))[0]
+        # T ... 8T for T = aA = a^2 G; x(aB) = x(mT) just when B = +-mA
+        t = _affine(ec.derive_private_key(scalar * scalar % ORDER, CURVE))
+        self._t_multiples = _multiples(t)
 
     def public_message(self) -> bytes:
         return _encode(self._big_a)
@@ -238,28 +228,38 @@ class OtSender:
     def respond(self, blinded: bytes) -> bytes:
         """Encrypt every branch of every transfer; one pad per branch."""
         elements = _parse_elements(blinded, len(self._plaintexts), "receiver message")
-        points = []
+        ecdh = ec.ECDH()
+        rows = []  # x(B), y(B), x(aB), x((a - 1)B)
         for key in elements:
             numbers = key.public_numbers()
-            points.append((numbers.x, numbers.y))
-        xs = [x for x, _ in points]
-        _refuse_multiples(xs, self._multiples, "receiver message: element")
-        ax, ay = self._big_a
-        minus_a = [(ax, -ay % FIELD_PRIME)] * len(points)
-        # key_xs[m][i] = x(a(B_i - mA)); branch j's key is m = j + 1
-        key_xs: list[list[int]] = [[], []]
-        for b_key, b_minus_a in zip(elements, _add_each(points, minus_a)):
-            peer = ec.EllipticCurvePublicNumbers(*b_minus_a, CURVE).public_key()
-            for m, point in enumerate((b_key, peer)):
-                shared_x = self._key.exchange(ec.ECDH(), point)
-                key_xs[m].append(int.from_bytes(shared_x, "big"))
-        while len(key_xs) <= BRANCHES:
-            key_xs.append(_x_step(key_xs[-1], self._t_x, key_xs[-2]))
+            x_ab = int.from_bytes(self._key.exchange(ecdh, key), "big")
+            x_less = int.from_bytes(self._key_less.exchange(ecdh, key), "big")
+            rows.append((numbers.x, numbers.y, x_ab, x_less))
+        x_abs = [x_ab for _, _, x_ab, _ in rows]
+        _refuse_multiples(x_abs, self._t_multiples, "receiver message: element")
+        denominators = []
+        for _, y, x_ab, _ in rows:
+            denominators.append(-2 * y)
+            denominators += [x_ab - x_m for x_m, _ in self._t_multiples]
+        inverses = iter(_invert_all(denominators))
         parts = []
-        for i, plaintexts in enumerate(self._plaintexts):
-            for branch, plaintext in enumerate(plaintexts):
-                shared_x = key_xs[branch + 1][i].to_bytes(COORD_BYTES, "big")
-                ct = _pad(i, branch, shared_x) ^ plaintext
+        for i, ((x, _, x_ab, x_less), plaintexts) in enumerate(
+            zip(rows, self._plaintexts)
+        ):
+            # y(aB) from B = P and the x of aB = Q and (a - 1)B = Q - P
+            numerator = (
+                2 * CURVE_A6
+                + (CURVE_A4 + x * x_ab) * (x + x_ab)
+                - x_less * (x - x_ab) ** 2
+            )
+            y_ab = numerator * next(inverses) % FIELD_PRIME
+            # branch j's key is x(a(B - (j + 1)A)) = x(aB - (j + 1)T)
+            for branch, (plaintext, (x_m, y_m)) in enumerate(
+                zip(plaintexts, self._t_multiples)
+            ):
+                slope = (y_ab + y_m) * next(inverses) % FIELD_PRIME
+                shared_x = (slope * slope - x_ab - x_m) % FIELD_PRIME
+                ct = _pad(i, branch, shared_x.to_bytes(COORD_BYTES, "big")) ^ plaintext
                 parts.append(ct.to_bytes(CIPHERTEXT_BYTES, "big"))
         return b"".join(parts)
 

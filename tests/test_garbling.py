@@ -363,10 +363,13 @@ def test_ot_interleaved_choices_over_eight_wires():
 
 def test_ot_scalar_multiplications_for_80_bits(monkeypatch):
     # 80 evaluator bits: 27 transfers, the last a third full, each two
-    # sender exchanges, one receiver derivation and exchange, one
-    # decompression; plus A and a^2 G on the sender, A on the receiver
-    calls = dict.fromkeys(("derive", "decode", "exchange"), 0)
+    # sender exchanges (aB and (a - 1)B), one receiver derivation and
+    # exchange, one decompression; plus A, (a - 1)G and a^2 G on the
+    # sender, A on the receiver.  Neither side builds a public key from
+    # coordinates.
+    calls = dict.fromkeys(("derive", "decode", "exchange", "from_numbers"), 0)
     derive, decode = ec.derive_private_key, ec.EllipticCurvePublicKey.from_encoded_point
+    from_numbers = ec.EllipticCurvePublicNumbers.public_key
 
     class CountingKey:
         def __init__(self, key):
@@ -387,9 +390,16 @@ def test_ot_scalar_multiplications_for_80_bits(monkeypatch):
         calls["decode"] += 1
         return decode(curve, data)
 
+    def counting_from_numbers(numbers):
+        calls["from_numbers"] += 1
+        return from_numbers(numbers)
+
     monkeypatch.setattr(ec, "derive_private_key", counting_derive)
     monkeypatch.setattr(
         ec.EllipticCurvePublicKey, "from_encoded_point", staticmethod(counting_decode)
+    )
+    monkeypatch.setattr(
+        ec.EllipticCurvePublicNumbers, "public_key", counting_from_numbers
     )
     rng = random.Random(30)
     pairs = [
@@ -399,7 +409,7 @@ def test_ot_scalar_multiplications_for_80_bits(monkeypatch):
     assert ot_transfer(pairs, choices, _seeded_bits(31)) == [
         p[c] for p, c in zip(pairs, choices)
     ]
-    assert calls == {"derive": 29, "decode": 28, "exchange": 81}
+    assert calls == {"derive": 30, "decode": 28, "exchange": 81, "from_numbers": 0}
 
 
 def test_ot_golden_bytes():
@@ -489,7 +499,7 @@ _MULTIPLES = [(1, "A or -A")] + [(m, f"{m}A or -{m}A") for m in range(2, 9)]
 
 
 def test_ot_sender_rejects_plus_or_minus_a():
-    # B - mA for m in 0..8 must all be finite and the differential law's
+    # aB - mT for m in 1..8 must all be finite and the additions'
     # denominators nonzero: x(B) in {x(A), ..., x(8A)} is refused
     rng = random.Random(19)
     pairs = [(rng.randbytes(16), rng.randbytes(16))]
@@ -585,6 +595,54 @@ def test_ot_receiver_work_does_not_depend_on_its_choices(monkeypatch):
     # four additions, one per transfer; each batch inverts once
     per_batch = [(("batch", n), ("pow",)) for n in (1, 2, 4, 4)]
     assert counts == {tuple(itertools.chain(*per_batch))}
+
+
+def test_ot_sender_work_does_not_depend_on_choices_or_transfer_count(monkeypatch):
+    # one respond inverts 2y(B) and x(aB) - x(mT), m = 1 ... 8, for every
+    # transfer in one batch: one field inversion per message
+    calls = []
+    invert_all, builtin_pow = ot_module._invert_all, pow
+
+    def counting_invert_all(values):
+        calls.append(("batch", len(values)))
+        return invert_all(values)
+
+    def counting_pow(*args):
+        calls.append(("pow",))
+        return builtin_pow(*args)
+
+    for n, choices in (
+        (1, [1]),
+        (12, [0] * 12),
+        (12, [1] * 12),
+        (12, [0, 1, 1, 0, 0, 0, 1, 1, 1, 1, 0, 1]),
+        (49, [i * 7 % 3 & 1 for i in range(49)]),
+    ):
+        sender = OtSender([(bytes(16), bytes([1]) * 16)] * n, _seeded_bits(35))
+        blinded = OtReceiver(choices, _seeded_bits(36)).blind(sender.public_message())
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ot_module, "_invert_all", counting_invert_all)
+            patch.setattr(ot_module, "pow", counting_pow, raising=False)
+            sender.respond(blinded)
+        transfers = -(-n // 3)
+        assert calls == [("batch", 9 * transfers), ("pow",)]
+
+
+@pytest.mark.parametrize("a", [2, 3, ORDER - 2, ORDER - 1])
+def test_ot_sender_matches_the_reference_at_scalar_edges(a):
+    # at a = 2 the second sender key is 1: x((a - 1)B) is x(B) itself
+    rng = random.Random(a % 1000)
+    choices = [rng.randrange(2) for _ in range(8)]
+    pairs = [
+        (rng.randbytes(16), rng.randbytes(16)) for _ in choices
+    ]
+    sender = OtSender(pairs, lambda _: a)
+    receiver = OtReceiver(choices, rng.getrandbits)
+    blinded = receiver.blind(sender.public_message())
+    ciphertexts = sender.respond(blinded)
+    assert ciphertexts == _reference_respond(pairs, a, blinded)
+    assert receiver.unwrap(ciphertexts) == [p[c] for p, c in zip(pairs, choices)]
 
 
 def test_evaluate_reuses_the_digest_of_the_circuit_in_hand(monkeypatch):
