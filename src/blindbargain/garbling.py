@@ -88,19 +88,6 @@ def _new_encryptor():
     return Cipher(algorithms.AES(_FIXED_KEY), modes.ECB()).encryptor()
 
 
-def _double(v: int) -> int:
-    # carry-less doubling in GF(2^128), x^128 + x^7 + x^2 + x + 1
-    v <<= 1
-    if v >> 128:
-        v = (v & _MASK) ^ 0x87
-    return v
-
-
-def _row_key(enc, a: int, b: int, tweak: int) -> int:
-    w = _double(a) ^ _double(_double(b)) ^ tweak
-    return int.from_bytes(enc.update(w.to_bytes(LABEL_BYTES, "big")), "big") ^ w
-
-
 def _seed_label(seed: bytes, tag: bytes, index: int) -> int:
     digest = hashlib.sha256(seed + tag + index.to_bytes(8, "little")).digest()
     return int.from_bytes(digest[:LABEL_BYTES], "big")
@@ -143,21 +130,31 @@ def garble(circuit: Circuit, seed: bytes) -> GarbledMaterial:
             zero_of.append(out0)
             ands.append((position, zero_of[in_a], zero_of[in_b], out0))
     # Output labels come from the seed, so every row's cipher input is
-    # known by now and one ECB call keys all rows.  Row c of a table
-    # holds the input labels of colors (c >> 1, c & 1), and the label of
-    # color c on a wire stands for bit c ^ (color of its 0-label).
-    # Doubling is linear: a 1-label's double is the 0-label's double XOR
-    # the offset's.
-    d_delta, dd_delta = _double(delta), _double(_double(delta))
-    cipher_in, masks = [], []
+    # known by now and one ECB call keys all rows.  A row's cipher input
+    # is 2a ^ 4b ^ position, doubling in GF(2^128) mod x^128 + x^7 + x^2
+    # + x + 1, and doubling is linear: a 1-label's double is the
+    # 0-label's double XOR the offset's.  The label of color c on a wire
+    # stands for bit c ^ (color of its 0-label), and row r of a table
+    # holds the labels of colors (r >> 1, r & 1).  So with k the colors
+    # of a gate's 0-labels, row r holds bits r ^ k, its cipher input is
+    # the 0-labels' one XOR offsets[k][r], and its mask (cipher input XOR
+    # output label) is that XOR the 0-output label XOR offsets[k][4 + r].
+    d_delta = ((delta << 1) & _MASK) ^ (delta >> 127) * 0x87
+    dd_delta = ((d_delta << 1) & _MASK) ^ (d_delta >> 127) * 0x87
+    offsets = []
+    for colors in range(4):
+        bits = [row ^ colors for row in range(4)]
+        ins = [d_delta * (v >> 1) ^ dd_delta * (v & 1) for v in bits]
+        offsets.append(ins + [i ^ delta * (v == 3) for i, v in zip(ins, bits)])
+    cipher_in, masks, mask128 = [], [], _MASK
     for position, a0, b0, out0 in ands:
-        da, ddb = _double(a0), _double(_double(b0))
-        for va in (a0 & 1, (a0 & 1) ^ 1):
-            wa = da ^ d_delta if va else da
-            for vb in (b0 & 1, (b0 & 1) ^ 1):
-                w = wa ^ (ddb ^ dd_delta if vb else ddb) ^ position
-                cipher_in.append(w)
-                masks.append(w ^ out0 ^ delta if va & vb else w ^ out0)
+        da = ((a0 << 1) & mask128) ^ (a0 >> 127) * 0x87
+        db = ((b0 << 1) & mask128) ^ (b0 >> 127) * 0x87
+        w = da ^ ((db << 1) & mask128) ^ (db >> 127) * 0x87 ^ position
+        m = w ^ out0
+        i0, i1, i2, i3, o0, o1, o2, o3 = offsets[(a0 & 1) << 1 | b0 & 1]
+        cipher_in += (w ^ i0, w ^ i1, w ^ i2, w ^ i3)
+        masks += (m ^ o0, m ^ o1, m ^ o2, m ^ o3)
     # each row is E(w) ^ w (the Davies-Meyer key) ^ its output label
     cipher_bytes = b"".join([w.to_bytes(LABEL_BYTES, "big") for w in cipher_in])
     mask_bytes = b"".join([m.to_bytes(LABEL_BYTES, "big") for m in masks])
@@ -194,8 +191,10 @@ def evaluate(
         raise ValueError(f"expected {n_in} input labels, got {len(input_labels)}")
     if len(gc.tables) != circuit.and_count:
         raise ValueError("garbled table count does not match the circuit")
-    labels = [int.from_bytes(label, "big") for label in input_labels]
-    enc = _new_encryptor()
+    from_bytes, mask128 = int.from_bytes, _MASK
+    labels = [from_bytes(label, "big") for label in input_labels]
+    encrypt = _new_encryptor().update
+    tables = gc.tables
     xor, not_ = int(GateKind.XOR), int(GateKind.NOT)
     and_index = 0
     for position, (kind, in_a, in_b) in enumerate(circuit.rows()):
@@ -204,10 +203,18 @@ def evaluate(
         elif kind == not_:
             labels.append(labels[in_a])
         else:
+            # the row of these colors: E(w) ^ w ^ row for w = 2a ^ 4b ^ position
             a, b = labels[in_a], labels[in_b]
-            row = gc.tables[and_index][((a & 1) << 1) | (b & 1)]
+            db = ((b << 1) & mask128) ^ (b >> 127) * 0x87
+            w = (
+                ((a << 1) & mask128) ^ (a >> 127) * 0x87
+                ^ ((db << 1) & mask128) ^ (db >> 127) * 0x87
+                ^ position
+            )
+            row = tables[and_index][(a & 1) << 1 | b & 1]
             and_index += 1
-            labels.append(_row_key(enc, a, b, position) ^ int.from_bytes(row, "big"))
+            keyed = encrypt(w.to_bytes(LABEL_BYTES, "big"))
+            labels.append(from_bytes(keyed, "big") ^ w ^ from_bytes(row, "big"))
     return tuple(WireLabel(_label(labels[w])) for w in circuit.outputs)
 
 

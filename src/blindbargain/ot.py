@@ -22,7 +22,7 @@ Scalar multiplications run in C through ``cryptography``: fixed-base
 ``derive_private_key`` and variable-base ECDH ``exchange``, which yields
 only the x-coordinate of the product.  They are nearly all of the OT
 time.  Per transfer the sender runs two exchanges, for aB and (a - 1)B
-(a second key; the draw keeps a > 1), and one point decompression; the
+(a second key; the draw keeps a > 1), and one on-curve check of B; the
 receiver one derivation and one exchange.  The sender recovers y(aB)
 by the y-recovery for short Weierstrass curves (Okeya-Sakurai, CHES
 2001) with P = B and Q = aB:
@@ -37,10 +37,15 @@ hashes.  The receiver's bG + (c + 1)A is an affine addition too, from
 its own table of A ... 8A; the divisions over one message share one
 field inversion (Montgomery's trick).
 
-Every element is 33 bytes of SEC1 compressed point.  Anything else,
-and any point off the curve, is an ``OtProtocolError``; P-256 has
-cofactor 1, so a point on the curve is in the prime-order group.  The
-sender refuses x(aB) in {x(jT) : j = 1 ... 8}, that is B = +-A ... +-8A.
+Every element is a 65-byte SEC1 uncompressed point, 04 || x || y (SEC 1
+v2, 2.3.3): 32 bytes more than the compressed form, whose decoding
+spends a field square root in C to recover y, where the uncompressed
+form costs only its on-curve check and hands over x and y as read.
+Anything else (another length, a compressed or hybrid prefix, a
+coordinate not below p) and any point off the curve is an
+``OtProtocolError``; P-256 has cofactor 1, so a point on the curve is
+in the prime-order group.  The sender refuses x(aB) in
+{x(jT) : j = 1 ... 8}, that is B = +-A ... +-8A.
 The receiver refuses a blinding point bG there, and a blinded point B
 there too, so an honest receiver never sends what the sender refuses
 (odds about 32 * 2^-256 per transfer).  Both check every element before
@@ -79,7 +84,7 @@ ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 CURVE_A4 = -3
 CURVE_A6 = 0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B
 COORD_BYTES = 32
-ELEMENT_BYTES = 1 + COORD_BYTES
+ELEMENT_BYTES = 1 + 2 * COORD_BYTES
 # three evaluator bits per transfer, one of eight branches chosen
 BITS_PER_TRANSFER = 3
 BRANCHES = 1 << BITS_PER_TRANSFER
@@ -166,23 +171,30 @@ def _refuse_multiples(
 
 def _encode(point: Point) -> bytes:
     x, y = point
-    return bytes((2 | y & 1,)) + x.to_bytes(COORD_BYTES, "big")
+    return b"\x04" + x.to_bytes(COORD_BYTES, "big") + y.to_bytes(COORD_BYTES, "big")
 
 
 def _parse_elements(
     data: bytes, count: int, what: str
-) -> list[ec.EllipticCurvePublicKey]:
+) -> list[tuple[ec.EllipticCurvePublicKey, int, int]]:
+    """Each element's key with the x and y it was read from.
+
+    ``from_encoded_point`` refuses a coordinate not below p and a point
+    off the curve, so the x and y handed back are those of a group element.
+    """
     if len(data) != count * ELEMENT_BYTES:
-        raise OtProtocolError(f"{what}: expected {count} compressed points")
+        raise OtProtocolError(f"{what}: expected {count} uncompressed points")
     out = []
     for i in range(count):
         element = data[i * ELEMENT_BYTES : (i + 1) * ELEMENT_BYTES]
-        if element[0] not in (2, 3):
-            raise OtProtocolError(f"{what}: element {i} is not a compressed point")
+        if element[0] != 4:
+            raise OtProtocolError(f"{what}: element {i} is not an uncompressed point")
         try:
-            out.append(ec.EllipticCurvePublicKey.from_encoded_point(CURVE, element))
+            key = ec.EllipticCurvePublicKey.from_encoded_point(CURVE, element)
         except ValueError:
             raise OtProtocolError(f"{what}: element {i} is not on the curve") from None
+        x = int.from_bytes(element[1 : 1 + COORD_BYTES], "big")
+        out.append((key, x, int.from_bytes(element[1 + COORD_BYTES :], "big")))
     return out
 
 
@@ -230,11 +242,10 @@ class OtSender:
         elements = _parse_elements(blinded, len(self._plaintexts), "receiver message")
         ecdh = ec.ECDH()
         rows = []  # x(B), y(B), x(aB), x((a - 1)B)
-        for key in elements:
-            numbers = key.public_numbers()
+        for key, x, y in elements:
             x_ab = int.from_bytes(self._key.exchange(ecdh, key), "big")
             x_less = int.from_bytes(self._key_less.exchange(ecdh, key), "big")
-            rows.append((numbers.x, numbers.y, x_ab, x_less))
+            rows.append((x, y, x_ab, x_less))
         x_abs = [x_ab for _, _, x_ab, _ in rows]
         _refuse_multiples(x_abs, self._t_multiples, "receiver message: element")
         denominators = []
@@ -280,9 +291,8 @@ class OtReceiver:
         self._big_a: ec.EllipticCurvePublicKey | None = None
 
     def blind(self, sender_public: bytes) -> bytes:
-        (big_a,) = _parse_elements(sender_public, 1, "sender message")
-        numbers = big_a.public_numbers()
-        multiples = _multiples((numbers.x, numbers.y))
+        ((big_a, x, y),) = _parse_elements(sender_public, 1, "sender message")
+        multiples = _multiples((x, y))
         keys = [
             ec.derive_private_key(_rand_scalar(self._rand_bits), CURVE)
             for _ in self._choices

@@ -26,7 +26,7 @@ from blindbargain.config import load_config
 from blindbargain.garbling import garble, serialize_garbled
 from blindbargain.losses import LossProfile, residual_value
 from blindbargain.mechanism import MechanismParams, ScaledParams
-from blindbargain.ot import BITS_PER_TRANSFER, ELEMENT_BYTES, OtReceiver
+from blindbargain.ot import BITS_PER_TRANSFER, ELEMENT_BYTES, OtReceiver, OtSender
 from blindbargain.protocol import (
     MSG_OT_MSG1,
     MSG_OT_MSG2,
@@ -35,8 +35,11 @@ from blindbargain.protocol import (
     NegotiationAbort,
     NegotiationConfig,
     TransportFailure,
+    VictimSession,
     run_attacker,
+    run_victim,
 )
+from test_garbling import WRONG_ENCODINGS, _negated, _wrong_encodings
 
 VICTIM_CFG = """\
 blocks = 120, 40, 30, 10
@@ -755,19 +758,26 @@ def test_equal_seeds_abort_at_ot_on_both_sides(capsys, tmp_path):
 
 
 class _MinusALastAttacker(AttackerSession):
-    """Blinds honestly, then sends -A in place of its last element."""
+    """Blinds honestly, then sends ``wrong(A, last)`` in place of its last
+    element: -A here."""
+
+    @staticmethod
+    def wrong(sender_public, last):
+        return _negated(sender_public)
 
     def _run_ot(self, circuit):
         receiver = OtReceiver([0] * circuit.attacker_inputs, self.randomness.word)
         sender_public = self.channel.recv(MSG_OT_MSG1)
         blinded = receiver.blind(sender_public)
-        minus_a = bytes((sender_public[0] ^ 1,)) + sender_public[1:]
-        self.channel.send(MSG_OT_MSG2, blinded[:-ELEMENT_BYTES] + minus_a)
+        wrong = self.wrong(sender_public, blinded[-ELEMENT_BYTES:])
+        self.channel.send(MSG_OT_MSG2, blinded[:-ELEMENT_BYTES] + wrong)
         self.channel.recv(MSG_OT_MSG3)
-        raise AssertionError("victim answered B = -A")
+        raise AssertionError("victim answered a refused element")
 
 
-def test_sender_point_as_last_ot_element_exits_abort_code(capsys, tmp_path):
+def _cli_victim_against(attacker_cls, tmp_path):
+    """The victim through main() on a thread against ``attacker_cls``;
+    returns the victim's exit code and the attacker's abort."""
     victim_cfg = tmp_path / "victim.cfg"
     victim_cfg.write_text(VICTIM_CFG)
     attacker_cfg = tmp_path / "attacker.cfg"
@@ -784,7 +794,7 @@ def test_sender_point_as_last_ot_element_exits_abort_code(capsys, tmp_path):
     config = NegotiationConfig(load_config(attacker_cfg).pi(), 0x25, ("127.0.0.1", port))
     for _ in range(50):  # wait out the listener race
         try:
-            run_attacker(config, None, _MinusALastAttacker)
+            run_attacker(config, None, attacker_cls)
         except TransportFailure:
             time.sleep(0.1)
         except NegotiationAbort as exc:
@@ -792,14 +802,81 @@ def test_sender_point_as_last_ot_element_exits_abort_code(capsys, tmp_path):
             break
     thread.join(15)
     assert not thread.is_alive()
-    assert codes["victim"] == 2
-    assert attacker.stage == "peer-abort" and attacker.detail == "ot"
     # the circuit reads 17 of the attacker's 24 input bits at (8, 8),
     # q = 1/4, and they go three to an element: element 5 is the last
     pi = config.pi
     assert build_mechanism_circuit(pi.params(), pi.scaled).attacker_inputs == 17
+    return codes["victim"], attacker
+
+
+def _cli_attacker_against(victim_cls, tmp_path):
+    """The attacker through main() against ``victim_cls`` on a thread;
+    returns the attacker's exit code and the victim's abort."""
+    attacker_cfg = tmp_path / "attacker.cfg"
+    attacker_cfg.write_text(ATTACKER_CFG)
+    pi = load_config(attacker_cfg).pi()
+    victim = {}
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        address = listener.getsockname()
+
+        def serve():
+            try:
+                run_victim(NegotiationConfig(pi, 200, address), None, listener, victim_cls)
+            except NegotiationAbort as exc:
+                victim["abort"] = exc
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        connect = f"127.0.0.1:{address[1]}"
+        code = main(["attacker", "--config", str(attacker_cfg), "--connect", connect])
+        thread.join(15)
+    assert not thread.is_alive()
+    return code, victim["abort"]
+
+
+def test_sender_point_as_last_ot_element_exits_abort_code(capsys, tmp_path):
+    code, attacker = _cli_victim_against(_MinusALastAttacker, tmp_path)
+    assert code == 2
+    assert attacker.stage == "peer-abort" and attacker.detail == "ot"
     err = capsys.readouterr().err
     assert "aborted at ot: receiver message: element 5 is A or -A" in err
+
+
+@pytest.mark.parametrize("name", WRONG_ENCODINGS)
+def test_wrongly_encoded_ot_element_exits_abort_code_on_either_side(
+    name, capsys, tmp_path
+):
+    # the victim, OT sender, refuses a wrong last element of OT_MSG2
+    class WrongLastAttacker(_MinusALastAttacker):
+        @staticmethod
+        def wrong(sender_public, last):
+            return _wrong_encodings(last)[name][0]
+
+    code, attacker = _cli_victim_against(WrongLastAttacker, tmp_path)
+    assert code == 2
+    assert attacker.stage == "peer-abort" and attacker.detail == "ot"
+    refusal = WRONG_ENCODINGS[name]
+    where = "expected 6 " if refusal.endswith("points") else "element 5 "
+    err = capsys.readouterr().err
+    assert f"aborted at ot: receiver message: {where}{refusal}\n" in err
+
+    # the attacker, OT receiver, refuses a wrong OT_MSG1
+    class WrongOtMsg1Victim(VictimSession):
+        def _serve_ot(self, circuit, material):
+            sender = OtSender(
+                material.input_labels[circuit.victim_inputs :], self.randomness.word
+            )
+            wrong = _wrong_encodings(sender.public_message())[name][0]
+            self.channel.send(MSG_OT_MSG1, wrong)
+            self.channel.recv(MSG_OT_MSG2)
+            raise AssertionError("attacker answered a refused element")
+
+    code, victim = _cli_attacker_against(WrongOtMsg1Victim, tmp_path)
+    assert code == 2
+    assert victim.stage == "peer-abort" and victim.detail == "ot"
+    where = "expected 1 " if refusal.endswith("points") else "element 0 "
+    err = capsys.readouterr().err
+    assert f"aborted at ot: sender message: {where}{refusal}\n" in err
 
 
 def test_connect_without_listener_is_transport_failure(capsys, tmp_path):

@@ -364,12 +364,17 @@ def test_ot_interleaved_choices_over_eight_wires():
 def test_ot_scalar_multiplications_for_80_bits(monkeypatch):
     # 80 evaluator bits: 27 transfers, the last a third full, each two
     # sender exchanges (aB and (a - 1)B), one receiver derivation and
-    # exchange, one decompression; plus A, (a - 1)G and a^2 G on the
-    # sender, A on the receiver.  Neither side builds a public key from
-    # coordinates.
-    calls = dict.fromkeys(("derive", "decode", "exchange", "from_numbers"), 0)
+    # exchange, one decoded element; plus A, (a - 1)G and a^2 G on the
+    # sender, A on the receiver.  Every element decoded is a 65-byte
+    # uncompressed point, and the sender's respond and the receiver's
+    # blind take its x and y from those bytes, never from the key.
+    # Neither side builds a public key from coordinates.
+    calls = dict.fromkeys(
+        ("derive", "decode", "exchange", "from_numbers", "element_numbers"), 0
+    )
     derive, decode = ec.derive_private_key, ec.EllipticCurvePublicKey.from_encoded_point
     from_numbers = ec.EllipticCurvePublicNumbers.public_key
+    decoded_sizes = set()
 
     class CountingKey:
         def __init__(self, key):
@@ -380,7 +385,15 @@ def test_ot_scalar_multiplications_for_80_bits(monkeypatch):
 
         def exchange(self, algorithm, peer):
             calls["exchange"] += 1
-            return self._key.exchange(algorithm, peer)
+            return self._key.exchange(algorithm, peer.key)
+
+    class DecodedElement:
+        def __init__(self, key):
+            self.key = key
+
+        def public_numbers(self):
+            calls["element_numbers"] += 1
+            return self.key.public_numbers()
 
     def counting_derive(value, curve):
         calls["derive"] += 1
@@ -388,7 +401,8 @@ def test_ot_scalar_multiplications_for_80_bits(monkeypatch):
 
     def counting_decode(curve, data):
         calls["decode"] += 1
-        return decode(curve, data)
+        decoded_sizes.add(len(data))
+        return DecodedElement(decode(curve, data))
 
     def counting_from_numbers(numbers):
         calls["from_numbers"] += 1
@@ -409,7 +423,10 @@ def test_ot_scalar_multiplications_for_80_bits(monkeypatch):
     assert ot_transfer(pairs, choices, _seeded_bits(31)) == [
         p[c] for p, c in zip(pairs, choices)
     ]
-    assert calls == {"derive": 30, "decode": 28, "exchange": 81, "from_numbers": 0}
+    assert calls == {
+        "derive": 30, "decode": 28, "exchange": 81, "from_numbers": 0, "element_numbers": 0,
+    }
+    assert decoded_sizes == {ELEMENT_BYTES} == {65}
 
 
 def test_ot_golden_bytes():
@@ -465,8 +482,13 @@ def test_ot_rejects_points_off_the_curve():
     # x = 1 has no point: 1 - 3 + b is a non-square mod p (Euler's criterion)
     b = 0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B
     assert pow(b - 2, (FIELD_PRIME - 1) // 2, FIELD_PRIME) == FIELD_PRIME - 1
-    off_curve = b"\x02" + (1).to_bytes(32, "big")
-    too_big_x = b"\x03" + FIELD_PRIME.to_bytes(32, "big")
+    off_curve = b"\x04" + (1).to_bytes(32, "big") + (2).to_bytes(32, "big")
+    # (0, sqrt(b)) is a point, but written with x = p it is out of range
+    root_b = pow(b, (FIELD_PRIME + 1) // 4, FIELD_PRIME)
+    assert root_b * root_b % FIELD_PRIME == b
+    origin_x = b"\x04" + bytes(32) + root_b.to_bytes(32, "big")
+    ec.EllipticCurvePublicKey.from_encoded_point(CURVE, origin_x)
+    too_big_x = b"\x04" + FIELD_PRIME.to_bytes(32, "big") + origin_x[33:]
     rng = random.Random(14)
     pairs = [(rng.randbytes(16), rng.randbytes(16))]
     for element in (off_curve, too_big_x):
@@ -474,24 +496,78 @@ def test_ot_rejects_points_off_the_curve():
             OtSender(pairs, _seeded_bits(15)).respond(element)
         with pytest.raises(OtProtocolError, match="curve"):
             OtReceiver([0], _seeded_bits(16)).blind(element)
-    # a valid point in uncompressed form has the wrong length and prefix
+    # a valid point in compressed form has the wrong length and prefix
     point = OtSender(pairs, _seeded_bits(15)).public_message()
-    uncompressed = ec.EllipticCurvePublicKey.from_encoded_point(
+    compressed = ec.EllipticCurvePublicKey.from_encoded_point(
         CURVE, point
-    ).public_bytes(Encoding.X962, PublicFormat.UncompressedPoint)
-    for element in (uncompressed, b"\x04" + uncompressed[1:ELEMENT_BYTES]):
+    ).public_bytes(Encoding.X962, PublicFormat.CompressedPoint)
+    for element in (compressed, compressed[:1] + point[1:]):
         with pytest.raises(OtProtocolError):
             OtReceiver([0], _seeded_bits(16)).blind(element)
 
 
-def _compressed(scalar):
-    """sG as a 33-byte element."""
+def _uncompressed(scalar):
+    """sG as a 65-byte element."""
     key = ec.derive_private_key(scalar % ORDER, CURVE)
-    return key.public_key().public_bytes(Encoding.X962, PublicFormat.CompressedPoint)
+    return key.public_key().public_bytes(Encoding.X962, PublicFormat.UncompressedPoint)
 
 
 def _negated(element):
-    return bytes((element[0] ^ 1,)) + element[1:]
+    y = int.from_bytes(element[33:], "big")
+    return element[:33] + (-y % FIELD_PRIME).to_bytes(32, "big")
+
+
+def _wrong_encodings(element):
+    """name -> (bytes, refusal) for each way to send a valid 65-byte
+    element wrongly: another SEC1 prefix at the same length, another
+    length, or a y off the curve.  The refusal ends the OtProtocolError's
+    message."""
+    x, y = element[1:33], element[33:]
+    parity = y[-1] & 1
+    other_y = ((int.from_bytes(y, "big") + 1) % FIELD_PRIME).to_bytes(32, "big")
+    prefix, length = "is not an uncompressed point", "uncompressed points"
+    return {
+        "compressed prefix": (bytes((2 | parity,)) + x + y, prefix),
+        "compressed prefix, other parity": (bytes((3 ^ parity,)) + x + y, prefix),
+        "hybrid prefix": (bytes((6 | parity,)) + x + y, prefix),
+        "hybrid prefix, other parity": (bytes((7 ^ parity,)) + x + y, prefix),
+        "zero prefix": (b"\x00" + x + y, prefix),
+        "compressed point": (bytes((2 | parity,)) + x, length),
+        "point at infinity": (b"\x00", length),
+        "one byte short": (element[:-1], length),
+        "one byte long": (element + b"\x00", length),
+        "y off the curve": (b"\x04" + x + other_y, "is not on the curve"),
+    }
+
+
+# name -> refusal, which does not depend on the element
+WRONG_ENCODINGS = {
+    name: refusal for name, (_, refusal) in _wrong_encodings(_uncompressed(2)).items()
+}
+
+
+@pytest.mark.parametrize("name", WRONG_ENCODINGS)
+def test_ot_elements_must_be_uncompressed_points_in_both_directions(name):
+    # the sender parses the receiver's eight elements and names the last
+    # one; the receiver parses the sender's one element.  A wrong length
+    # is refused before any element is read, naming the message.
+    rng = random.Random(37)
+    pairs = [(rng.randbytes(16), rng.randbytes(16)) for _ in range(24)]
+    sender = OtSender(pairs, _seeded_bits(38))
+    honest = OtReceiver([0, 1] * 12, _seeded_bits(39)).blind(sender.public_message())
+    last = honest[-ELEMENT_BYTES:]
+    wrong, refusal = _wrong_encodings(last)[name]
+    where = "8 " if refusal.endswith("points") else "element 7 "
+    with pytest.raises(OtProtocolError, match=f"^receiver message: .*{where}{refusal}$"):
+        sender.respond(honest[:-ELEMENT_BYTES] + wrong)
+    wrong, refusal = _wrong_encodings(sender.public_message())[name]
+    where = "1 " if refusal.endswith("points") else "element 0 "
+    receiver = OtReceiver([0, 1] * 12, _seeded_bits(39))
+    with pytest.raises(OtProtocolError, match=f"^sender message: .*{where}{refusal}$"):
+        receiver.blind(wrong)
+    # a refused sender message leaves the receiver nothing to unwrap with
+    with pytest.raises(OtProtocolError, match="unwrap before blind"):
+        receiver.unwrap(bytes(8 * BRANCHES * 48))
 
 
 # (multiple of A, how the refusal names it): each one with its negative
@@ -505,9 +581,9 @@ def test_ot_sender_rejects_plus_or_minus_a():
     pairs = [(rng.randbytes(16), rng.randbytes(16))]
     a = rng.getrandbits(255) | 2
     sender = OtSender(pairs, lambda _: a)
-    assert sender.public_message() == _compressed(a)
+    assert sender.public_message() == _uncompressed(a)
     for m, name in _MULTIPLES:
-        for element in (_compressed(m * a), _negated(_compressed(m * a))):
+        for element in (_uncompressed(m * a), _negated(_uncompressed(m * a))):
             with pytest.raises(OtProtocolError, match=f"element 0 is {name}$"):
                 sender.respond(element)
 
@@ -525,7 +601,7 @@ def test_ot_sender_checks_every_element_before_inverting():
     honest = OtReceiver([0, 1] * 12, _seeded_bits(27)).blind(sender.public_message())
     assert len(honest) == 8 * ELEMENT_BYTES
     for m, name in _MULTIPLES:
-        for last in (_compressed(m * a), _negated(_compressed(m * a))):
+        for last in (_uncompressed(m * a), _negated(_uncompressed(m * a))):
             with pytest.raises(OtProtocolError, match=f"element 7 is {name}$"):
                 sender.respond(honest[:-ELEMENT_BYTES] + last)
 
@@ -679,13 +755,13 @@ def test_ot_pads_differ_when_receiver_sends_half_of_a():
     for k in range(1, 2 * BRANCHES + 3, 2):
         shared_pairs = 0
         x_only = ec.derive_private_key(k * half % ORDER, CURVE).exchange(ec.ECDH(), big_a)
-        # the x of kA/2 is all ECDH yields; either lift of it is +-kA/2
-        for prefix in (b"\x02", b"\x03"):
-            element = prefix + x_only
-            sign = 1 if element == _compressed(k * half * a) else -1
+        # the x of kA/2 is all ECDH yields; either point with that x is +-kA/2
+        for sign in (1, -1):
+            element = _uncompressed(sign * k * half * a)
+            assert element[1:33] == x_only
             # a(B - (j + 1)A) = a^2 (+-k/2 - j - 1) G
             key_xs = [
-                _compressed(a * a * (sign * k * half - j - 1))[1:]
+                _uncompressed(a * a * (sign * k * half - j - 1))[1:33]
                 for j in range(BRANCHES)
             ]
             ciphertexts = sender.respond(element * n)
@@ -757,16 +833,29 @@ def test_ot_sender_matches_the_eight_exchange_reference(seed, choices):
     assert receiver.unwrap(ciphertexts) == [p[c] for p, c in zip(pairs, choices)]
 
 
+def _with_byte(scalar, at, value):
+    """sG as a 65-byte element with byte ``at`` set to ``value``."""
+    element = _uncompressed(scalar)
+    return element[:at] + bytes((value,)) + element[at + 1 :]
+
+
 # one transfer, so the sender and the receiver both expect one element;
-# about half of all x have a point, so the last branch hits both outcomes
+# the last two branches reach the on-curve check, and the last one, with
+# the x and y of a point with one byte changed, sometimes gets past it
 _OT_PAIRS = [(bytes(16), bytes([1]) * 16)]
 _FUZZED_ELEMENTS = st.one_of(
     st.binary(max_size=3 * ELEMENT_BYTES),
     st.binary(min_size=ELEMENT_BYTES, max_size=ELEMENT_BYTES),
     st.builds(
-        lambda prefix, x: prefix + x,
-        st.sampled_from([b"\x02", b"\x03"]),
+        lambda prefix, xy: prefix + xy,
+        st.sampled_from([b"\x02", b"\x03", b"\x04", b"\x06", b"\x07"]),
         st.binary(min_size=ELEMENT_BYTES - 1, max_size=ELEMENT_BYTES - 1),
+    ),
+    st.builds(
+        _with_byte,
+        st.integers(1, ORDER - 1),
+        st.integers(0, ELEMENT_BYTES - 1),
+        st.integers(0, 255),
     ),
 )
 

@@ -62,8 +62,8 @@ PI = PiProfile(Fraction(1, 4), Fraction(2, 3), 8, 8, Fraction(3))
 # session (test_seeded_sessions_golden_transcripts): every message byte,
 # the OT messages included.
 GOLDEN_TRANSCRIPTS = {
-    (Fraction(1, 4), 16, 32): "eb1865c35f1d49e0e73e714572eccd2bf4633177886b253970efded1f934d2a1",
-    (Fraction(1, 3), 16, 16): "b1e79e5f0ac040d21af62bc4cac4879b4bd17f35b7e4a5f470fad1c12ef1ddf0",
+    (Fraction(1, 4), 16, 32): "430f39ce99bacdf8f14252d0dc927b231ab7dee64d4bfb2b2b3b685280f88c09",
+    (Fraction(1, 3), 16, 16): "c3f33213edbef44e8b39a2bf8f0809876bbb2245614eeee2bc0c1ce92663fc28",
 }
 # What those sessions settle, (r_f, alpha, sigma), and the victim's and
 # the attacker's own words.  Both sides draw full words whichever bits
@@ -381,7 +381,7 @@ class GarbageOtAttacker(AttackerSession):
 
 
 def test_invalid_ot_elements_abort():
-    _assert_victim_aborts_at_ot(GarbageOtAttacker, "element 0 is not a compressed point")
+    _assert_victim_aborts_at_ot(GarbageOtAttacker, "element 0 is not an uncompressed point")
 
 
 class OffCurveOtAttacker(AttackerSession):
@@ -392,8 +392,8 @@ class OffCurveOtAttacker(AttackerSession):
         receiver = OtReceiver([0] * n_attacker, self.randomness.word)
         sender_public = self.channel.recv(5)
         blinded = receiver.blind(sender_public)
-        # x = 1 has no point on P-256 (test_garbling checks why)
-        off_curve = b"\x02" + (1).to_bytes(32, "big")
+        # x = 1 has no point on P-256 (test_garbling checks why), whatever y is
+        off_curve = b"\x04" + (1).to_bytes(32, "big") + (2).to_bytes(32, "big")
         self.channel.send(6, blinded[:-ELEMENT_BYTES] + off_curve)
         self.channel.recv(7)
         raise AssertionError("victim answered a point off the curve")
@@ -544,7 +544,7 @@ def test_transcript_shape_independent_of_victim_report():
 
 
 def test_ot_message_sizes_follow_the_bit_triples():
-    # one label per input bit the circuit reads of the victim's; 33 bytes
+    # one label per input bit the circuit reads of the victim's; 65 bytes
     # per triple of the attacker's and eight 48-byte ciphertexts per
     # triple, for every report.  (16, 32) at q = 1/4 reads 49 bits of each
     # party, which leaves a third-full last triple; (8, 8) and (5, 8) leave
@@ -567,12 +567,15 @@ def test_ot_message_sizes_follow_the_bit_triples():
             assert v.outcome == a.outcome == oracle(pi, v, a)
             sizes = {t: n for _, t, n in v.transcript.shape()}
             assert sizes["GARBLER_INPUT_LABELS"] == LABEL_BYTES * circuit.victim_inputs
+            assert sizes["OT_MSG1"] == ELEMENT_BYTES
             assert sizes["OT_MSG2"] == ELEMENT_BYTES * transfers
             assert sizes["OT_MSG3"] == BRANCHES * 48 * transfers
     assert filled == {0, 1, 2}
     assert (circuit.victim_inputs, circuit.attacker_inputs) == (49, 49)
-    assert {t: sizes[t] for t in ("CIRCUIT", "GARBLER_INPUT_LABELS", "OT_MSG2", "OT_MSG3")} == {
-        "CIRCUIT": 11_884, "GARBLER_INPUT_LABELS": 784, "OT_MSG2": 561, "OT_MSG3": 6_528,
+    pinned = ("CIRCUIT", "GARBLER_INPUT_LABELS", "OT_MSG1", "OT_MSG2", "OT_MSG3")
+    assert {t: sizes[t] for t in pinned} == {
+        "CIRCUIT": 11_884, "GARBLER_INPUT_LABELS": 784, "OT_MSG1": 65, "OT_MSG2": 1_105,
+        "OT_MSG3": 6_528,
     }
 
 
