@@ -90,23 +90,6 @@ class BargainingInstance:
             raise NoDeal(f"r_min={self.r_min} exceeds r_max={victim.r_max}")
 
 
-@dataclass(frozen=True)
-class OfferSchedule:
-    """Equilibrium offers indexed by round, round 1 first."""
-
-    offers: tuple[Money, ...]
-
-    def __post_init__(self) -> None:
-        if any(a < b for a, b in zip(self.offers, self.offers[1:])):
-            raise ValueError("offers must be non-increasing over rounds")
-
-    def offer(self, n: int) -> Money:
-        """Offer on the table in round ``n`` (1-based)."""
-        if not 1 <= n <= len(self.offers):
-            raise ValueError(f"round {n} outside 1..{len(self.offers)}")
-        return self.offers[n - 1]
-
-
 def determine_horizon(inst: BargainingInstance) -> int:
     """Last round in which dealing still beats walking away, for both.
 
@@ -161,15 +144,18 @@ def closed_form_offer(inst: BargainingInstance, n: int, N: int) -> Money:
     return total_value(profile) - future_concessions - burned
 
 
-def backward_induction_offers(inst: BargainingInstance, N: int) -> OfferSchedule:
-    """Equilibrium offers by walking the game tree from the last round.
+def backward_induction_offers(inst: BargainingInstance, N: int) -> tuple[Money, ...]:
+    """Equilibrium offers of rounds 1 .. N, round 1 first, by walking the
+    game tree from the last round.
 
     At round N the attacker demands everything the victim still values,
     v(N).  Stepping backwards: in a victim round the victim offers
     exactly what the attacker would demand next round (waiting costs the
     attacker nothing, so nothing less is accepted); in an attacker round
     the victim accepts up to the next round's offer plus the block it
-    would burn by waiting, so the attacker demands exactly that.
+    would burn by waiting, so the attacker demands exactly that.  The
+    offers never rise over rounds, because no loss block is negative
+    (``LossProfile``).
     """
     _check_round(N, N)
     profile = inst.victim.profile
@@ -180,7 +166,7 @@ def backward_induction_offers(inst: BargainingInstance, N: int) -> OfferSchedule
             offers[n] = offers[n + 1]
         else:
             offers[n] = offers[n + 1] + block_mass(profile, n)
-    return OfferSchedule(tuple(offers[1:]))
+    return tuple(offers[1:])
 
 
 def rubinstein_split(v: MoneyLike, r_max: MoneyLike, r_min: MoneyLike) -> Money:

@@ -29,7 +29,13 @@ from .bargaining import (
     lint_marginal_loss,
     rubinstein_split,
 )
-from .config import ConfigError, config_from_values, load_config, parse_config_text
+from .config import (
+    ConfigError,
+    config_from_values,
+    load_config,
+    parse_config_text,
+    read_config_text,
+)
 from .losses import LossProfile, VictimParams, as_money, block_mass, residual_value, total_value
 from .mechanism import (
     MechanismParams,
@@ -86,8 +92,7 @@ def _loss_inputs(args) -> tuple[LossProfile, BargainingInstance]:
     """Loss profile and negotiation: the config file's keys, each flag over its own."""
     values = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            values = parse_config_text(fh.read())
+        values = parse_config_text(read_config_text(args.config))
     for key in _LOSS_KEYS:
         flag = getattr(args, key)
         if flag is not None:
@@ -133,11 +138,11 @@ def _offers_horizon(args, inst: BargainingInstance) -> int:
 def _cmd_offers(args) -> int:
     profile, inst = _loss_inputs(args)
     horizon = _offers_horizon(args, inst)
-    schedule = backward_induction_offers(inst, horizon)
+    offers = backward_induction_offers(inst, horizon)
     lint_marginal_loss(profile, horizon)
     # remaining value step by step, v(n + 1) = v(n) - b_n
     rows, remaining = [], residual_value(profile, 1)
-    for n, offer in enumerate(schedule.offers, start=1):
+    for n, offer in enumerate(offers, start=1):
         rows.append((n, offer, remaining))
         remaining -= block_mass(profile, n)
     # the file comes first, so an unwritable path fails before any output
@@ -151,7 +156,7 @@ def _cmd_offers(args) -> int:
     print("round  offer  remaining_value")
     for n, offer, remaining in rows:
         print(f"{n:<6d} {offer!s:<6} {remaining}")
-    print("offers: [" + ", ".join(map(str, schedule.offers)) + "]")
+    print("offers: [" + ", ".join(map(str, offers)) + "]")
     if args.csv:
         print(f"schedule written to {args.csv}")
     return EXIT_OK

@@ -7,6 +7,8 @@ exact (decimal or ``a/b`` strings), never floats.
 
 Recognized keys: l0, blocks (comma-separated), tail, r_max, r_min, q,
 k, k_theta, theta_hex, t_e.  The profile's p_bar is derived from q.
+Every file is read through ``read_config_text``, which refuses one
+longer than ``MAX_CONFIG_BYTES``.
 
 The victim's report defaults to the residual value of the data at the
 agreed exchange round, ``floor(psi(t_e))``; an explicit ``theta_hex``
@@ -40,6 +42,8 @@ class ConfigWarning(UserWarning):
 _SCALAR_KEYS = ("l0", "tail", "r_max", "r_min", "q", "t_e")
 _INT_KEYS = ("k", "k_theta")
 _ALL_KEYS = _SCALAR_KEYS + _INT_KEYS + ("blocks", "theta_hex")
+# a config file is a few short lines; 64 KiB still holds thousands of blocks
+MAX_CONFIG_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -173,6 +177,19 @@ def config_from_values(values: dict[str, str]) -> SessionConfig:
     )
 
 
+def read_config_text(path) -> str:
+    """The text of the config file at ``path``, at most ``MAX_CONFIG_BYTES``.
+
+    At most one byte past the cap is read, so a file that is too long,
+    or a device such as /dev/zero that never ends, is refused with a
+    ConfigError instead of being read into memory whole.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_CONFIG_BYTES + 1)
+    if len(data) > MAX_CONFIG_BYTES:
+        raise ConfigError(f"config file {path} is longer than {MAX_CONFIG_BYTES} bytes")
+    return data.decode("utf-8")
+
+
 def load_config(path) -> SessionConfig:
-    with open(path, encoding="utf-8") as fh:
-        return config_from_values(parse_config_text(fh.read()))
+    return config_from_values(parse_config_text(read_config_text(path)))

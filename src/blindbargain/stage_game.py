@@ -91,11 +91,6 @@ class StageOutcome:
     victim_payoff: Money
     attacker_payoff: Money
 
-    def __post_init__(self) -> None:
-        paid = self.victim_action is VictimAction.PAY
-        if (self.attacker_action in _AFTER_PAY) != paid:
-            raise ValueError("attacker action does not follow the victim's move")
-
 
 def payoffs(
     rep: ReputationParams,

@@ -90,7 +90,7 @@ def test_criterion_01_closed_form_equals_induction():
         for horizon in range(1, len(profile.blocks) + 1, 2):
             schedule = backward_induction_offers(inst, horizon)
             for n in range(1, horizon + 1):
-                assert closed_form_offer(inst, n, horizon) == schedule.offer(n)
+                assert closed_form_offer(inst, n, horizon) == schedule[n - 1]
                 compared += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
@@ -122,7 +122,7 @@ def test_criterion_03_worked_schedule_via_cli(capsys):
     profile = LossProfile(blocks=[1, 1, 1, 1, 1])
     inst = BargainingInstance(VictimParams(5, profile), Fraction(3, 2))
     assert determine_horizon(inst) == 3
-    assert backward_induction_offers(inst, 3).offers == (3, 2, 2)
+    assert backward_induction_offers(inst, 3) == (3, 2, 2)
     code = cli_main(["offers", "--blocks", "1,1,1,1,1", "--r-min", "1.5"])
     out = capsys.readouterr().out
     assert code == 0

@@ -12,7 +12,6 @@ from blindbargain.bargaining import (
     NoDeal,
     NoFeasibleHorizon,
     NonOddHorizon,
-    OfferSchedule,
     backward_induction_offers,
     closed_form_offer,
     determine_horizon,
@@ -91,10 +90,10 @@ def test_closed_form_worked_schedule():
 
 def test_backward_induction_worked_schedule():
     inst = instance(FIVE_ONES, "1.5")
-    assert backward_induction_offers(inst, 3).offers == (3, 2, 2)
+    assert backward_induction_offers(inst, 3) == (3, 2, 2)
     profile = LossProfile(blocks=[4, 1], tail=2)
     inst1 = instance(profile, 0)
-    assert backward_induction_offers(inst1, 1).offers == (
+    assert backward_induction_offers(inst1, 1) == (
         residual_value(profile, 1),
     )
 
@@ -119,7 +118,7 @@ def test_closed_form_equals_backward_induction():
         for N in range(1, 22, 2):
             schedule = backward_induction_offers(inst, N)
             for n in range(1, N + 1):
-                assert closed_form_offer(inst, n, N) == schedule.offer(n)
+                assert closed_form_offer(inst, n, N) == schedule[n - 1]
 
 
 def test_schedule_monotonicity_lemmas():
@@ -134,9 +133,9 @@ def test_schedule_monotonicity_lemmas():
             longer = backward_induction_offers(inst, N + 2)
             for n in range(1, N + 1):
                 if n < N:
-                    assert schedule.offer(n + 1) <= schedule.offer(n)
-                assert longer.offer(n) <= schedule.offer(n)
-                assert schedule.offer(n) <= residual_value(profile, n)
+                    assert schedule[n] <= schedule[n - 1]
+                assert longer[n - 1] <= schedule[n - 1]
+                assert schedule[n - 1] <= residual_value(profile, n)
 
 
 def test_paired_rounds_share_offers():
@@ -146,16 +145,9 @@ def test_paired_rounds_share_offers():
         inst = instance(profile, 0)
         schedule = backward_induction_offers(inst, 9)
         for k in (1, 2, 3, 4):
-            assert schedule.offer(2 * k) == schedule.offer(2 * k + 1)
+            assert schedule[2 * k - 1] == schedule[2 * k]
         # The opening demand is the most the attacker can ever get.
-        assert max(schedule.offers) == schedule.offer(1)
-
-
-def test_schedule_type_rejects_increasing_offers():
-    with pytest.raises(ValueError):
-        OfferSchedule((Fraction(1), Fraction(2)))
-    with pytest.raises(ValueError):
-        OfferSchedule((Fraction(2), Fraction(1))).offer(3)
+        assert max(schedule) == schedule[0]
 
 
 # --- special cases -------------------------------------------------------

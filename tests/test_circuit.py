@@ -253,53 +253,32 @@ def test_eval_plain_single_gates():
         eval_plain(_single_gate_circuit(GateKind.AND), [1, 0, 1])
 
 
-def test_circuit_structural_validation():
-    ok = _single_gate_circuit(GateKind.XOR)
-    assert (ok.n_inputs, len(ok.gates)) == (2, 1)
-    # the same wires split between the parties are just as valid
-    _circuit(1, 1, ok.gates, ok.outputs)
-    bad_gates = [
-        (Gate(GateKind.XOR, 0, 5), "gate 0 reads wire 5, not an earlier one"),
-        (Gate(GateKind.XOR, 0, 2), "gate 0 reads wire 2, not an earlier one"),
-        (Gate(GateKind.AND, 3, 1), "gate 0 reads wire 3, not an earlier one"),
-        (Gate(GateKind.NOT, 0, 1), "gate arity does not match its kind"),
-        (Gate(GateKind.XOR, 0, None), "gate arity does not match its kind"),
-        (Gate(7, 0, 1), "unknown gate kind 7"),
-    ]
-    for gate, message in bad_gates:
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            _circuit(2, 0, (gate,), ok.outputs)
-    # a table holds whole 9-byte rows
-    with pytest.raises(ValueError, match="whole number of rows"):
-        Circuit(2, 0, (0, 1), (), ok.table + b"\0", ok.outputs)
-    # a later gate may read an earlier gate's wire, never a later one's
-    _circuit(2, 0, (ok.gates[0], Gate(GateKind.NOT, 2, None)), (3, 3, 3))
-    with pytest.raises(ValueError, match="reads wire 3"):
-        _circuit(2, 0, (Gate(GateKind.NOT, 3, None), ok.gates[0]), (3, 3, 3))
-    # revealed outputs must be existing wires
-    with pytest.raises(ValueError, match="output wire 3"):
-        _circuit(2, 0, ok.gates, (2, 3, 2))
-    # input positions increase within the 2k + k_theta layout
-    Circuit(2, 1, (0, 4), (), ok.table, ok.outputs)
-    for positions in ((1, 0), (3, 3), (0, 5), (-1, 0)):
-        with pytest.raises(ValueError, match="positions"):
-            Circuit(2, 1, positions, (), ok.table, ok.outputs)
-
-
 @dataclass(frozen=True)
 class _TwoPassCircuit:
-    """The Circuit validator before its one-pass rewrite: the oracle.
+    """The well-formedness of a circuit, checked apart from its maker.
 
-    Verbatim but for reading (kind, in_a, in_b) table rows, kind a plain
-    int and ``NOT_SENTINEL`` as a NOT's second input, where it read Gates.
+    ``CircuitBuilder.finish`` is the only code that makes a ``Circuit``,
+    and nothing re-checks its table at run time; tests that build real
+    circuits run ``_assert_well_formed`` on them instead.  It reads
+    (kind, in_a, in_b) table rows, checks every gate's kind, arity and
+    earlier inputs, every output wire, and that each party's input
+    positions increase within its 2k + k_theta layout.
     """
 
-    victim_inputs: int
-    attacker_inputs: int
+    layout: int
+    victim_positions: tuple
+    attacker_positions: tuple
     rows: tuple
     outputs: tuple
 
     def __post_init__(self) -> None:
+        for positions in (self.victim_positions, self.attacker_positions):
+            if list(positions) != sorted(set(positions)) or not all(
+                0 <= p < self.layout for p in positions
+            ):
+                raise ValueError(
+                    f"input positions must increase within the {self.layout}-bit layout"
+                )
         for position, (kind, in_a, in_b) in enumerate(self.rows):
             if kind not in tuple(GateKind):
                 raise ValueError(f"unknown gate kind {kind}")
@@ -318,56 +297,38 @@ class _TwoPassCircuit:
 
     @property
     def n_inputs(self) -> int:
-        return self.victim_inputs + self.attacker_inputs
+        return len(self.victim_positions) + len(self.attacker_positions)
 
     @property
     def wire_count(self) -> int:
         return self.n_inputs + len(self.rows)
 
 
-# the three kinds and two unknown ones
-_KINDS = st.integers(0, 4)
-# wires around every boundary: first, own output, later ones
-_WIRES = st.integers(0, 14)
-
-
-@st.composite
-def _gate_lists(draw):
-    """(n_victim, n_attacker, table rows, outputs), mostly well formed."""
-    n_victim, n_attacker = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    rows = []
-    for position in range(draw(st.integers(0, 8))):
-        bound = n_victim + n_attacker + position
-        earlier = st.integers(0, bound - 1) if bound else _WIRES
-        if draw(st.integers(0, 7)):  # well formed, unless there is no earlier wire
-            kind = draw(st.sampled_from(list(GateKind)))
-            in_a = draw(earlier)
-            in_b = NOT_SENTINEL if kind is GateKind.NOT else draw(earlier)
-        else:
-            kind = draw(_KINDS)
-            in_a = draw(earlier | _WIRES)
-            in_b = draw(st.just(NOT_SENTINEL) | earlier | _WIRES)
-        rows.append((int(kind), in_a, in_b))
-    wire_count = n_victim + n_attacker + len(rows)
-    wires = st.integers(0, max(wire_count - 1, 0))
-    if not draw(st.integers(0, 3)):
-        wires |= st.integers(-2, 14)  # missing outputs
-    outputs = draw(st.lists(wires, max_size=4))
-    return n_victim, n_attacker, tuple(rows), tuple(outputs)
-
-
-def _verdict(cls, fields):
+def _assert_well_formed(circuit, where):
+    """Raises, naming ``where``, unless ``circuit`` passes ``_TwoPassCircuit``."""
     try:
-        cls(*fields)
+        _TwoPassCircuit(
+            2 * circuit.k + circuit.k_theta, circuit.victim_positions,
+            circuit.attacker_positions, tuple(circuit.rows()), circuit.outputs,
+        )
     except ValueError as exc:
-        return str(exc)
-    return None
+        raise AssertionError(f"{where}: {exc}") from exc
 
 
-@settings(max_examples=300, deadline=None)
-@given(_gate_lists())
-def test_one_pass_validator_matches_the_two_pass_one(fields):
-    assert _verdict(_circuit, fields) == _verdict(_TwoPassCircuit, fields)
+def test_well_formedness_check_flags_each_fault():
+    ok = _single_gate_circuit(GateKind.XOR)
+    _assert_well_formed(ok, "one XOR")
+    faults = [
+        (replace(ok, table=_table([Gate(GateKind.XOR, 0, 2)])), "reads wire 2"),
+        (replace(ok, table=_table([Gate(GateKind.NOT, 0, 1)])), "arity"),
+        (replace(ok, table=_table([Gate(7, 0, 1)])), "unknown gate kind 7"),
+        (replace(ok, outputs=(2, 3, 2)), "output wire 3"),
+        (replace(ok, victim_positions=(1, 0)), "positions"),
+        (replace(ok, victim_positions=(0, 4)), "positions"),
+    ]
+    for circuit, message in faults:
+        with pytest.raises(AssertionError, match=message):
+            _assert_well_formed(circuit, "fault")
 
 
 def _per_gate_serialization(circuit, gates):
@@ -673,6 +634,7 @@ def test_circuit_equals_fixed_point_at_the_thresholds():
     rng = random.Random(0x7E)
     for q, kt, k in THRESHOLD_PROFILES:
         params, scaled, circuit = _build_quiet(q, kt, k)
+        _assert_well_formed(circuit, (q, kt, k))
         cases = _threshold_cases(params, scaled, rng)
         rows = [encode_inputs(circuit, tv, ta, s0_v=s0, s1_v=s1, s0_a=0, s1_a=0)
                 for tv, ta, s0, s1 in cases]
@@ -687,8 +649,9 @@ def test_circuit_equals_fixed_point_at_the_thresholds():
 def test_no_gate_reads_one_wire_twice():
     # constants are not wires, and AND(a, a) and XOR(a, a) fold to a and ZERO
     for q, kt, k in itertools.product(QS, (1, 4, 8, 16), (1, 4, 8, 32)):
-        gates = _build_quiet(q, kt, k)[2].gates
-        assert all(g.in_a != g.in_b for g in gates), (q, kt, k)
+        circuit = _build_quiet(q, kt, k)[2]
+        _assert_well_formed(circuit, (q, kt, k))
+        assert all(g.in_a != g.in_b for g in circuit.gates), (q, kt, k)
 
 
 # AND counts over bench.GRID at q = 1/4, in GRID order
@@ -726,6 +689,7 @@ def test_pruned_circuit_reads_only_live_bits():
     rng = random.Random(0x4C)
     for q, kt, k in LIVENESS_PROFILES:
         params, scaled, circuit = _build_quiet(q, kt, k)
+        _assert_well_formed(circuit, (q, kt, k))
         assert _unreached(circuit) == [], (q, kt, k)
         assert circuit.victim_inputs >= 1 and circuit.attacker_inputs >= 1
         full = (1 << (2 * k + kt)) - 1

@@ -22,7 +22,7 @@ from blindbargain import bargaining, cli, protocol
 from blindbargain.bargaining import MarginalLossWarning
 from blindbargain.circuit import build_mechanism_circuit
 from blindbargain.cli import main
-from blindbargain.config import load_config
+from blindbargain.config import MAX_CONFIG_BYTES, load_config
 from blindbargain.garbling import garble, serialize_garbled
 from blindbargain.losses import LossProfile, residual_value
 from blindbargain.mechanism import MechanismParams, ScaledParams
@@ -910,6 +910,31 @@ def test_config_errors_exit_one(capsys, tmp_path):
         capsys, "attacker", "--config", str(good), "--connect", "nowhere"
     )
     assert code == 1 and "host:port" in err
+
+
+def _padded(text, size):
+    """``text`` and a comment line, ``size`` bytes in all."""
+    return text + "#" * (size - len(text) - 1) + "\n"
+
+
+def test_config_file_past_the_size_cap_exits_one(capsys, tmp_path):
+    at_cap = tmp_path / "at_cap.cfg"
+    at_cap.write_text(_padded(VICTIM_CFG + "r_min = 65\n", MAX_CONFIG_BYTES))
+    code, out, _ = run(capsys, "offers", "--config", str(at_cap))
+    assert code == 0 and "N = 3" in out
+    over = tmp_path / "over.cfg"
+    over.write_text(_padded(VICTIM_CFG + "r_min = 65\n", MAX_CONFIG_BYTES + 1))
+    # /dev/zero never ends: the read stops one byte past the cap
+    for path in (str(over), "/dev/zero"):
+        for argv in (
+            ["offers", "--config", path, "--r-min", "1"],
+            ["horizon", "--config", path, "--r-min", "1"],
+            ["victim", "--config", path, "--listen", "127.0.0.1:1"],
+            ["attacker", "--config", path, "--connect", "127.0.0.1:1"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            assert err == f"error: config file {path} is longer than {MAX_CONFIG_BYTES} bytes\n"
 
 
 def test_unsendable_profile_exits_one_before_listening(capsys, tmp_path):

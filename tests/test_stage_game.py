@@ -130,8 +130,3 @@ def test_backward_induction_matches_brute_force():
             v = Fraction(rng.randrange(0, 20), rng.choice((1, 2)))
             r_max = Fraction(rng.randrange(0, 20), rng.choice((1, 2)))
             assert spne(rep, r_f, v, r_max) == brute_force_spne(rep, r_f, v, r_max)
-
-
-def test_outcome_rejects_mismatched_branch():
-    with pytest.raises(ValueError):
-        StageOutcome(PAY, A7, Fraction(0), Fraction(0))
