@@ -150,6 +150,19 @@ def test_paired_rounds_share_offers():
         assert max(schedule) == schedule[0]
 
 
+def test_schedule_type_rejects_increasing_offers():
+    # The schedule is a plain tuple; offers could rise only across a
+    # negative loss block, and the profile refuses one where it is made.
+    with pytest.raises(ValueError, match="^loss blocks must be >= 0$"):
+        LossProfile(blocks=[1, -1, 1])
+    # zero blocks are the edge: offers stay level across them, never rise
+    inst = instance(LossProfile(blocks=[0, 3, 0, 2]), 0)
+    assert backward_induction_offers(inst, 5) == (5, 2, 2, 0, 0)
+    # a round outside 1..N has no offer
+    with pytest.raises(ValueError, match=r"^round n=4 outside 1\.\.3$"):
+        closed_form_offer(inst, 4, 3)
+
+
 # --- special cases -------------------------------------------------------
 
 

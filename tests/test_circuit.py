@@ -306,6 +306,8 @@ class _TwoPassCircuit:
 
 def _assert_well_formed(circuit, where):
     """Raises, naming ``where``, unless ``circuit`` passes ``_TwoPassCircuit``."""
+    if len(circuit.table) % struct.calcsize("<BII"):
+        raise AssertionError(f"{where}: gate table is not a whole number of rows")
     try:
         _TwoPassCircuit(
             2 * circuit.k + circuit.k_theta, circuit.victim_positions,
@@ -315,20 +317,84 @@ def _assert_well_formed(circuit, where):
         raise AssertionError(f"{where}: {exc}") from exc
 
 
-def test_well_formedness_check_flags_each_fault():
+def test_circuit_structural_validation():
     ok = _single_gate_circuit(GateKind.XOR)
+    assert (ok.n_inputs, len(ok.gates)) == (2, 1)
     _assert_well_formed(ok, "one XOR")
-    faults = [
-        (replace(ok, table=_table([Gate(GateKind.XOR, 0, 2)])), "reads wire 2"),
-        (replace(ok, table=_table([Gate(GateKind.NOT, 0, 1)])), "arity"),
-        (replace(ok, table=_table([Gate(7, 0, 1)])), "unknown gate kind 7"),
-        (replace(ok, outputs=(2, 3, 2)), "output wire 3"),
-        (replace(ok, victim_positions=(1, 0)), "positions"),
-        (replace(ok, victim_positions=(0, 4)), "positions"),
+    # the same wires split between the parties are just as valid
+    _assert_well_formed(_circuit(1, 1, ok.gates, ok.outputs), "split")
+    bad_gates = [
+        (Gate(GateKind.XOR, 0, 5), "gate 0 reads wire 5, not an earlier one"),
+        (Gate(GateKind.XOR, 0, 2), "gate 0 reads wire 2, not an earlier one"),
+        (Gate(GateKind.AND, 3, 1), "gate 0 reads wire 3, not an earlier one"),
+        (Gate(GateKind.NOT, 0, 1), "gate arity does not match its kind"),
+        (Gate(GateKind.XOR, 0, None), "gate arity does not match its kind"),
+        (Gate(7, 0, 1), "unknown gate kind 7"),
     ]
-    for circuit, message in faults:
-        with pytest.raises(AssertionError, match=message):
-            _assert_well_formed(circuit, "fault")
+    for gate, message in bad_gates:
+        with pytest.raises(AssertionError, match=f"^fault: {message}$"):
+            _assert_well_formed(_circuit(2, 0, (gate,), ok.outputs), "fault")
+    # a table holds whole 9-byte rows
+    with pytest.raises(AssertionError, match="whole number of rows"):
+        _assert_well_formed(replace(ok, table=ok.table + b"\0"), "fault")
+    # a later gate may read an earlier gate's wire, never a later one's
+    _assert_well_formed(
+        _circuit(2, 0, (ok.gates[0], Gate(GateKind.NOT, 2, None)), (3, 3, 3)), "chain"
+    )
+    with pytest.raises(AssertionError, match="reads wire 3"):
+        _assert_well_formed(
+            _circuit(2, 0, (Gate(GateKind.NOT, 3, None), ok.gates[0]), (3, 3, 3)), "fault"
+        )
+    # revealed outputs must be existing wires
+    with pytest.raises(AssertionError, match="output wire 3"):
+        _assert_well_formed(replace(ok, outputs=(2, 3, 2)), "fault")
+    # input positions increase within the 2k + k_theta layout
+    _assert_well_formed(Circuit(2, 1, (0, 4), (), ok.table, ok.outputs), "layout")
+    for positions in ((1, 0), (3, 3), (0, 5), (-1, 0)):
+        with pytest.raises(AssertionError, match="positions"):
+            _assert_well_formed(
+                Circuit(2, 1, positions, (), ok.table, ok.outputs), "fault"
+            )
+
+
+# a bit gadget of CircuitBuilder: (method, arity, plain value of its bits)
+_BIT_GADGETS = (
+    ("xor", 2, lambda a, b: a ^ b),
+    ("and_", 2, lambda a, b: a & b),
+    ("not_", 1, lambda a: 1 - a),
+    ("or_", 2, lambda a, b: a | b),
+    ("mux", 3, lambda sel, x, y: x if sel else y),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_builder_circuits_pass_the_structural_check(data):
+    # Any gadget program, dead gates, folded constants and repeated
+    # outputs included, finishes into a well-formed circuit that computes
+    # what the program computes.
+    # each party's layout is 2k + k_theta bits; the attacker's inputs
+    # follow the victim's whole layout
+    k = data.draw(st.integers(0, 2))
+    k_theta = data.draw(st.integers(0 if k else 1, 2))
+    layout = 2 * k + k_theta
+    n_attacker = data.draw(st.integers(0, layout))
+    bld = CircuitBuilder()
+    wires = bld.new_inputs(layout + n_attacker)
+    bits = [data.draw(st.integers(0, 1)) for _ in wires]
+    value = {ZERO: 0, ONE: 1, **dict(zip(wires, bits))}
+    for _ in range(data.draw(st.integers(0, 12))):
+        name, arity, plain = data.draw(st.sampled_from(_BIT_GADGETS))
+        args = [data.draw(st.sampled_from(list(value))) for _ in range(arity)]
+        value[getattr(bld, name)(*args)] = plain(*(value[a] for a in args))
+    live = [w for w in value if w not in (ZERO, ONE)]
+    outputs = data.draw(st.lists(st.sampled_from(live), min_size=1, max_size=4))
+    circuit = bld.finish(k, k_theta, outputs)
+    _assert_well_formed(circuit, (k, k_theta, n_attacker))
+    inputs = [bits[p] for p in circuit.victim_positions] + [
+        bits[layout + p] for p in circuit.attacker_positions
+    ]
+    assert eval_plain(circuit, inputs) == tuple(value[w] for w in outputs)
 
 
 def _per_gate_serialization(circuit, gates):

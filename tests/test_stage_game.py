@@ -59,6 +59,27 @@ def test_payoffs_reject_illegal_pairs():
         payoffs(ANONYMOUS, 1, 2, REFUSE, A4)
 
 
+def test_outcome_rejects_mismatched_branch():
+    # An attacker action off the branch the victim's move opened has no
+    # payoffs, so no StageOutcome is built for it; spne's outcomes keep
+    # the attacker on that branch.
+    branches = {PAY: (A4, A5), REFUSE: (A6, A7)}
+    for victim_action, actions in branches.items():
+        for attacker_action in AttackerAction:
+            if attacker_action in actions:
+                payoffs(REPUTABLE, 1, 2, victim_action, attacker_action)
+            else:
+                with pytest.raises(ValueError, match="^illegal action pair"):
+                    payoffs(REPUTABLE, 1, 2, victim_action, attacker_action)
+    seen = set()
+    for rep in (ANONYMOUS, REPUTABLE):
+        for r_f, r_max in ((1, 10), (5, 5), (9, 10)):
+            outcome = spne(rep, r_f, 10, r_max)
+            assert outcome.attacker_action in branches[outcome.victim_action]
+            seen.add(outcome.victim_action)
+    assert seen == {PAY, REFUSE}
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         ReputationParams(c_r=0, c_d=0)
