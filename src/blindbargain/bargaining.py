@@ -81,13 +81,12 @@ class BargainingInstance:
     victim: VictimParams
     r_min: Money
 
-    def __init__(self, victim: VictimParams, r_min: MoneyLike) -> None:
-        object.__setattr__(self, "victim", victim)
-        object.__setattr__(self, "r_min", as_money(r_min))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "r_min", as_money(self.r_min))
         if self.r_min < 0:
             raise ValueError("r_min must be >= 0")
-        if self.r_min > victim.r_max:
-            raise NoDeal(f"r_min={self.r_min} exceeds r_max={victim.r_max}")
+        if self.r_min > self.victim.r_max:
+            raise NoDeal(f"r_min={self.r_min} exceeds r_max={self.victim.r_max}")
 
 
 def determine_horizon(inst: BargainingInstance) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 Money = Fraction
 
@@ -67,19 +67,14 @@ class LossProfile:
         tail: Loss mass accruing after the last profiled round.
     """
 
-    l0: Money
-    blocks: tuple[Money, ...]
+    l0: Money = Fraction(0)
+    blocks: tuple[Money, ...] = ()
     tail: Money = Fraction(0)
 
-    def __init__(
-        self,
-        l0: MoneyLike = 0,
-        blocks: Iterable[MoneyLike] = (),
-        tail: MoneyLike = 0,
-    ) -> None:
-        object.__setattr__(self, "l0", as_money(l0))
-        object.__setattr__(self, "blocks", tuple(as_money(b) for b in blocks))
-        object.__setattr__(self, "tail", as_money(tail))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "l0", as_money(self.l0))
+        object.__setattr__(self, "blocks", tuple(as_money(b) for b in self.blocks))
+        object.__setattr__(self, "tail", as_money(self.tail))
         if self.l0 < 0:
             raise ValueError("l0 must be >= 0")
         if any(b < 0 for b in self.blocks):
@@ -95,9 +90,8 @@ class VictimParams:
     r_max: Money
     profile: LossProfile
 
-    def __init__(self, r_max: MoneyLike, profile: LossProfile) -> None:
-        object.__setattr__(self, "r_max", as_money(r_max))
-        object.__setattr__(self, "profile", profile)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "r_max", as_money(self.r_max))
         if self.r_max < 0:
             raise ValueError("r_max must be >= 0")
 

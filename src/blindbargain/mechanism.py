@@ -29,7 +29,7 @@ of a truthful victim is exactly half its report.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -56,24 +56,26 @@ def p_bar_for(q: MoneyLike) -> Fraction:
 class MechanismParams:
     """Public mechanism parameters agreed by both parties.
 
-    q is the screening discount and the counteroffer-acceptance bias.
-    p_bar, the bias toward the screening offer, is derived from q by
-    ``p_bar_for``: the constraint p_bar*(1-q) = 1/2 is what makes the
-    expected payment come out to half the victim's report.  k_theta and
-    k are the bitwidths of reports and of the random words in
-    fixed-point semantics.
+    q, in (0, 1/2], is the screening discount and the
+    counteroffer-acceptance bias.  p_bar, the bias toward the screening
+    offer, is derived from q by ``p_bar_for``: the constraint
+    p_bar*(1-q) = 1/2 is what makes the expected payment come out to
+    half the victim's report.  k_theta and k are the bitwidths of
+    reports and of the random words in fixed-point semantics.
     """
 
     q: Fraction
-    p_bar: Fraction
+    p_bar: Fraction = field(init=False)
     k_theta: int
     k: int
 
-    def __init__(self, q: MoneyLike, k_theta: int, k: int) -> None:
-        object.__setattr__(self, "q", as_money(q))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "q", as_money(self.q))
         object.__setattr__(self, "p_bar", p_bar_for(self.q))
-        object.__setattr__(self, "k_theta", int(k_theta))
-        object.__setattr__(self, "k", int(k))
+        if self.q == 0:  # the screening offer and r2 / q need q > 0
+            raise ValueError("the mechanism requires q > 0")
+        object.__setattr__(self, "k_theta", int(self.k_theta))
+        object.__setattr__(self, "k", int(self.k))
         if self.k_theta < 1 or self.k < 1:
             raise ValueError("bitwidths must be >= 1")
 
@@ -98,8 +100,6 @@ class ScaledParams:
         too_wide = f"fixed-point products exceed {DEFAULT_MAX_WIDTH} bits: lower k or k_theta"
         if params.k + params.k_theta > DEFAULT_MAX_WIDTH:
             raise ValueError(too_wide)
-        if params.q <= 0:
-            raise ValueError("scaling requires q > 0")
         if (params.q.denominator & (params.q.denominator - 1)) != 0:
             warnings.warn(
                 f"q={params.q} is not dyadic; scaled constants round down",
@@ -123,9 +123,9 @@ class Report:
     theta_v: Money
     theta_a: Money
 
-    def __init__(self, theta_v: MoneyLike, theta_a: MoneyLike) -> None:
-        object.__setattr__(self, "theta_v", as_money(theta_v))
-        object.__setattr__(self, "theta_a", as_money(theta_a))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "theta_v", as_money(self.theta_v))
+        object.__setattr__(self, "theta_a", as_money(self.theta_a))
         if self.theta_v < 0 or self.theta_a < 0:
             raise ValueError("reports must be >= 0")
 
@@ -167,8 +167,6 @@ def outcome_real(
     """
     _check_draw("u0", u0)
     _check_draw("u1", u1)
-    if params.q <= 0:
-        raise ValueError("outcome requires q > 0")
     r2 = params.q * rep.theta_v if u0 < params.p_bar else rep.theta_v
     if rep.theta_a <= r2:
         return _settle(r2, 0)
@@ -234,8 +232,6 @@ def expected_attacker_utility(
     numerators over pd*qd*vd*ad; the branch tests cross-multiply by the
     positive denominators.
     """
-    if params.q <= 0:
-        raise ValueError("expected utility requires q > 0")
     theta_a = as_money(theta_a_true)
     report = as_money(report_a)
     theta_v = as_money(theta_v_report)

@@ -56,7 +56,7 @@ from .garbling import (
     select_labels,
     serialize_garbled,
 )
-from .losses import MoneyLike, as_money
+from .losses import as_money
 from .mechanism import MechanismOutcome, MechanismParams, ScaledParams
 from .ot import OtReceiver, OtSender
 
@@ -129,12 +129,12 @@ class PiProfile:
     scaled: ScaledParams = field(init=False, repr=False, compare=False)
     _params: MechanismParams = field(init=False, repr=False, compare=False)
 
-    def __init__(self, q: MoneyLike, p_bar: MoneyLike, k: int, k_theta: int, t_e: MoneyLike):
-        object.__setattr__(self, "q", as_money(q))
-        object.__setattr__(self, "p_bar", as_money(p_bar))
-        object.__setattr__(self, "k", int(k))
-        object.__setattr__(self, "k_theta", int(k_theta))
-        object.__setattr__(self, "t_e", as_money(t_e))
+    def __post_init__(self):
+        object.__setattr__(self, "q", as_money(self.q))
+        object.__setattr__(self, "p_bar", as_money(self.p_bar))
+        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k_theta", int(self.k_theta))
+        object.__setattr__(self, "t_e", as_money(self.t_e))
         params = MechanismParams(self.q, self.k_theta, self.k)
         if self.p_bar != params.p_bar:
             raise ValueError("p_bar * (1 - q) must equal 1/2 exactly")
@@ -147,8 +147,8 @@ class PiProfile:
                 "profile does not fit its wire form: numerators and denominators "
                 "must be below 2^64, bitwidths below 2^32"
             ) from None
-        # A profile that cannot be scaled (q = 0, products too wide) must
-        # never be agreed.  A non-dyadic q warns about rounding here, at
+        # A profile whose products are too wide to scale must never be
+        # agreed.  A non-dyadic q warns about rounding here, at
         # configuration time.
         object.__setattr__(self, "scaled", ScaledParams.from_params(params))
         object.__setattr__(self, "_params", params)
@@ -420,7 +420,8 @@ class VictimSession(_Session):
 
     def _agree_profile(self) -> None:
         self.channel.send(MSG_HELLO, self.config.pi.to_bytes())
-        self.channel.recv(MSG_PI_ACK)
+        if self.channel.recv(MSG_PI_ACK):
+            raise ValueError("PI_ACK must carry no payload")
 
     def _build_and_garble(self):
         circuit = build_mechanism_circuit(self.params, self.scaled)

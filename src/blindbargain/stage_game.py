@@ -12,7 +12,7 @@ values for display; the enum names say what the action does.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 
@@ -53,31 +53,16 @@ class ReputationParams:
         c_d: Cost of destroying the key.
     """
 
-    tau_g: Money
-    tau_l: Money
-    kappa_g: Money
-    kappa_l: Money
-    c_r: Money
-    c_d: Money
+    tau_g: Money = Fraction(0)
+    tau_l: Money = Fraction(0)
+    kappa_g: Money = Fraction(0)
+    kappa_l: Money = Fraction(0)
+    c_r: Money = Fraction(1)
+    c_d: Money = Fraction(0)
 
-    def __init__(
-        self,
-        tau_g: MoneyLike = 0,
-        tau_l: MoneyLike = 0,
-        kappa_g: MoneyLike = 0,
-        kappa_l: MoneyLike = 0,
-        c_r: MoneyLike = 1,
-        c_d: MoneyLike = 0,
-    ) -> None:
-        for name, value in (
-            ("tau_g", tau_g),
-            ("tau_l", tau_l),
-            ("kappa_g", kappa_g),
-            ("kappa_l", kappa_l),
-            ("c_r", c_r),
-            ("c_d", c_d),
-        ):
-            object.__setattr__(self, name, as_money(value))
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, as_money(getattr(self, f.name)))
         if any(d < 0 for d in (self.tau_g, self.tau_l, self.kappa_g, self.kappa_l)):
             raise ValueError("reputation deltas must be >= 0")
         if not self.c_r > self.c_d >= 0:

@@ -1,7 +1,8 @@
 """Import hygiene: the package imports without numpy, importing the
 package alone loads none of its modules, no module imports a name it
-never uses, and every public name of the package, and every public
-member of its classes, has a reader outside the tests."""
+never uses, no dataclass writes its own constructor, and every public
+name of the package, and every public member of its classes, has a
+reader outside the tests."""
 
 import ast
 import subprocess
@@ -64,6 +65,52 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def test_unused_import_check_flags_an_unused_name():
     assert _unused_imports("import secrets\nimport os\nos.getcwd()\n") == ["secrets (line 1)"]
+
+
+def _dataclasses_with_init(source: str) -> list[str]:
+    """Classes decorated with ``dataclass`` that write their own ``__init__``.
+
+    A dataclass declares its fields once; a hand-written constructor
+    declares them a second time, with defaults of its own.
+    """
+    flagged = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(
+            (isinstance(d, ast.Name) and d.id == "dataclass")
+            or (isinstance(d, ast.Attribute) and d.attr == "dataclass")
+            for d in decorators
+        ):
+            continue
+        if any(isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in node.body):
+            flagged.append(f"{node.name} (line {node.lineno})")
+    return flagged
+
+
+def test_no_dataclass_writes_its_own_init():
+    package = Path(blindbargain.__file__).parent
+    flagged = {
+        path.name: classes
+        for path in sorted(package.glob("*.py"))
+        if (classes := _dataclasses_with_init(path.read_text(encoding="utf-8")))
+    }
+    assert flagged == {}
+
+
+def test_dataclass_init_check_flags_a_hand_written_constructor():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass Twice:\n    x: int\n\n"
+        "    def __init__(self, x=0):\n        object.__setattr__(self, 'x', x)\n\n\n"
+        "@dataclasses.dataclass\nclass Also:\n    def __init__(self):\n        pass\n\n\n"
+        "@dataclass\nclass Once:\n    x: int = 0\n\n"
+        "    def __post_init__(self):\n        pass\n\n\n"
+        "class Plain:\n    def __init__(self):\n        pass\n"
+    )
+    assert _dataclasses_with_init(source) == ["Twice (line 6)", "Also (line 14)"]
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

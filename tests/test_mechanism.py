@@ -41,7 +41,10 @@ def test_params_constraint_is_exact():
         MechanismParams(q="1/4", k_theta=0, k=8)
     assert params_for("1/4").p_bar == Fraction(2, 3)
     assert MechanismParams("1/3", 8, 8).p_bar == Fraction(3, 4)
-    assert params_for(0).p_bar == Fraction(1, 2)
+    assert p_bar_for(0) == Fraction(1, 2)
+    # q = 0 is in p_bar_for's range, but the mechanism divides by q
+    with pytest.raises(ValueError, match=r"q > 0"):
+        params_for(0)
     assert params_for("1/2").p_bar == 1
     for q in (Fraction(1, 40), Fraction(2, 7), Fraction(1, 2)):
         assert p_bar_for(q) * (1 - q) == Fraction(1, 2)

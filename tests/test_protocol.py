@@ -468,6 +468,8 @@ def _rewriting(session_cls, msg_type, rewrite):
 @pytest.mark.parametrize(
     "side,msg_type,rewrite,stage,detail,ends",
     [
+        ("attacker", MSG_PI_ACK, lambda p: b"x", "pi-agreement",
+         "PI_ACK must carry no payload", (NegotiationAbort,)),
         ("victim", MSG_GARBLER_INPUT_LABELS, lambda p: p[:-LABEL_BYTES],
          "victim-labels", "expected 17 labels", (NegotiationAbort,)),
         ("victim", MSG_CIRCUIT, lambda p: b"junk", "circuit-check",
