@@ -21,6 +21,7 @@ in ``k_theta`` bits is checked when the session is configured
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -177,14 +178,24 @@ def config_from_values(values: dict[str, str]) -> SessionConfig:
     )
 
 
+def _open_without_waiting(path, flags: int) -> int:
+    # opening a FIFO for reading waits for a writer unless O_NONBLOCK;
+    # the reads that follow block as usual
+    fd = os.open(path, flags | os.O_NONBLOCK)
+    os.set_blocking(fd, True)
+    return fd
+
+
 def read_config_text(path) -> str:
     """The text of the config file at ``path``, at most ``MAX_CONFIG_BYTES``.
 
     At most one byte past the cap is read, so a file that is too long,
     or a device such as /dev/zero that never ends, is refused with a
-    ConfigError instead of being read into memory whole.
+    ConfigError instead of being read into memory whole.  The open does
+    not wait for a FIFO's writer: a FIFO that has none reads as empty,
+    while a pipe with a writer, such as ``<(...)``, reads as it is written.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb", opener=_open_without_waiting) as fh:
         data = fh.read(MAX_CONFIG_BYTES + 1)
     if len(data) > MAX_CONFIG_BYTES:
         raise ConfigError(f"config file {path} is longer than {MAX_CONFIG_BYTES} bytes")

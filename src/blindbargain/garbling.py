@@ -16,8 +16,9 @@ the garbler knows every row's cipher input before it builds a table and
 keys all rows with one AES call; the evaluator goes gate by gate.
 
 Outside ``garble`` and ``evaluate`` an input label is its 16 wire bytes,
-big-endian.  ``garble`` writes each at 16 bytes; the protocol's label
-parser and the OT receiver check the length of what arrives.
+big-endian.  ``garble`` writes each at 16 bytes, and the settlement
+protocol's message plan fixes the length of every message that carries
+labels or a garbled blob (``garbled_size``) before its body is read.
 
 The decode table publishes a hash commitment per output label.  Either
 side can map a revealed label to its bit and reject a label that was
@@ -37,6 +38,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from .circuit import Circuit, GateKind, circuit_digest
 
 LABEL_BYTES = 16
+COMMIT_BYTES = 32  # a SHA-256 commitment to one output label
 MAGIC = b"BGC1"
 _MASK = (1 << 128) - 1
 _FIXED_KEY = bytes(LABEL_BYTES)
@@ -256,6 +258,16 @@ def select_labels(
 _HEADER = struct.Struct("<4s32sII")
 
 
+def garbled_size(circuit: Circuit) -> int:
+    """Bytes of ``serialize_garbled``'s blob for any garbling of ``circuit``:
+    the header, four rows per AND gate, two commitments per output."""
+    return (
+        _HEADER.size
+        + 4 * LABEL_BYTES * circuit.and_count
+        + 2 * COMMIT_BYTES * len(circuit.outputs)
+    )
+
+
 def serialize_garbled(gc: GarbledCircuit) -> bytes:
     parts = [
         _HEADER.pack(
@@ -269,19 +281,17 @@ def serialize_garbled(gc: GarbledCircuit) -> bytes:
     return b"".join(parts)
 
 
-def deserialize_garbled(data: bytes) -> GarbledCircuit:
-    if len(data) < _HEADER.size:
-        raise ValueError("garbled blob too short")
-    magic, digest, n_tables, n_out = _HEADER.unpack_from(data, 0)
+def deserialize_garbled(data: bytes, circuit: Circuit) -> GarbledCircuit:
+    """Read a blob of ``garbled_size(circuit)`` bytes, a length the caller
+    has checked; the header must name ``circuit``'s counts."""
+    magic, digest, n_tables, n_out = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise ValueError("bad garbled-circuit magic")
+    if (n_tables, n_out) != (circuit.and_count, len(circuit.outputs)):
+        raise ValueError("garbled blob's table or output count does not match the circuit")
     tables_end = _HEADER.size + n_tables * 4 * LABEL_BYTES
-    expected = tables_end + n_out * 64
-    if len(data) != expected:
-        raise ValueError(f"garbled blob length {len(data)} != expected {expected}")
-    cuts = range(_HEADER.size, tables_end, LABEL_BYTES)
-    rows = [data[i : i + LABEL_BYTES] for i in cuts]
-    hashes = [data[i : i + 32] for i in range(tables_end, expected, 32)]
+    rows = [data[i : i + LABEL_BYTES] for i in range(_HEADER.size, tables_end, LABEL_BYTES)]
+    hashes = [data[i : i + COMMIT_BYTES] for i in range(tables_end, len(data), COMMIT_BYTES)]
     return GarbledCircuit(
         digest,
         tuple(zip(rows[0::4], rows[1::4], rows[2::4], rows[3::4])),

@@ -52,6 +52,20 @@ def p_bar_for(q: MoneyLike) -> Fraction:
     return 1 / (2 * (1 - q))
 
 
+def as_width(value, name: str) -> int:
+    """A bitwidth as an int: ``"8"`` and ``Fraction(16)`` convert.
+
+    A float or a bool raises TypeError, as ``as_money`` refuses a float;
+    a value with a fractional part raises ValueError.  Both name the field.
+    """
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"{name} must be a whole number, got {type(value).__name__} {value!r}")
+    width = as_money(value)
+    if width.denominator != 1:
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    return int(width)
+
+
 @dataclass(frozen=True)
 class MechanismParams:
     """Public mechanism parameters agreed by both parties.
@@ -74,8 +88,8 @@ class MechanismParams:
         object.__setattr__(self, "p_bar", p_bar_for(self.q))
         if self.q == 0:  # the screening offer and r2 / q need q > 0
             raise ValueError("the mechanism requires q > 0")
-        object.__setattr__(self, "k_theta", int(self.k_theta))
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k_theta", as_width(self.k_theta, "k_theta"))
+        object.__setattr__(self, "k", as_width(self.k, "k"))
         if self.k_theta < 1 or self.k < 1:
             raise ValueError("bitwidths must be >= 1")
 

@@ -41,10 +41,12 @@ Every element is a 65-byte SEC1 uncompressed point, 04 || x || y (SEC 1
 v2, 2.3.3): 32 bytes more than the compressed form, whose decoding
 spends a field square root in C to recover y, where the uncompressed
 form costs only its on-curve check and hands over x and y as read.
-Anything else (another length, a compressed or hybrid prefix, a
-coordinate not below p) and any point off the curve is an
-``OtProtocolError``; P-256 has cofactor 1, so a point on the curve is
-in the prime-order group.  The sender refuses x(aB) in
+The lengths of the three messages follow from the transfer count
+(``transfer_count``, ``ELEMENT_BYTES``, ``RESPONSE_BYTES``), and the
+settlement protocol refuses any other length before a message reaches
+this module.  Any other prefix (compressed or hybrid), a coordinate not
+below p and any point off the curve is an ``OtProtocolError``; P-256
+has cofactor 1, so a point on the curve is in the prime-order group.  The sender refuses x(aB) in
 {x(jT) : j = 1 ... 8}, that is B = +-A ... +-8A.
 The receiver refuses a blinding point bG there, and a blinded point B
 there too, so an honest receiver never sends what the sender refuses
@@ -89,6 +91,8 @@ ELEMENT_BYTES = 1 + 2 * COORD_BYTES
 BITS_PER_TRANSFER = 3
 BRANCHES = 1 << BITS_PER_TRANSFER
 CIPHERTEXT_BYTES = BITS_PER_TRANSFER * LABEL_BYTES
+# the sender's answer to one transfer: one ciphertext per branch
+RESPONSE_BYTES = BRANCHES * CIPHERTEXT_BYTES
 
 RandomBits = Callable[[int], int]
 Point = tuple[int, int]
@@ -96,6 +100,11 @@ Point = tuple[int, int]
 
 class OtProtocolError(ValueError):
     """Malformed or off-curve key material."""
+
+
+def transfer_count(bits: int) -> int:
+    """Transfers that carry ``bits`` evaluator bits, the last maybe part full."""
+    return -(-bits // BITS_PER_TRANSFER)
 
 
 def _rand_scalar(rand_bits: RandomBits) -> int:
@@ -175,18 +184,17 @@ def _encode(point: Point) -> bytes:
 
 
 def _parse_elements(
-    data: bytes, count: int, what: str
+    data: bytes, what: str
 ) -> list[tuple[ec.EllipticCurvePublicKey, int, int]]:
     """Each element's key with the x and y it was read from.
 
+    ``data`` is whole elements, a length the caller has checked.
     ``from_encoded_point`` refuses a coordinate not below p and a point
     off the curve, so the x and y handed back are those of a group element.
     """
-    if len(data) != count * ELEMENT_BYTES:
-        raise OtProtocolError(f"{what}: expected {count} uncompressed points")
     out = []
-    for i in range(count):
-        element = data[i * ELEMENT_BYTES : (i + 1) * ELEMENT_BYTES]
+    for i, start in enumerate(range(0, len(data), ELEMENT_BYTES)):
+        element = data[start : start + ELEMENT_BYTES]
         if element[0] != 4:
             raise OtProtocolError(f"{what}: element {i} is not an uncompressed point")
         try:
@@ -239,7 +247,7 @@ class OtSender:
 
     def respond(self, blinded: bytes) -> bytes:
         """Encrypt every branch of every transfer; one pad per branch."""
-        elements = _parse_elements(blinded, len(self._plaintexts), "receiver message")
+        elements = _parse_elements(blinded, "receiver message")
         ecdh = ec.ECDH()
         rows = []  # x(B), y(B), x(aB), x((a - 1)B)
         for key, x, y in elements:
@@ -291,7 +299,7 @@ class OtReceiver:
         self._big_a: ec.EllipticCurvePublicKey | None = None
 
     def blind(self, sender_public: bytes) -> bytes:
-        ((big_a, x, y),) = _parse_elements(sender_public, 1, "sender message")
+        ((big_a, x, y),) = _parse_elements(sender_public, "sender message")
         multiples = _multiples((x, y))
         keys = [
             ec.derive_private_key(_rand_scalar(self._rand_bits), CURVE)
@@ -308,13 +316,10 @@ class OtReceiver:
     def unwrap(self, ciphertexts: bytes) -> list[bytes]:
         if self._big_a is None:
             raise OtProtocolError("unwrap before blind")
-        n = len(self._choices)
-        if len(ciphertexts) != n * BRANCHES * CIPHERTEXT_BYTES:
-            raise OtProtocolError(f"expected {n} transfers of {BRANCHES} ciphertexts")
         labels = []
         for i, (choice, key) in enumerate(zip(self._choices, self._keys)):
             pad = _pad(i, choice, key.exchange(ec.ECDH(), self._big_a))
-            start = (BRANCHES * i + choice) * CIPHERTEXT_BYTES
+            start = RESPONSE_BYTES * i + CIPHERTEXT_BYTES * choice
             ct = int.from_bytes(ciphertexts[start : start + CIPHERTEXT_BYTES], "big")
             plain = (pad ^ ct).to_bytes(CIPHERTEXT_BYTES, "big")
             labels += (

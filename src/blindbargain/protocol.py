@@ -11,20 +11,28 @@ checks the circuit, evaluates, and returns the output labels:
      attacker's through oblivious transfer, so neither report nor
      random word crosses the wire in the clear; only the input bits
      the circuit reads have labels,
-  4. attacker independently rebuilds the circuit from the agreed
-     profile and compares digests before evaluating; a mismatch aborts,
+  4. attacker independently builds the circuit from the agreed profile
+     as soon as it acks it, before CIRCUIT arrives, and compares digests
+     before evaluating; a mismatch aborts,
   5. attacker sends the output labels back; the victim verifies them
      against its commitments, decodes, and acks the plaintext result,
      which the attacker cross-checks against its own extraction.
 
+Each side derives one plan from the circuit it built (``message_plan``):
+the exact length of every message, so the transcript's shape follows
+from the agreed profile alone.  ``_Channel.recv`` checks each frame's
+5-byte header, length and type, against the plan before it reads the
+body.
+
 Each step names its abort stage once, in its role's ``run``; a failed
-check inside a step, or a stall or wrong message there, aborts at that
-stage.  Every message is length-prefixed; ABORT is legal in any state
-and carries the stage tag of the failed check.  Transcripts record only
-direction, type, length, and a payload digest, never the remote party's
-plaintext report.  Check failures raise NegotiationAbort, transport
-problems raise TransportFailure; both carry the transcript so the CLI
-can persist it.
+check inside a step, or a stall, a wrong length or a wrong message
+there, aborts at that stage.  ABORT is legal in any state and carries
+the stage tag of the failed check; the aborting side then drains the
+connection (``_Channel.abort``) unless the peer stalled.  Transcripts
+record only direction, type, length, and a payload digest, never the
+remote party's plaintext report.  Check failures raise NegotiationAbort,
+transport problems raise TransportFailure; both carry the transcript so
+the CLI can persist it.
 """
 
 from __future__ import annotations
@@ -53,12 +61,13 @@ from .garbling import (
     deserialize_garbled,
     evaluate,
     garble,
+    garbled_size,
     select_labels,
     serialize_garbled,
 )
 from .losses import as_money
 from .mechanism import MechanismOutcome, MechanismParams, ScaledParams
-from .ot import OtReceiver, OtSender
+from .ot import ELEMENT_BYTES, RESPONSE_BYTES, OtReceiver, OtSender, transfer_count
 
 MSG_HELLO = 1
 MSG_PI_ACK = 2
@@ -84,13 +93,38 @@ MSG_NAMES = {
     MSG_ABORT: "ABORT",
 }
 
-MAX_FRAME = 1 << 26
 DEFAULT_TIMEOUT = 10.0
 MAX_TIMEOUT = 1e9  # seconds; socket timeouts overflow near 9.2e9
 SEED_BYTES = 32
 
 _PI_STRUCT = struct.Struct("<QQQQIIQQ")
 _RESULT_STRUCT = struct.Struct("<QBB")
+# in front of every payload: u32 length of type and payload, u8 type
+_FRAME_HEADER = struct.Struct("<IB")
+# an ABORT carries a stage tag; this is the longest
+MAX_ABORT_BYTES = len("timeout:circuit-check")
+# the lengths both sides know before either has built its circuit
+_PROFILE_PLAN = {MSG_HELLO: _PI_STRUCT.size, MSG_PI_ACK: 0}
+
+
+def message_plan(circuit: Circuit) -> dict[int, int]:
+    """Each message type's payload length in a session over ``circuit``,
+    in the order a session sends them.
+
+    Each size comes from the module that owns the format: ``garbling``
+    for the blob and the labels, ``ot`` for the transfers.
+    """
+    transfers = transfer_count(circuit.attacker_inputs)
+    return {
+        **_PROFILE_PLAN,
+        MSG_CIRCUIT: garbled_size(circuit),
+        MSG_GARBLER_INPUT_LABELS: LABEL_BYTES * circuit.victim_inputs,
+        MSG_OT_MSG1: ELEMENT_BYTES,
+        MSG_OT_MSG2: ELEMENT_BYTES * transfers,
+        MSG_OT_MSG3: RESPONSE_BYTES * transfers,
+        MSG_OUTPUT_LABELS: LABEL_BYTES * len(circuit.outputs),
+        MSG_RESULT_ACK: _RESULT_STRUCT.size,
+    }
 
 
 class NegotiationAbort(Exception):
@@ -130,12 +164,11 @@ class PiProfile:
     _params: MechanismParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "q", as_money(self.q))
-        object.__setattr__(self, "p_bar", as_money(self.p_bar))
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "k_theta", int(self.k_theta))
-        object.__setattr__(self, "t_e", as_money(self.t_e))
         params = MechanismParams(self.q, self.k_theta, self.k)
+        for name in ("q", "k", "k_theta"):  # as the params converted them
+            object.__setattr__(self, name, getattr(params, name))
+        object.__setattr__(self, "p_bar", as_money(self.p_bar))
+        object.__setattr__(self, "t_e", as_money(self.t_e))
         if self.p_bar != params.p_bar:
             raise ValueError("p_bar * (1 - q) must equal 1/2 exactly")
         if self.t_e < 0:
@@ -203,15 +236,12 @@ class SessionTranscript:
     records: list[TranscriptRecord] = field(default_factory=list)
 
     def append(self, direction: str, msg_type: int, payload: bytes) -> None:
-        self.records.append(
-            TranscriptRecord(
-                direction,
-                MSG_NAMES.get(msg_type, f"TYPE{msg_type}"),
-                len(payload),
-                hashlib.sha256(payload).hexdigest(),
-                time.time(),
-            )
-        )
+        self.append_header(direction, msg_type, len(payload), hashlib.sha256(payload).hexdigest())
+
+    def append_header(self, direction: str, msg_type: int, length: int, digest: str = "") -> None:
+        """Record one frame; one refused at its header has no digest."""
+        name = MSG_NAMES.get(msg_type, f"TYPE{msg_type}")
+        self.records.append(TranscriptRecord(direction, name, length, digest, time.time()))
 
     def shape(self) -> list[tuple[str, str, int]]:
         """(direction, type, length) triples: the privacy-visible surface."""
@@ -277,7 +307,9 @@ class _Channel:
     ``budget`` is the channel's time for reading one frame, and the
     socket's timeout between reads.  ``step`` names the protocol step
     under way: ``recv`` tags its aborts with that stage, and a failed
-    check inside the step aborts there.
+    check inside the step aborts there.  ``plan`` maps each message
+    type to its length; a session replaces the profile's part with its
+    circuit's ``message_plan`` once it has built the circuit.
     """
 
     def __init__(self, sock: socket.socket, transcript: SessionTranscript, budget: float):
@@ -287,6 +319,7 @@ class _Channel:
         self.transcript = transcript
         self.budget = budget
         self.stage: str | None = None
+        self.plan = _PROFILE_PLAN
 
     @contextmanager
     def step(self, stage: str):
@@ -302,7 +335,7 @@ class _Channel:
             self.abort(stage, str(exc))
 
     def send(self, msg_type: int, payload: bytes = b"") -> None:
-        frame = struct.pack("<IB", len(payload) + 1, msg_type) + payload
+        frame = _FRAME_HEADER.pack(len(payload) + 1, msg_type) + payload
         try:
             self.sock.sendall(frame)
         except OSError as exc:
@@ -319,8 +352,6 @@ class _Channel:
                 self.sock.settimeout(remaining)
                 chunk = self.sock.recv(n - len(buf))
             except socket.timeout:
-                # the ABORT frame goes out under the full budget
-                self.sock.settimeout(self.budget)
                 self.abort(f"timeout:{self.stage}")
             except OSError as exc:
                 raise TransportFailure(f"recv failed: {exc}", self.transcript) from exc
@@ -332,40 +363,78 @@ class _Channel:
     def recv(self, msg_type: int) -> bytes:
         """Read one frame's payload; only ``msg_type`` (and ABORT) is legal.
 
-        The whole frame must arrive within the channel's budget, before
-        one monotonic deadline, so a peer trickling bytes cannot hold the
-        step open.  Missing it is a protocol-level abort at
-        ``timeout:<stage>``, not a transport failure: the channel is
-        still up, the peer stalled.  After a frame or a timeout, the
-        socket's timeout is the budget again.
+        The 5-byte header is checked before the body is read: a frame of
+        another type, a ``msg_type`` frame of another length than the
+        plan's, or an ABORT longer than ``MAX_ABORT_BYTES`` aborts at the
+        step's stage with its body unread.  The whole frame must arrive
+        within the channel's budget, before one monotonic deadline, so a
+        peer trickling bytes cannot hold the step open.  Missing it is a
+        protocol-level abort at ``timeout:<stage>``, not a transport
+        failure: the channel is still up, the peer stalled.  After a
+        frame or a timeout, the socket's timeout is the budget again.
         """
         deadline = time.monotonic() + self.budget
-        (length,) = struct.unpack("<I", self._read_exact(4, deadline))
-        if not 1 <= length <= MAX_FRAME:
-            raise TransportFailure(f"invalid frame length {length}", self.transcript)
-        body = self._read_exact(length, deadline)
+        length, received = _FRAME_HEADER.unpack(
+            self._read_exact(_FRAME_HEADER.size, deadline)
+        )
+        size = length - 1
+        refusal = self._refusal(msg_type, received, size)
+        if refusal:
+            self.transcript.append_header("received", received, size)
+            self.abort(self.stage, refusal)
+        payload = self._read_exact(size, deadline)
         self.sock.settimeout(self.budget)
-        received, payload = body[0], body[1:]
         self.transcript.append("received", received, payload)
         if received == MSG_ABORT:
             raise NegotiationAbort(
                 "peer-abort", payload.decode("utf-8", "replace"), self.transcript
             )
-        if received != msg_type:
-            self.abort(self.stage, f"unexpected message type {received}")
         return payload
 
+    def _refusal(self, msg_type: int, received: int, size: int) -> str | None:
+        """Why a frame of type ``received`` and ``size`` payload bytes
+        breaks the plan where ``msg_type`` is due, or None."""
+        if received == MSG_ABORT:
+            if not 0 <= size <= MAX_ABORT_BYTES:
+                return f"ABORT must be at most {MAX_ABORT_BYTES} bytes, got {size}"
+        elif received != msg_type:
+            return f"unexpected message type {received}"
+        elif size != self.plan[msg_type]:
+            return f"{MSG_NAMES[msg_type]} must be {self.plan[msg_type]} bytes, got {size}"
+        return None
+
     def abort(self, stage: str, detail: str = "") -> None:
+        """Send ABORT under the full budget and raise NegotiationAbort.
+
+        Unless the peer stalled (``timeout:``), drain first: half-close,
+        then read and discard until the peer closes or one budget has
+        passed.  Closing with the peer's frames unread would reset the
+        connection, and the peer could fail before it read the ABORT.
+        """
+        self.sock.settimeout(self.budget)
         try:
             self.send(MSG_ABORT, stage.encode("utf-8"))
         except TransportFailure:
             pass
+        else:
+            if not stage.startswith("timeout:"):
+                self._drain()
         raise NegotiationAbort(stage, detail, self.transcript)
 
+    def _drain(self) -> None:
+        deadline = time.monotonic() + self.budget
+        sink = bytearray(1 << 16)  # the one buffer every read reuses
+        try:
+            self.sock.shutdown(socket.SHUT_WR)
+            while (remaining := deadline - time.monotonic()) > 0:
+                self.sock.settimeout(remaining)
+                if not self.sock.recv_into(sink):
+                    break
+        except OSError:  # a timeout or a reset: nothing more will come
+            pass
 
-def _parse_labels(payload: bytes, count: int) -> list[bytes]:
-    if len(payload) != count * LABEL_BYTES:
-        raise ValueError(f"expected {count} labels")
+
+def _parse_labels(payload: bytes) -> list[bytes]:
     return [payload[i : i + LABEL_BYTES] for i in range(0, len(payload), LABEL_BYTES)]
 
 
@@ -408,6 +477,7 @@ class VictimSession(_Session):
         with self.channel.step("pi-agreement"):
             self._agree_profile()
         circuit, material = self._build_and_garble()
+        self.channel.plan = message_plan(circuit)
         self.channel.send(MSG_CIRCUIT, serialize_garbled(material.garbled))
         s0, s1 = self._send_own_labels(circuit, material)
         with self.channel.step("ot"):
@@ -420,8 +490,7 @@ class VictimSession(_Session):
 
     def _agree_profile(self) -> None:
         self.channel.send(MSG_HELLO, self.config.pi.to_bytes())
-        if self.channel.recv(MSG_PI_ACK):
-            raise ValueError("PI_ACK must carry no payload")
+        self.channel.recv(MSG_PI_ACK)
 
     def _build_and_garble(self):
         circuit = build_mechanism_circuit(self.params, self.scaled)
@@ -444,8 +513,7 @@ class VictimSession(_Session):
 
     def _receive_output(self, circuit: Circuit, material) -> MechanismOutcome:
         payload = self.channel.recv(MSG_OUTPUT_LABELS)
-        labels = _parse_labels(payload, len(material.garbled.output_decode))
-        proof = [WireLabel(label) for label in labels]
+        proof = [WireLabel(label) for label in _parse_labels(payload)]
         outcome = decode_outcome(circuit, decode_and_prove(material.garbled, proof))
         self.channel.send(
             MSG_RESULT_ACK,
@@ -484,21 +552,18 @@ class AttackerSession(_Session):
         self.channel.send(MSG_PI_ACK)
 
     def _receive_and_check_circuit(self):
-        gc = deserialize_garbled(self.channel.recv(MSG_CIRCUIT))
-        # rebuild from the agreed profile; the digest pins the garbled
-        # tables to exactly that circuit
+        # the agreed profile fixes the circuit, so it is built before
+        # CIRCUIT arrives and that frame's header is checked against its
+        # plan; the digest pins the garbled tables to exactly that circuit
         circuit = build_mechanism_circuit(self.params, self.scaled)
+        self.channel.plan = message_plan(circuit)
+        gc = deserialize_garbled(self.channel.recv(MSG_CIRCUIT), circuit)
         if circuit_digest(circuit) != gc.base_circuit_digest:
             raise ValueError("digest does not match the profile")
-        if len(gc.tables) != circuit.and_count:
-            raise ValueError("table count does not match")
-        if len(gc.output_decode) != len(circuit.outputs):
-            raise ValueError("output commitment count mismatch")
         return gc, circuit
 
     def _receive_victim_labels(self, circuit: Circuit):
-        payload = self.channel.recv(MSG_GARBLER_INPUT_LABELS)
-        return _parse_labels(payload, circuit.victim_inputs)
+        return _parse_labels(self.channel.recv(MSG_GARBLER_INPUT_LABELS))
 
     def _run_ot(self, circuit: Circuit):
         s0, s1, bits = self._draw_inputs(circuit, circuit.attacker_positions)
@@ -514,8 +579,6 @@ class AttackerSession(_Session):
 
     def _check_result_ack(self, outcome: MechanismOutcome) -> None:
         payload = self.channel.recv(MSG_RESULT_ACK)
-        if len(payload) != _RESULT_STRUCT.size:
-            raise ValueError("malformed result payload")
         if _RESULT_STRUCT.unpack(payload) != (int(outcome.r_f), outcome.alpha, outcome.sigma):
             raise ValueError("peer decoded a different outcome")
 

@@ -39,7 +39,7 @@ from blindbargain.protocol import (
     run_attacker,
     run_victim,
 )
-from test_garbling import WRONG_ENCODINGS, _negated, _wrong_encodings
+from test_garbling import WRONG_ENCODINGS, _negated, _uncompressed, _wrong_encodings
 
 VICTIM_CFG = """\
 blocks = 120, 40, 30, 10
@@ -76,12 +76,18 @@ def test_offers_worked_example(capsys):
     assert "offers: [3, 2, 2]" in out
 
 
+_SRC_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(
+        [str(Path(blindbargain.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    ),
+)
+
+
 def _python_m_blindbargain(*argv):
-    src = str(Path(blindbargain.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
         [sys.executable, "-m", "blindbargain", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_SRC_ENV, timeout=60,
     )
 
 
@@ -180,6 +186,14 @@ def test_readme_abort_table_lists_exactly_the_protocol_stages():
     # the first line is the header's separator row
     rows = [line.split("|")[1].strip().strip("`") for line in table.splitlines()[1:]]
     assert sorted(rows) == sorted(_step_stages(source) | {"timeout:<stage>", "peer-abort"})
+
+
+def test_abort_bound_is_the_longest_stage_tag():
+    # the plan admits an ABORT of at most MAX_ABORT_BYTES: the longest tag
+    # a step of protocol.py can send, its stage behind "timeout:"
+    source = Path(protocol.__file__).read_text(encoding="utf-8")
+    tags = [f"timeout:{stage}".encode() for stage in _step_stages(source)]
+    assert max(map(len, tags)) == protocol.MAX_ABORT_BYTES
 
 
 def test_marginal_loss_warning_leaves_no_registry_entries(capsys):
@@ -856,9 +870,14 @@ def test_wrongly_encoded_ot_element_exits_abort_code_on_either_side(
     assert code == 2
     assert attacker.stage == "peer-abort" and attacker.detail == "ot"
     refusal = WRONG_ENCODINGS[name]
-    where = "expected 6 " if refusal.endswith("points") else "element 5 "
+    # a wrong length is refused at the frame's header, as the plan has it
+    wrong_length = len(_wrong_encodings(_uncompressed(2))[name][0])
+    detail = (
+        f"receiver message: element 5 {refusal}" if refusal
+        else f"OT_MSG2 must be {6 * ELEMENT_BYTES} bytes, got {5 * ELEMENT_BYTES + wrong_length}"
+    )
     err = capsys.readouterr().err
-    assert f"aborted at ot: receiver message: {where}{refusal}\n" in err
+    assert f"aborted at ot: {detail}\n" in err
 
     # the attacker, OT receiver, refuses a wrong OT_MSG1
     class WrongOtMsg1Victim(VictimSession):
@@ -874,9 +893,12 @@ def test_wrongly_encoded_ot_element_exits_abort_code_on_either_side(
     code, victim = _cli_attacker_against(WrongOtMsg1Victim, tmp_path)
     assert code == 2
     assert victim.stage == "peer-abort" and victim.detail == "ot"
-    where = "expected 1 " if refusal.endswith("points") else "element 0 "
+    detail = (
+        f"sender message: element 0 {refusal}" if refusal
+        else f"OT_MSG1 must be {ELEMENT_BYTES} bytes, got {wrong_length}"
+    )
     err = capsys.readouterr().err
-    assert f"aborted at ot: sender message: {where}{refusal}\n" in err
+    assert f"aborted at ot: {detail}\n" in err
 
 
 def test_connect_without_listener_is_transport_failure(capsys, tmp_path):
@@ -935,6 +957,43 @@ def test_config_file_past_the_size_cap_exits_one(capsys, tmp_path):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (1, ""), argv
             assert err == f"error: config file {path} is longer than {MAX_CONFIG_BYTES} bytes\n"
+
+
+def test_fifo_config_without_a_writer_exits_one_at_once(tmp_path):
+    # the open does not wait for a writer, and a FIFO with none reads as
+    # empty, so the config misses its keys; the timeout turns a hang into
+    # a failure
+    fifo = tmp_path / "config.fifo"
+    os.mkfifo(fifo)
+    proc = subprocess.run(
+        [sys.executable, "-m", "blindbargain", "victim", "--config", str(fifo),
+         "--listen", "127.0.0.1:1"],
+        capture_output=True, text=True, env=_SRC_ENV, timeout=20,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: missing required keys: q, k, k_theta\n"
+
+
+def test_pipe_config_with_a_writer_reads_all_it_is_written():
+    # as --config <(...) does: the reads block until the writer closes
+    text = VICTIM_CFG + "r_min = 65\n"
+    read_end, write_end = os.pipe()
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "blindbargain", "offers", "--config", f"/dev/fd/{read_end}"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_SRC_ENV,
+            pass_fds=(read_end,),
+        )
+    finally:
+        os.close(read_end)
+    with os.fdopen(write_end, "w") as writer:
+        writer.write(text[:20])
+        writer.flush()
+        time.sleep(0.5)
+        writer.write(text[20:])
+    out, err = proc.communicate(timeout=20)
+    assert proc.returncode == 0, err
+    assert "N = 3" in out
 
 
 def test_unsendable_profile_exits_one_before_listening(capsys, tmp_path):

@@ -7,19 +7,25 @@ the step that guards against exactly that deviation.
 """
 
 import hashlib
+import json
+import os
 import random
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blindbargain.bench import GRID
 from blindbargain.circuit import Circuit, GateKind, build_mechanism_circuit
 from blindbargain.garbling import LABEL_BYTES, WireLabel, _seed_label, garble
 from blindbargain.mechanism import (
@@ -28,14 +34,18 @@ from blindbargain.mechanism import (
     ScaledParams,
     ScalingWarning,
     outcome_fixed,
+    p_bar_for,
 )
 from blindbargain.ot import BITS_PER_TRANSFER, BRANCHES, ELEMENT_BYTES, OtReceiver
 from blindbargain.protocol import (
+    MAX_ABORT_BYTES,
     MAX_TIMEOUT,
     MSG_ABORT,
     MSG_CIRCUIT,
     MSG_GARBLER_INPUT_LABELS,
     MSG_HELLO,
+    MSG_NAMES,
+    MSG_OT_MSG2,
     MSG_OUTPUT_LABELS,
     MSG_PI_ACK,
     MSG_RESULT_ACK,
@@ -52,9 +62,11 @@ from blindbargain.protocol import (
     load_transcript,
     loopback_exchange,
     loopback_run,
+    message_plan,
     persist_transcript,
     run_victim,
 )
+from test_circuit import BENCH_QS
 
 PI = PiProfile(Fraction(1, 4), Fraction(2, 3), 8, 8, Fraction(3))
 
@@ -330,9 +342,10 @@ def test_wrong_profile_circuit_aborts_at_circuit_check():
     )
     assert isinstance(attacker, NegotiationAbort)
     assert attacker.stage == "circuit-check"
-    # the dishonest side may see the abort frame or a reset, depending
-    # on how far its pipelined sends got
-    assert isinstance(victim, (NegotiationAbort, TransportFailure))
+    # the attacker drains the victim's pipelined sends before it closes,
+    # so the victim reads the ABORT instead of meeting a reset
+    assert isinstance(victim, NegotiationAbort)
+    assert victim.stage == "peer-abort" and victim.detail == "circuit-check"
 
 
 class ForgedOutputAttacker(AttackerSession):
@@ -424,6 +437,7 @@ class LyingResultVictim(VictimSession):
         # replay the honest flow but corrupt the final ack
         self._agree_profile()
         circuit, material = self._build_and_garble()
+        self.channel.plan = message_plan(circuit)
         from blindbargain.garbling import serialize_garbled
 
         self.channel.send(3, serialize_garbled(material.garbled))
@@ -461,22 +475,21 @@ def _rewriting(session_cls, msg_type, rewrite):
 
 
 # the side whose message is malformed, what it sends instead, the stage and
-# detail its honest peer aborts with, and how the malformed side may end:
-# the victim's sends after CIRCUIT are pipelined, so they can meet the
-# reset of the closed socket before the ABORT frame is read, and
-# RESULT_ACK is the last message, so the victim has settled by then
+# detail its honest peer aborts with after the frame's header, and how the
+# malformed side ends: RESULT_ACK is the last message, so the victim has
+# settled by then
 @pytest.mark.parametrize(
     "side,msg_type,rewrite,stage,detail,ends",
     [
         ("attacker", MSG_PI_ACK, lambda p: b"x", "pi-agreement",
-         "PI_ACK must carry no payload", (NegotiationAbort,)),
+         "PI_ACK must be 0 bytes, got 1", (NegotiationAbort,)),
         ("victim", MSG_GARBLER_INPUT_LABELS, lambda p: p[:-LABEL_BYTES],
-         "victim-labels", "expected 17 labels", (NegotiationAbort,)),
+         "victim-labels", "GARBLER_INPUT_LABELS must be 272 bytes, got 256", (NegotiationAbort,)),
         ("victim", MSG_CIRCUIT, lambda p: b"junk", "circuit-check",
-         "garbled blob too short", (NegotiationAbort, TransportFailure)),
+         "CIRCUIT must be 5740 bytes, got 4", (NegotiationAbort,)),
         ("attacker", MSG_OUTPUT_LABELS, lambda p: p[:-LABEL_BYTES],
-         "output-verify", "expected 10 labels", (NegotiationAbort,)),
-        ("victim", MSG_RESULT_ACK, lambda p: p[:3], "result", "malformed result payload",
+         "output-verify", "OUTPUT_LABELS must be 160 bytes, got 144", (NegotiationAbort,)),
+        ("victim", MSG_RESULT_ACK, lambda p: p[:3], "result", "RESULT_ACK must be 10 bytes, got 3",
          (NegotiationResult,)),
     ],
 )
@@ -490,6 +503,20 @@ def test_malformed_message_aborts_at_its_step(side, msg_type, rewrite, stage, de
     assert isinstance(sender, ends)
     if isinstance(sender, NegotiationAbort):
         assert sender.stage == "peer-abort" and sender.detail == stage
+
+
+def test_victim_whose_circuit_is_refused_always_reads_the_abort():
+    # the attacker refuses the junk CIRCUIT at its header and drains the
+    # victim's pipelined labels and OT_MSG1 before it closes, so the
+    # victim reads the ABORT (exit 2) and never meets a reset (exit 3)
+    junk = _rewriting(VictimSession, MSG_CIRCUIT, lambda p: b"junk")
+    for run in range(30):
+        victim, attacker = loopback_exchange(
+            PI, 200, 37, b"v%d" % run, b"a%d" % run, victim_session_cls=junk
+        )
+        assert isinstance(attacker, NegotiationAbort) and attacker.stage == "circuit-check"
+        assert isinstance(victim, NegotiationAbort), (run, victim)
+        assert (victim.stage, victim.detail) == ("peer-abort", "circuit-check")
 
 
 def test_profile_mismatch_aborts_before_any_secrets_move():
@@ -525,24 +552,53 @@ def test_transcript_of_aborted_session_ends_with_abort(tmp_path):
     assert load_transcript(path).records == attacker.transcript.records
 
 
+# who sends each message type; the victim sends the rest
+_ATTACKER_SENDS = {MSG_PI_ACK, MSG_OT_MSG2, MSG_OUTPUT_LABELS}
+
+
+def _planned_shapes(pi):
+    """Each side's honest transcript shape, from the circuit's plan alone."""
+    circuit = build_mechanism_circuit(pi.params(), pi.scaled)
+    shapes = {"victim": [], "attacker": []}
+    for msg_type, length in message_plan(circuit).items():
+        sender = "attacker" if msg_type in _ATTACKER_SENDS else "victim"
+        for side in shapes:
+            direction = "sent" if side == sender else "received"
+            shapes[side].append((direction, MSG_NAMES[msg_type], length))
+    return shapes
+
+
 def test_transcript_shape_independent_of_attacker_report():
-    shapes = set()
+    planned = _planned_shapes(PI)
     for theta_a in (0, 37, 254):
         v, a = loopback_run(PI, 200, theta_a, b"v", b"a%d" % theta_a)
-        shapes.add(tuple(v.transcript.shape()))
-        assert tuple(a.transcript.shape()) == tuple(
-            (("received" if d == "sent" else "sent"), t, n)
-            for d, t, n in v.transcript.shape()
-        )
-    assert len(shapes) == 1
+        assert v.transcript.shape() == planned["victim"]
+        assert a.transcript.shape() == planned["attacker"]
 
 
 def test_transcript_shape_independent_of_victim_report():
-    shapes = {
-        tuple(loopback_run(PI, theta_v, 37, b"v", b"a")[1].transcript.shape())
-        for theta_v in (0, 128, 255)
-    }
-    assert len(shapes) == 1
+    planned = _planned_shapes(PI)
+    for theta_v in (0, 128, 255):
+        v, a = loopback_run(PI, theta_v, 37, b"v", b"a")
+        assert a.transcript.shape() == planned["attacker"]
+        assert v.transcript.shape() == planned["victim"]
+
+
+@pytest.mark.parametrize("k_theta,k", GRID)
+def test_honest_transcript_shape_is_the_plan_of_the_circuit(k_theta, k):
+    # every profile of the benchmark grid at the six q of its mixed
+    # workload, with reports at both ends of their range and between
+    rng = random.Random(k_theta * 100 + k)
+    top = (1 << k_theta) - 1
+    for q in BENCH_QS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ScalingWarning)
+            pi = PiProfile(q, p_bar_for(q), k, k_theta, 0)
+        planned = _planned_shapes(pi)
+        for theta_v, theta_a in ((0, top), (top, 0), (rng.randrange(top), rng.randrange(top))):
+            v, a = loopback_run(pi, theta_v, theta_a, rng.randbytes(8), rng.randbytes(8))
+            assert v.transcript.shape() == planned["victim"], (q, theta_v, theta_a)
+            assert a.transcript.shape() == planned["attacker"], (q, theta_v, theta_a)
 
 
 def test_ot_message_sizes_follow_the_bit_triples():
@@ -567,6 +623,7 @@ def test_ot_message_sizes_follow_the_bit_triples():
         for theta_v, theta_a in reports:
             v, a = loopback_run(pi, theta_v, theta_a, b"v-odd", b"a-odd")
             assert v.outcome == a.outcome == oracle(pi, v, a)
+            assert v.transcript.shape() == _planned_shapes(pi)["victim"]
             sizes = {t: n for _, t, n in v.transcript.shape()}
             assert sizes["GARBLER_INPUT_LABELS"] == LABEL_BYTES * circuit.victim_inputs
             assert sizes["OT_MSG1"] == ELEMENT_BYTES
@@ -676,9 +733,10 @@ def test_trickling_peer_cannot_outlast_the_step_deadline():
     start = time.monotonic()
     with socket.create_connection(address, timeout=2) as sock:
         assert _read_frame(sock)[0] == 1  # HELLO
-        # promise a 1000-byte frame, then feed it one byte per 0.2 s: each
-        # read beats a per-read timeout, but the step's deadline still passes
-        sock.sendall(struct.pack("<I", 1000))
+        # announce the longest ABORT the plan allows, then feed its body
+        # one byte per 0.2 s: each read beats a per-read timeout, but the
+        # step's deadline still passes
+        sock.sendall(struct.pack("<IB", MAX_ABORT_BYTES + 1, MSG_ABORT))
         while thread.is_alive() and time.monotonic() - start < 4:
             try:
                 sock.sendall(b"\x00")
@@ -692,6 +750,60 @@ def test_trickling_peer_cannot_outlast_the_step_deadline():
     assert box["result"].stage == "timeout:pi-agreement"
 
 
+# an attacker in its own process: its peak RSS growth over the session,
+# measured by the process itself, and how the session ended
+_MEASURED_ATTACKER = """
+import json, resource, sys
+from fractions import Fraction
+from blindbargain.protocol import NegotiationAbort, NegotiationConfig, PiProfile, run_attacker
+pi = PiProfile(Fraction(1, 4), Fraction(2, 3), 8, 8, Fraction(3))
+config = NegotiationConfig(pi, 37, ("127.0.0.1", int(sys.argv[1])), 10.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    run_attacker(config, b"a")
+    end = "settled"
+except NegotiationAbort as exc:
+    end = exc.stage
+grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(json.dumps({"end": end, "grown_kb": grown_kb}))
+"""
+
+
+@pytest.mark.parametrize("msg_type", [MSG_CIRCUIT, MSG_ABORT], ids=["CIRCUIT", "ABORT"])
+def test_oversized_frame_is_refused_at_its_header(msg_type):
+    # a fake victim announces a 64 MiB - 1 frame after HELLO: the attacker
+    # refuses it at circuit-check from the 5-byte header, before any byte
+    # of the body is sent, then drains the body without keeping it
+    length = (1 << 26) - 1
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(20)
+        attacker = subprocess.Popen(
+            [sys.executable, "-c", _MEASURED_ATTACKER, str(listener.getsockname()[1])],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(20)
+                _send_frame(conn, MSG_HELLO, PI.to_bytes())
+                assert _read_frame(conn) == (MSG_PI_ACK, b"")
+                conn.sendall(struct.pack("<IB", length, msg_type))
+                assert _read_frame(conn) == (MSG_ABORT, b"circuit-check")
+                chunk, left = memoryview(bytes(1 << 16)), length - 1
+                while left:
+                    conn.sendall(chunk[: min(left, len(chunk))])
+                    left -= min(left, len(chunk))
+            out, err = attacker.communicate(timeout=30)
+        finally:
+            attacker.kill()
+    assert attacker.returncode == 0, err
+    report = json.loads(out)
+    assert report["end"] == "circuit-check"
+    assert report["grown_kb"] < 5 * 1024, report
+
+
 def test_channel_timeout_is_its_budget_again_after_each_frame():
     # the reads shorten the socket's timeout toward the frame's deadline;
     # sends after them must not inherit what was left of it
@@ -701,8 +813,8 @@ def test_channel_timeout_is_its_budget_again_after_each_frame():
     with peer, conn:
         channel = _Channel(conn, SessionTranscript(), 0.5)
         channel.stage = "pi-agreement"
-        _send_frame(peer, MSG_HELLO, b"profile")
-        assert channel.recv(MSG_HELLO) == b"profile"
+        _send_frame(peer, MSG_HELLO, PI.to_bytes())
+        assert channel.recv(MSG_HELLO) == PI.to_bytes()
         assert channel.sock.gettimeout() == channel.budget == 0.5
         with pytest.raises(NegotiationAbort, match="timeout:pi-agreement"):
             channel.recv(MSG_PI_ACK)

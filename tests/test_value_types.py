@@ -128,3 +128,26 @@ def test_widths_are_converted_to_int():
     pi = PiProfile(Fraction(1, 4), Fraction(2, 3), "16", Fraction(8), 0)
     assert (type(pi.k), type(pi.k_theta)) == (int, int)
     assert pi == PiProfile(Fraction(1, 4), Fraction(2, 3), 16, 8, 0)
+
+
+# a width that is not a whole number, the error it raises, and the message
+REFUSED_WIDTHS = [
+    (8.9, TypeError, "must be a whole number, got float 8.9"),
+    (8.0, TypeError, "must be a whole number, got float 8.0"),
+    (True, TypeError, "must be a whole number, got bool True"),
+    (Fraction(17, 2), ValueError, "must be a whole number, got 17/2"),
+    ("8.5", ValueError, "must be a whole number, got 8.5"),
+]
+
+
+@pytest.mark.parametrize("width,error,message", REFUSED_WIDTHS, ids=repr)
+def test_widths_are_refused_not_truncated(width, error, message):
+    q, p_bar = Fraction(1, 4), Fraction(2, 3)
+    for name, make in (
+        ("k_theta", lambda w: MechanismParams(q, w, 8)),
+        ("k", lambda w: MechanismParams(q, 8, w)),
+        ("k", lambda w: PiProfile(q, p_bar, w, 8, 0)),
+        ("k_theta", lambda w: PiProfile(q, p_bar, 8, w, 0)),
+    ):
+        with pytest.raises(error, match=f"^{name} {message}$"):
+            make(width)
