@@ -44,10 +44,6 @@ _MASK = (1 << 128) - 1
 _FIXED_KEY = bytes(LABEL_BYTES)
 
 
-class DigestMismatch(ValueError):
-    """The circuit in hand is not the one this garbling was built for."""
-
-
 class LabelDecodeError(ValueError):
     """An output label matches neither commitment: tampering or corruption."""
 
@@ -182,17 +178,11 @@ def evaluate(
 ) -> tuple[WireLabel, ...]:
     """Walk the gates under encryption; returns the output-wire labels.
 
-    The digest check runs before any table is touched, so a circuit
-    that does not match what this garbling was built for is rejected
-    outright.
+    Unchecked here: ``gc`` garbles ``circuit`` (the attacker's
+    circuit-check compares digests, ``deserialize_garbled`` the table
+    count) and ``input_labels`` holds one label per input (the message
+    plan and ``OtReceiver.unwrap`` fix that count).
     """
-    if circuit_digest(circuit) != gc.base_circuit_digest:
-        raise DigestMismatch("circuit digest does not match the garbling")
-    n_in = circuit.n_inputs
-    if len(input_labels) != n_in:
-        raise ValueError(f"expected {n_in} input labels, got {len(input_labels)}")
-    if len(gc.tables) != circuit.and_count:
-        raise ValueError("garbled table count does not match the circuit")
     from_bytes, mask128 = int.from_bytes, _MASK
     labels = [from_bytes(label, "big") for label in input_labels]
     encrypt = _new_encryptor().update
@@ -227,12 +217,10 @@ def decode_and_prove(
 
     The labels themselves are the proof the other side checks against
     the same commitments.  Raises LabelDecodeError on any label that was
-    never issued.
+    never issued.  ``output_labels`` must hold one label per commitment:
+    the message plan fixes their count, and ``decode_outcome`` checks
+    the bits' count.
     """
-    if len(output_labels) != len(gc.output_decode):
-        raise ValueError(
-            f"expected {len(gc.output_decode)} output labels, got {len(output_labels)}"
-        )
     bits = []
     for position, (label, pair) in enumerate(zip(output_labels, gc.output_decode)):
         commitment = _commit(label.bits)

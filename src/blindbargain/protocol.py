@@ -5,24 +5,26 @@ checks the circuit, evaluates, and returns the output labels:
 
   1. victim proposes the profile (q, p_bar, k, k_theta, t_e); the
      attacker acks it if the bytes equal its own profile's, else aborts,
-  2. victim builds the circuit from the profile, garbles it, and sends
-     the garbled tables with output commitments,
+  2. victim garbles the circuit it built from its profile when its
+     session started, and sends the garbled tables with output
+     commitments,
   3. victim sends its own input labels directly and serves the
      attacker's through oblivious transfer, so neither report nor
      random word crosses the wire in the clear; only the input bits
      the circuit reads have labels,
-  4. attacker independently builds the circuit from the agreed profile
-     as soon as it acks it, before CIRCUIT arrives, and compares digests
-     before evaluating; a mismatch aborts,
+  4. attacker compares the blob's digest with that of the circuit it
+     built from its own profile when its session started, before
+     evaluating; a mismatch aborts,
   5. attacker sends the output labels back; the victim verifies them
      against its commitments, decodes, and acks the plaintext result,
      which the attacker cross-checks against its own extraction.
 
-Each side derives one plan from the circuit it built (``message_plan``):
-the exact length of every message, so the transcript's shape follows
-from the agreed profile alone.  ``_Channel.recv`` checks each frame's
-5-byte header, length and type, against the plan before it reads the
-body.
+Each side builds its circuit, and the plan derived from it
+(``message_plan``), once, when its session starts and before any frame
+moves.  The plan holds the exact length of every message, so the
+transcript's shape follows from the agreed profile alone.
+``_Channel.recv`` checks each frame's 5-byte header, length and type,
+against the plan before it reads the body.
 
 Each step names its abort stage once, in its role's ``run``; a failed
 check inside a step, or a stall, a wrong length or a wrong message
@@ -103,8 +105,6 @@ _RESULT_STRUCT = struct.Struct("<QBB")
 _FRAME_HEADER = struct.Struct("<IB")
 # an ABORT carries a stage tag; this is the longest
 MAX_ABORT_BYTES = len("timeout:circuit-check")
-# the lengths both sides know before either has built its circuit
-_PROFILE_PLAN = {MSG_HELLO: _PI_STRUCT.size, MSG_PI_ACK: 0}
 
 
 def message_plan(circuit: Circuit) -> dict[int, int]:
@@ -116,7 +116,8 @@ def message_plan(circuit: Circuit) -> dict[int, int]:
     """
     transfers = transfer_count(circuit.attacker_inputs)
     return {
-        **_PROFILE_PLAN,
+        MSG_HELLO: _PI_STRUCT.size,
+        MSG_PI_ACK: 0,
         MSG_CIRCUIT: garbled_size(circuit),
         MSG_GARBLER_INPUT_LABELS: LABEL_BYTES * circuit.victim_inputs,
         MSG_OT_MSG1: ELEMENT_BYTES,
@@ -308,9 +309,11 @@ class _Channel:
     socket's timeout between reads.  ``step`` names the protocol step
     under way: ``recv`` tags its aborts with that stage, and a failed
     check inside the step aborts there.  ``plan`` maps each message
-    type to its length; a session replaces the profile's part with its
-    circuit's ``message_plan`` once it has built the circuit.
+    type to its length; the session sets it to its circuit's
+    ``message_plan`` when it starts, before any frame moves.
     """
+
+    plan: dict[int, int]
 
     def __init__(self, sock: socket.socket, transcript: SessionTranscript, budget: float):
         sock.settimeout(budget)
@@ -319,14 +322,13 @@ class _Channel:
         self.transcript = transcript
         self.budget = budget
         self.stage: str | None = None
-        self.plan = _PROFILE_PLAN
 
     @contextmanager
     def step(self, stage: str):
         """Run one protocol step; a ValueError raised in it aborts at ``stage``.
 
         Every check failure of the lower layers (``OtProtocolError``,
-        ``LabelDecodeError``, ``DigestMismatch``) is a ValueError.
+        ``LabelDecodeError``) is a ValueError.
         """
         self.stage = stage
         try:
@@ -457,6 +459,8 @@ class _Session:
         self.randomness = randomness
         self.params = config.pi.params()
         self.scaled = config.pi.scaled
+        self.circuit = build_mechanism_circuit(self.params, self.scaled)
+        channel.plan = message_plan(self.circuit)
 
     def _draw_inputs(self, circuit: Circuit, positions: tuple[int, ...]):
         """Draw this party's two random words; returns them with the input
@@ -477,7 +481,6 @@ class VictimSession(_Session):
         with self.channel.step("pi-agreement"):
             self._agree_profile()
         circuit, material = self._build_and_garble()
-        self.channel.plan = message_plan(circuit)
         self.channel.send(MSG_CIRCUIT, serialize_garbled(material.garbled))
         s0, s1 = self._send_own_labels(circuit, material)
         with self.channel.step("ot"):
@@ -493,9 +496,8 @@ class VictimSession(_Session):
         self.channel.recv(MSG_PI_ACK)
 
     def _build_and_garble(self):
-        circuit = build_mechanism_circuit(self.params, self.scaled)
-        material = garble(circuit, self.randomness.seed_bytes())
-        return circuit, material
+        # run after PI agreement: no secret is drawn for a refused profile
+        return self.circuit, garble(self.circuit, self.randomness.seed_bytes())
 
     def _send_own_labels(self, circuit: Circuit, material):
         s0, s1, bits = self._draw_inputs(circuit, circuit.victim_positions)
@@ -530,13 +532,13 @@ class AttackerSession(_Session):
         with self.channel.step("pi-agreement"):
             self._agree_profile()
         with self.channel.step("circuit-check"):
-            gc, circuit = self._receive_and_check_circuit()
+            gc = self._receive_and_check_circuit()
         with self.channel.step("victim-labels"):
-            victim_labels = self._receive_victim_labels(circuit)
+            victim_labels = self._receive_victim_labels()
         with self.channel.step("ot"):
-            own_labels, s0, s1 = self._run_ot(circuit)
+            own_labels, s0, s1 = self._run_ot(self.circuit)
         with self.channel.step("extract"):
-            outcome, proof = self._evaluate(gc, circuit, victim_labels + own_labels)
+            outcome, proof = self._evaluate(gc, self.circuit, victim_labels + own_labels)
         self.channel.send(MSG_OUTPUT_LABELS, b"".join(l.bits for l in proof))
         with self.channel.step("result"):
             self._check_result_ack(outcome)
@@ -552,17 +554,14 @@ class AttackerSession(_Session):
         self.channel.send(MSG_PI_ACK)
 
     def _receive_and_check_circuit(self):
-        # the agreed profile fixes the circuit, so it is built before
-        # CIRCUIT arrives and that frame's header is checked against its
-        # plan; the digest pins the garbled tables to exactly that circuit
-        circuit = build_mechanism_circuit(self.params, self.scaled)
-        self.channel.plan = message_plan(circuit)
-        gc = deserialize_garbled(self.channel.recv(MSG_CIRCUIT), circuit)
-        if circuit_digest(circuit) != gc.base_circuit_digest:
+        # the digest pins the garbled tables to exactly the circuit this
+        # side built from its profile
+        gc = deserialize_garbled(self.channel.recv(MSG_CIRCUIT), self.circuit)
+        if circuit_digest(self.circuit) != gc.base_circuit_digest:
             raise ValueError("digest does not match the profile")
-        return gc, circuit
+        return gc
 
-    def _receive_victim_labels(self, circuit: Circuit):
+    def _receive_victim_labels(self):
         return _parse_labels(self.channel.recv(MSG_GARBLER_INPUT_LABELS))
 
     def _run_ot(self, circuit: Circuit):

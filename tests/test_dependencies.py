@@ -1,8 +1,9 @@
 """Import hygiene: the package imports without numpy, importing the
 package alone loads none of its modules, no module imports a name it
-never uses, no dataclass writes its own constructor, and every public
-name of the package, and every public member of its classes, has a
-reader outside the tests."""
+never uses, no dataclass writes its own constructor, a session builds
+its circuit and message plan in one place, and every public name of
+the package, and every public member of its classes, has a reader
+outside the tests."""
 
 import ast
 import subprocess
@@ -111,6 +112,69 @@ def test_dataclass_init_check_flags_a_hand_written_constructor():
         "class Plain:\n    def __init__(self):\n        pass\n"
     )
     assert _dataclasses_with_init(source) == ["Twice (line 6)", "Also (line 14)"]
+
+
+def _functions_where(source: str, matches) -> list[str]:
+    """The function (``Class.method``) around each node ``matches`` accepts,
+    in source order; ``<module>`` for a node outside any function."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if matches(child):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def _builds_circuit(node: ast.AST) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id == "build_mechanism_circuit") or (
+        isinstance(func, ast.Attribute) and func.attr == "build_mechanism_circuit"
+    )
+
+
+def _assigns_plan(node: ast.AST) -> bool:
+    # a store to ``x.plan`` itself; ``x.plan[key] = ...`` only reads it
+    return (
+        isinstance(node, ast.Attribute) and node.attr == "plan" and isinstance(node.ctx, ast.Store)
+    )
+
+
+def test_a_session_builds_its_circuit_and_plan_in_one_place():
+    # the profile fixes the circuit and every message's length, so each
+    # side builds both once, when its session starts
+    package = Path(blindbargain.__file__).parent
+    protocol = (package / "protocol.py").read_text(encoding="utf-8")
+    assert _functions_where(protocol, _builds_circuit) == ["_Session.__init__"]
+    plans = {
+        path.name: found
+        for path in sorted(package.glob("*.py"))
+        if (found := _functions_where(path.read_text(encoding="utf-8"), _assigns_plan))
+    }
+    assert plans == {"protocol.py": ["_Session.__init__"]}
+
+
+def test_one_place_check_flags_a_second_plan_assignment():
+    source = (
+        "from blindbargain import circuit\n\n\n"
+        "class Session:\n"
+        "    plan: dict\n\n"
+        "    def __init__(self, channel):\n"
+        "        channel.plan = plan_of(circuit.build_mechanism_circuit())\n\n"
+        "    def run(self):\n"
+        "        self.channel.plan[1] = 0\n"
+        "        self.channel.plan = {}\n\n\n"
+        "def replan(channel):\n"
+        "    channel.plan, spare = {}, build_mechanism_circuit()\n"
+    )
+    assert _functions_where(source, _assigns_plan) == ["Session.__init__", "Session.run", "replan"]
+    assert _functions_where(source, _builds_circuit) == ["Session.__init__", "replan"]
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

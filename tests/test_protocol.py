@@ -229,7 +229,7 @@ class RetablingVictim(VictimSession):
     """
 
     def _build_and_garble(self):
-        circuit = build_mechanism_circuit(self.params, self.scaled)
+        circuit = self.circuit
         seed = self.randomness.seed_bytes()
         material = garble(circuit, seed)
         # the free-XOR offset, as the XOR of one input pair
@@ -437,7 +437,6 @@ class LyingResultVictim(VictimSession):
         # replay the honest flow but corrupt the final ack
         self._agree_profile()
         circuit, material = self._build_and_garble()
-        self.channel.plan = message_plan(circuit)
         from blindbargain.garbling import serialize_garbled
 
         self.channel.send(3, serialize_garbled(material.garbled))
@@ -475,9 +474,11 @@ def _rewriting(session_cls, msg_type, rewrite):
 
 
 # the side whose message is malformed, what it sends instead, the stage and
-# detail its honest peer aborts with after the frame's header, and how the
-# malformed side ends: RESULT_ACK is the last message, so the victim has
-# settled by then
+# detail its honest peer aborts with, and how the malformed side ends:
+# RESULT_ACK is the last message, so the victim has settled by then.  A
+# wrong length is refused at the frame's header; a CIRCUIT of the right
+# length with one digest byte flipped (blob offset 4) passes its header,
+# magic and counts, and is refused at the digest
 @pytest.mark.parametrize(
     "side,msg_type,rewrite,stage,detail,ends",
     [
@@ -491,6 +492,8 @@ def _rewriting(session_cls, msg_type, rewrite):
          "output-verify", "OUTPUT_LABELS must be 160 bytes, got 144", (NegotiationAbort,)),
         ("victim", MSG_RESULT_ACK, lambda p: p[:3], "result", "RESULT_ACK must be 10 bytes, got 3",
          (NegotiationResult,)),
+        ("victim", MSG_CIRCUIT, lambda p: p[:4] + bytes([p[4] ^ 1]) + p[5:], "circuit-check",
+         "digest does not match the profile", (NegotiationAbort,)),
     ],
 )
 def test_malformed_message_aborts_at_its_step(side, msg_type, rewrite, stage, detail, ends):
@@ -812,6 +815,7 @@ def test_channel_timeout_is_its_budget_again_after_each_frame():
         conn, _ = listener.accept()
     with peer, conn:
         channel = _Channel(conn, SessionTranscript(), 0.5)
+        channel.plan = {MSG_HELLO: len(PI.to_bytes()), MSG_PI_ACK: 0}
         channel.stage = "pi-agreement"
         _send_frame(peer, MSG_HELLO, PI.to_bytes())
         assert channel.recv(MSG_HELLO) == PI.to_bytes()
